@@ -1,10 +1,14 @@
-// Package native re-targets the HCF phase pipeline (internal/phases) at
-// real memory: direct Go atomics instead of simulated cells, goroutines
-// instead of simulated threads, and wall-clock time instead of virtual
-// cycles. It is the production backend the simulator prototypes — the
-// same speculation-where-it-wins / combining-where-it-doesn't shape,
-// deployable as an ordinary Go library (see the public hcf/native
-// package and hcf.NewNative).
+// Package native is the wall-clock HCF backend: the simulator's
+// speculation-then-combining pipeline run on real memory, with direct Go
+// atomics instead of simulated cells, goroutines instead of simulated
+// threads, and wall-clock time instead of virtual cycles. It does not
+// import the simulator's phase pipeline (internal/phases); it mirrors
+// that package's descriptor protocol (Free -> Announced -> Claimed ->
+// Done publication slots) and its per-class policy vocabulary
+// (TryPrivate, MaxBatch, ShouldHelp, RunMulti), so configurations
+// transfer between the backends. It is the production backend the
+// simulator prototypes, deployable as an ordinary Go library (see the
+// public hcf/native package and hcf.NewNative).
 //
 // The pipeline maps onto native memory as follows:
 //
@@ -12,10 +16,11 @@
 //     software stand-in in the style of Brown's HTM-template fallback:
 //     a single seqlock word guards the structure. Read-only classes run
 //     optimistically — load the version (even = no writer), run the
-//     operation over atomic cells, and validate that the version did not
-//     change. Update classes attempt a budgeted CAS-acquire of the same
-//     word (even v -> odd v+1), apply, and publish (store v+2). Both
-//     abort to the combining path when the budget is exhausted.
+//     operation over the atomic cells of its read set, and validate that
+//     the version did not change. Update classes attempt a budgeted
+//     CAS-acquire of the same word (even v -> odd v+1), apply, and
+//     publish (store v+2). Both abort to the combining path when the
+//     budget is exhausted.
 //
 //   - Announce + combining. The owner publishes its operation in a
 //     cache-padded per-handle publication slot and spins briefly; the
@@ -30,15 +35,32 @@
 //     whose operations are merely announced never park — they stay
 //     runnable so one of them can always become the combiner.
 //
-// Safety under the Go memory model: all structure state read by the
-// optimistic path lives in atomic cells, and Go's sync/atomic operations
-// behave like sequentially consistent C++ atomics (there is a single
-// total order over all atomic operations). A read-only operation that
-// observes the same even version before and after therefore ran entirely
-// between one writer's release and the next writer's acquire, and its
-// (possibly torn in time, never in value) cell loads are both race-free
-// and linearizable at the observed version. docs/PERFORMANCE.md spells
-// the argument out.
+// Safety under the Go memory model — the contract for structure authors:
+//
+//   - Cells that a ReadOnly class reads without the lock (its speculative
+//     read set) must be atomics. Go's sync/atomic operations behave like
+//     sequentially consistent C++ atomics (there is a single total order
+//     over all atomic operations), so a read-only operation that observes
+//     the same even version before and after ran entirely between one
+//     writer's release and the next writer's acquire, and its (possibly
+//     torn in time, never in value) cell loads are both race-free and
+//     linearizable at the observed version.
+//
+//   - State that only update classes touch may be plain memory. Update
+//     classes run only inside critical sections: a speculative writer or
+//     a combiner enters with CompareAndSwap(v, v+1), which succeeds only
+//     by observing the value v that the previous holder's releasing store
+//     wrote, and that store is sequenced after every plain write the
+//     previous holder made. In the Go memory model an atomic write
+//     observed by an atomic read is synchronized before it, so each
+//     critical section happens after the one before it, and its plain
+//     reads see the previous holder's plain writes.
+//
+// A writer that changes a cell in the read set must store it atomically;
+// plain memory it also changes needs no atomics at all. The priority
+// queue (internal/native/pqueue) shows the split: PeekMin reads an atomic
+// length and root mirror, while the heap array Insert and ExtractMin sift
+// through is a plain slice. docs/PERFORMANCE.md spells the argument out.
 package native
 
 import (
@@ -81,7 +103,10 @@ type Op struct {
 // result. For ReadOnly classes it must be safe to execute concurrently
 // with a writer: all shared state it touches must live in atomic cells,
 // and it must terminate on any (stale but never torn) view of them — the
-// framework discards results that fail seqlock validation.
+// framework discards results that fail seqlock validation. Update
+// classes always run with the seqlock held, so they may also read and
+// write plain memory, provided no ReadOnly class reads that memory (see
+// the package doc).
 type ApplyFunc func(op Op) uint64
 
 // CombineFunc applies a batch of claimed operations (the paper's
@@ -112,7 +137,9 @@ type Policy struct {
 	Name string
 	// ReadOnly marks a class whose operations never modify the structure;
 	// its speculation runs validated optimistic reads instead of
-	// CAS-acquires.
+	// CAS-acquires. Everything a ReadOnly class's Run reads is its
+	// speculative read set and must live in atomic cells; state outside
+	// every ReadOnly class's read set may be plain memory.
 	ReadOnly bool
 	// TryPrivate budgets the speculative attempts before announcing.
 	TryPrivate int

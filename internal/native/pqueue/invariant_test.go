@@ -9,15 +9,21 @@ import (
 )
 
 // checkHeapInvariant verifies every parent is <= both children over the
-// live prefix of the heap array.
+// live prefix of the heap array, and that the root mirror PeekMin reads
+// equals heap[0] whenever the queue is non-empty.
 func checkHeapInvariant(t *testing.T, q *Queue, step int) {
 	t.Helper()
 	n := q.n.Load()
+	if n > 0 {
+		if r := q.root.Load(); r != q.heap[0] {
+			t.Fatalf("step %d: root mirror %d != heap[0] %d (n=%d)", step, r, q.heap[0], n)
+		}
+	}
 	for i := uint64(0); i < n; i++ {
-		pv := q.heap[i].Load()
+		pv := q.heap[i]
 		for _, c := range [2]uint64{2*i + 1, 2*i + 2} {
 			if c < n {
-				if cv := q.heap[c].Load(); pv > cv {
+				if cv := q.heap[c]; pv > cv {
 					t.Fatalf("step %d: heap[%d]=%d > heap[%d]=%d (n=%d)", step, i, pv, c, cv, n)
 				}
 			}

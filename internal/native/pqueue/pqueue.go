@@ -1,8 +1,16 @@
 // Package pqueue is a fixed-capacity binary min-heap priority queue for
-// the native HCF backend. Heap cells and the length word are atomics so
-// the framework's optimistic-read speculation (PeekMin) may run
-// concurrently with a writer and rely on seqlock validation; Insert and
-// ExtractMin run only inside seqlock critical sections.
+// the native HCF backend.
+//
+// Its state splits along the framework's memory contract (see package
+// native). The speculative read set — the length word n and root, a
+// mirror of heap[0] — holds atomics, because PeekMin reads them under
+// optimistic speculation, concurrently with a writer, and relies on
+// seqlock validation. The heap array itself is plain memory: only Insert
+// and ExtractMin touch it, and they run only inside seqlock critical
+// sections, whose acquire/release pairs order each holder's plain writes
+// before the next holder's reads. A sift therefore costs ordinary loads
+// and stores; only the length word and, when it changes, the root pay for
+// an atomic store.
 package pqueue
 
 import (
@@ -24,8 +32,13 @@ const (
 
 // Queue is the binary min-heap.
 type Queue struct {
-	heap []atomic.Uint64
+	// n and root are the speculative read set: PeekMin loads them without
+	// the lock. root equals heap[0] whenever n > 0.
 	n    atomic.Uint64
+	root atomic.Uint64
+	// heap is lock-only state, read and written by Insert and ExtractMin
+	// inside critical sections only.
+	heap []uint64
 }
 
 // New creates a queue holding at most capacity keys; Insert panics
@@ -34,7 +47,7 @@ func New(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue{heap: make([]atomic.Uint64, capacity)}
+	return &Queue{heap: make([]uint64, capacity)}
 }
 
 // Len returns the number of queued keys. Call only while quiescent or
@@ -45,26 +58,28 @@ func (q *Queue) Len() int { return int(q.n.Load()) }
 //
 // The sift-up is the classic hole-propagation form: the new key is a
 // conceptual hole that bubbles toward the root, each displaced parent
-// written once, and the key placed exactly once at the end — one atomic
-// store per moved level plus one final placement, instead of the two
-// stores per level a swap-based sift costs. Every store is a locked RMW
-// on the bus, so halving them matters (see docs/PERFORMANCE.md).
+// written once, and the key placed exactly once at the end. The root
+// mirror is stored only when the key lands at index 0.
 func (q *Queue) Insert(k uint64) uint64 {
 	i := q.n.Load()
-	if int(i) >= len(q.heap) {
-		panic(fmt.Sprintf("pqueue: full (%d keys)", len(q.heap)))
+	h := q.heap
+	if int(i) >= len(h) {
+		panic(fmt.Sprintf("pqueue: full (%d keys)", len(h)))
 	}
 	q.n.Store(i + 1)
 	for i > 0 {
 		parent := (i - 1) / 2
-		pv := q.heap[parent].Load()
+		pv := h[parent]
 		if pv <= k {
 			break
 		}
-		q.heap[i].Store(pv)
+		h[i] = pv
 		i = parent
 	}
-	q.heap[i].Store(k)
+	h[i] = k
+	if i == 0 {
+		q.root.Store(k)
+	}
 	return native.PackBool(true)
 }
 
@@ -75,10 +90,14 @@ func (q *Queue) ExtractMin() uint64 {
 	if n == 0 {
 		return native.Pack(0, false)
 	}
-	min := q.heap[0].Load()
-	last := q.heap[n-1].Load()
+	h := q.heap
+	min := h[0]
 	n--
+	last := h[n]
 	q.n.Store(n)
+	if n == 0 {
+		return native.Pack(min, true)
+	}
 	// Hole propagation (see Insert): the root is a hole that sinks toward
 	// the leaves, each promoted child written once, and the detached last
 	// key placed exactly once where the hole comes to rest.
@@ -89,31 +108,31 @@ func (q *Queue) ExtractMin() uint64 {
 			break
 		}
 		c := l
-		cv := q.heap[l].Load()
+		cv := h[l]
 		if r < n {
-			if rv := q.heap[r].Load(); rv < cv {
+			if rv := h[r]; rv < cv {
 				c, cv = r, rv
 			}
 		}
 		if cv >= last {
 			break
 		}
-		q.heap[i].Store(cv)
+		h[i] = cv
 		i = c
 	}
-	if n > 0 {
-		q.heap[i].Store(last)
-	}
+	h[i] = last
+	q.root.Store(h[0])
 	return native.Pack(min, true)
 }
 
 // PeekMin reads the smallest key, returning Pack(key, nonempty). Safe
-// under optimistic speculation: one length load plus one cell load.
+// under optimistic speculation: it loads only the speculative read set,
+// the length word and the root mirror.
 func (q *Queue) PeekMin() uint64 {
 	if q.n.Load() == 0 {
 		return native.Pack(0, false)
 	}
-	return native.Pack(q.heap[0].Load(), true)
+	return native.Pack(q.root.Load(), true)
 }
 
 // InsertOp, ExtractMinOp and PeekMinOp build operations for the framework.

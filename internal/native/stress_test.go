@@ -21,6 +21,7 @@ import (
 	"hcf/internal/native/hashtable"
 	"hcf/internal/native/pqueue"
 	"hcf/internal/witness"
+	pubnative "hcf/native"
 )
 
 // wOp adapts a native value-struct operation to the engine.Op interface
@@ -157,17 +158,31 @@ func TestStressHashtableLinearizable(t *testing.T) {
 }
 
 // TestStressPQueueLinearizable does the same for the priority queue,
-// whose every update conflicts at the heap root.
+// whose every update conflicts at the heap root. The heap array is plain
+// memory guarded only by the seqlock, so the test runs twice: once with
+// every update forced through the combiner, and once at the shipped
+// speculation budget, where CAS-acquired writers race speculative
+// PeekMin readers and each other.
 func TestStressPQueueLinearizable(t *testing.T) {
+	t.Run("combining-only", func(t *testing.T) { stressPQueue(t, 1, 0) })
+	t.Run("default-budget", func(t *testing.T) {
+		stressPQueue(t, pubnative.DefaultTryPrivate, pubnative.DefaultTryPrivate)
+	})
+}
+
+// stressPQueue hammers one queue with a mixed insert/extract/peek load,
+// giving PeekMin readBudget and updates writeBudget speculative attempts,
+// and checks the full witnessed history.
+func stressPQueue(t *testing.T, readBudget, writeBudget int) {
 	const opsPer = 3000
 	goroutines := stressGoroutines()
 	q := pqueue.New(goroutines * opsPer)
-	fw, err := native.New(native.Config{Policies: q.Policies(1, 0), MaxHandles: goroutines})
+	fw, err := native.New(native.Config{Policies: q.Policies(readBudget, 0), MaxHandles: goroutines})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw.SetTryPrivate(pqueue.ClassInsert, 0)
-	fw.SetTryPrivate(pqueue.ClassExtractMin, 0)
+	fw.SetTryPrivate(pqueue.ClassInsert, writeBudget)
+	fw.SetTryPrivate(pqueue.ClassExtractMin, writeBudget)
 	rec := &witness.Recorder{}
 	fw.SetWitness(bridge(rec))
 	var wg sync.WaitGroup
@@ -194,5 +209,12 @@ func TestStressPQueueLinearizable(t *testing.T) {
 	model := &pqModel{}
 	if err := witness.Check(rec, model, goroutines*opsPer, nil); err != nil {
 		t.Fatal(err)
+	}
+	m := fw.Metrics()
+	if m.SpecReadHits == 0 {
+		t.Fatalf("no PeekMin completed speculatively: %+v", m)
+	}
+	if writeBudget > 0 && m.SpecWriteHits == 0 {
+		t.Fatalf("no update completed as a CAS-acquired writer: %+v", m)
 	}
 }

@@ -28,11 +28,14 @@
 //	}
 //	wg.Wait()
 //
-// Custom data structures implement their sequential code over atomic
-// cells and wire it on with Policies; see internal/native/hashtable and
-// internal/native/pqueue for the two shipped examples, and
-// docs/PERFORMANCE.md ("Native backend") for the memory-model argument
-// and wall-clock numbers against sync.Mutex, sync.RWMutex and sync.Map.
+// Custom data structures implement their sequential code and wire it on
+// with Policies. Cells that a read-only class reads under speculation
+// must be atomics; state only update classes touch may be plain memory,
+// since updates always run with the lock held. See
+// internal/native/hashtable and internal/native/pqueue for the two
+// shipped examples, and docs/PERFORMANCE.md ("Native backend") for the
+// memory-model argument and wall-clock numbers against sync.Mutex,
+// sync.RWMutex and sync.Map.
 package native
 
 import (
