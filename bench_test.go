@@ -149,22 +149,26 @@ func BenchmarkBudgetSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptive: the §2.4 future-work controller on a shifting
-// workload, static vs adaptive budgets.
-func BenchmarkAdaptive(b *testing.B) {
-	var res []harness.Result
+// BenchmarkAutotune: the §2.4 future-work policy autotuner on the drifting
+// priority-queue workload, tuned vs the best static policy, over the full
+// horizon and over the post-drift region.
+func BenchmarkAutotune(b *testing.B) {
+	var rep *harness.AutotuneReport
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = harness.RunAdaptiveComparison(18, benchCfg())
+		rep, err = harness.RunAutotune(18, benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range res {
-		if r.Scenario == "hashtable/shifting" {
-			b.ReportMetric(r.Throughput, r.Engine+"_ops/Mcycle")
-		}
+	tuned, best, bestPost := rep.Tuned(), rep.BestStatic(), rep.BestStaticPostDrift()
+	if tuned == nil || best == nil || bestPost == nil {
+		b.Fatal("autotune report lacks a tuned or static variant")
 	}
+	b.ReportMetric(tuned.Throughput, "tuned_ops/Mcycle")
+	b.ReportMetric(best.Throughput, "best-static_ops/Mcycle")
+	b.ReportMetric(tuned.PostDrift, "tuned-post-drift_ops/Mcycle")
+	b.ReportMetric(bestPost.PostDrift, "best-static-post-drift_ops/Mcycle")
 }
 
 // BenchmarkDeque: §2.4's two-ends deque with the specialized variant.

@@ -106,7 +106,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list available figures and exit")
-		adaptFlg = fs.Bool("adaptive", false, "run the policy-autotuner comparison on the drifting workload (§2.4 future work; same data as -fig autotune)")
 		realFlg  = fs.Bool("real", false, "run the figure's scenario on the real-concurrency backend (wall clock; meaningful on multicore hosts)")
 		realOps  = fs.Int("real-ops", 2000, "operations per thread in -real mode")
 		figID    = fs.String("fig", "", "figure id to reproduce, or 'all'")
@@ -164,35 +163,6 @@ func run(args []string) error {
 	if *list {
 		for _, f := range harness.Figures() {
 			fmt.Printf("%-14s %-18s %s\n", f.ID, f.Ref, f.Title)
-		}
-		return nil
-	}
-	if *adaptFlg {
-		ts := []int{36}
-		if *threads != "" {
-			var err error
-			if ts, err = parseInts(*threads); err != nil {
-				return err
-			}
-		}
-		fmt.Println("== autotune (§2.4 future work): drifting workload, static vs autotuned policies")
-		for _, t := range ts {
-			results, err := harness.RunAdaptiveComparison(t, harness.Config{Horizon: *horizon, Seed: *seed, Parallel: *parallel})
-			if err != nil {
-				return err
-			}
-			switch {
-			case *jsonFlg:
-				out, err := harness.FormatJSONL(results)
-				if err != nil {
-					return err
-				}
-				fmt.Print(out)
-			case *csv:
-				fmt.Print(harness.FormatCSV(results))
-			default:
-				fmt.Print(harness.FormatThroughputTable(results))
-			}
 		}
 		return nil
 	}

@@ -252,10 +252,12 @@ type fuzzScenario struct {
 	nextOp   func(r *rand.Rand) engine.Op
 	model    witness.Model
 	rank     func(op engine.Op) int
-	// shards/router describe the sharded variant (HCF-S); shards == 0
-	// means the scenario has no sharding plan.
+	// key extracts the routing key for both sharded variants.
+	key shard.KeyFunc
+	// shards/ring describe the sharded variant (HCF-S), which routes keys
+	// on ring; shards == 0 means the scenario has no sharding plan.
 	shards int
-	router shard.Router
+	ring   *route.Ring
 	// The elastic variant (HCF-E): maxShards == 0 means no elastic plan.
 	// reshard, when non-nil, is called from thread 0 before each of its
 	// operations so splits and merges land mid-schedule, racing the
@@ -263,7 +265,6 @@ type fuzzScenario struct {
 	maxShards int
 	initial   int
 	slots     int
-	key       shard.KeyFunc
 	bind      func(op engine.Op, si int) engine.Op
 	migrate   shard.MigrateFunc
 	reshard   func(th *memsim.Thread, e *shard.Elastic, i, perThread int)
@@ -356,12 +357,8 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			model:  model,
 			rank:   insertsLast,
 			shards: shards,
-			router: func(op engine.Op) int {
-				if k, ok := hashtable.RouteKey(op); ok {
-					return ring.Owner(k)
-				}
-				return shard.CrossShard
-			},
+			ring:   ring,
+			key:    hashtable.RouteKey,
 		}, nil
 	case "elastic":
 		// The sharded workload over a LIVE topology: 4 provisioned tables
@@ -563,7 +560,8 @@ func fuzzOne(cfg fuzzCfg, engineName, scenario string, seed uint64) (string, err
 		}
 		se, err := shard.New(env, shard.Config{
 			Shards:   sc.shards,
-			Router:   sc.router,
+			Key:      sc.key,
+			Ring:     sc.ring,
 			Policies: sc.policies,
 		})
 		if err != nil {

@@ -178,7 +178,7 @@ func runTune(threads int, horizon int64, seed uint64, format string) error {
 		out, err := json.MarshalIndent(struct {
 			*harness.AutotuneReport
 			Journal []adaptive.Decision `json:"journal"`
-		}{rep, rep.Journal.Decisions()}, "", "  ")
+		}{rep, rep.Journal.Entries()}, "", "  ")
 		if err != nil {
 			return err
 		}

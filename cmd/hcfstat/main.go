@@ -28,6 +28,7 @@ import (
 	"hcf/internal/core"
 	"hcf/internal/harness"
 	"hcf/internal/htm"
+	"hcf/internal/journal"
 )
 
 func main() {
@@ -174,8 +175,8 @@ func runElastic(find, hot, threads int, horizon int64, seed uint64, lastN int, j
 		fmt.Printf("            shard_ops=%v slot_counts=%v\n\n", t.ShardOps, t.Ring.Counts)
 	}
 	ds := p.Decisions
-	if lastN > 0 && len(ds) > lastN {
-		ds = ds[len(ds)-lastN:]
+	if lastN > 0 {
+		ds = journal.Tail(ds, lastN)
 	}
 	fmt.Printf("rebalancer decisions (last %d of %d):\n", len(ds), len(p.Decisions))
 	for _, d := range ds {

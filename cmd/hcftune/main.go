@@ -60,7 +60,7 @@ func run(args []string) error {
 		out, err := json.MarshalIndent(struct {
 			*harness.AutotuneReport
 			Journal []adaptive.Decision `json:"journal"`
-		}{rep, rep.Journal.Decisions()}, "", "  ")
+		}{rep, rep.Journal.Entries()}, "", "  ")
 		if err != nil {
 			return err
 		}

@@ -3,9 +3,10 @@
 // A cache server starts read-dominated, then a bulk-load kicks in and the
 // workload turns write-heavy. The HCF configuration that was right for the
 // read phase (lots of private speculation for inserts, no combining) turns
-// wasteful. An AdaptiveController watches each class's phase-completion
-// profile and re-tunes the speculation budgets every epoch — shrinking
-// failing speculation toward a floor and growing the combining budget.
+// wasteful. A Tuner, given only the framework's own phase-completion
+// profile (no metrics recorder, no trace collector), watches each class
+// and re-tunes its speculation budgets every epoch — shrinking failing
+// speculation toward a floor and growing the combining budget.
 //
 // Run with: go run ./examples/adaptive
 package main
@@ -40,9 +41,9 @@ func run(useAdaptive bool) (phase2Ops uint64, budgets string) {
 	if err != nil {
 		panic(err)
 	}
-	var ctl *hcf.AdaptiveController
+	var tun *hcf.Tuner
 	if useAdaptive {
-		ctl = hcf.NewAdaptive(fw, hcf.AdaptiveConfig{
+		tun = hcf.NewTuner(fw, nil, nil, hcf.TunerConfig{
 			MinOpsPerEpoch: 48,
 			LowPrivate:     0.85,
 			HighPrivate:    0.97,
@@ -66,8 +67,8 @@ func run(useAdaptive bool) (phase2Ops uint64, budgets string) {
 				phase2[th.ID()]++
 			}
 			n++
-			if ctl != nil && th.ID() == 0 && n%16 == 0 {
-				ctl.Step()
+			if tun != nil && th.ID() == 0 && n%16 == 0 {
+				tun.Step(th.Now())
 			}
 		}
 	})
@@ -86,7 +87,7 @@ func main() {
 	fmt.Printf("bulk-load phase ops  adaptive: %6d   (%s)\n", adaptiveOps, adaptiveB)
 	delta := 100 * (float64(adaptiveOps) - float64(staticOps)) / float64(staticOps)
 	fmt.Printf("adaptation changed bulk-load throughput by %+.1f%%\n", delta)
-	fmt.Println("\nThe controller noticed Insert speculation failing during the bulk",
+	fmt.Println("\nThe tuner noticed Insert speculation failing during the bulk",
 		"\nload and re-tuned toward combining — no reconfiguration, no restart,",
 		"\nand (by the paper's §2.1 argument) no correctness risk.")
 }

@@ -28,7 +28,9 @@ func TestPublicAPICustomCostEnv(t *testing.T) {
 	}
 }
 
-func TestPublicAPIAdaptiveController(t *testing.T) {
+// TestPublicAPIBudgetTuner drives a budget-only Tuner (no recorder, no
+// collector) through the facade.
+func TestPublicAPIBudgetTuner(t *testing.T) {
 	env := hcf.NewDetEnv(8)
 	fw, err := hcf.New(env, hcf.Config{Policies: []hcf.Policy{{
 		TryPrivateTrials:   4,
@@ -38,18 +40,18 @@ func TestPublicAPIAdaptiveController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := hcf.NewAdaptive(fw, hcf.AdaptiveConfig{MinOpsPerEpoch: 16, LowPrivate: 0.95, HighPrivate: 0.99})
+	tun := hcf.NewTuner(fw, nil, nil, hcf.TunerConfig{MinOpsPerEpoch: 16, LowPrivate: 0.95, HighPrivate: 0.99})
 	counter := env.Alloc(1)
 	env.Run(func(th *hcf.Thread) {
 		for i := 0; i < 60; i++ {
 			fw.Execute(th, registerOp{addr: counter})
 			if th.ID() == 0 && i%10 == 9 {
-				ctl.Step()
+				tun.Step(th.Now())
 			}
 		}
 	})
-	if ctl.Steps == 0 {
-		t.Fatal("controller never stepped")
+	if tun.Steps == 0 {
+		t.Fatal("tuner never stepped")
 	}
 	if got := env.Boot().Load(counter); got != 8*60 {
 		t.Fatalf("counter = %d", got)
@@ -90,7 +92,7 @@ func TestPublicAPITunerJournal(t *testing.T) {
 	if tun.Journal().Len() == 0 {
 		t.Fatal("tuner journaled no decisions on conflict-free work")
 	}
-	var ds []hcf.TunerDecision = tun.Journal().Decisions()
+	var ds []hcf.TunerDecision = tun.Journal().Entries()
 	if ds[0].Rule != "grow-private" {
 		t.Fatalf("first decision = %s, want grow-private", ds[0].Rule)
 	}

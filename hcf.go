@@ -143,21 +143,17 @@ const (
 // New builds an HCF framework over env.
 func New(env Env, cfg Config) (*Framework, error) { return core.New(env, cfg) }
 
-// Sharded scaling layer: N independent frameworks over one Env with a
-// user-supplied operation router. Independent combiners run in parallel on
-// disjoint shards; operations spanning shards take a pessimistic path that
+// Sharded scaling layer: N independent frameworks over one Env, each
+// keyed operation routed to the shard its key's consistent-hash ring
+// owner names. Independent combiners run in parallel on disjoint shards;
+// operations without a key span shards and take a pessimistic path that
 // acquires all shard locks in canonical order (see internal/shard).
 type (
 	// Sharded is N Frameworks behind one Engine.
 	Sharded = shard.Sharded
 	// ShardedConfig configures a Sharded engine.
 	ShardedConfig = shard.Config
-	// Router maps an operation to its shard (or CrossShard).
-	Router = shard.Router
 )
-
-// CrossShard is the Router return value for operations that span shards.
-const CrossShard = shard.CrossShard
 
 // NewSharded builds a sharded HCF engine over env.
 func NewSharded(env Env, cfg ShardedConfig) (*Sharded, error) { return shard.New(env, cfg) }
@@ -272,31 +268,16 @@ type (
 // dir. Take one KVHandle per goroutine with its Handle method.
 func NewKV(dir string, cfg KVConfig) (*KV, error) { return kvstore.Open(dir, cfg) }
 
-// Adaptive-tuning types (the paper's §2.4 future-work mechanism): an
-// AdaptiveController periodically re-tunes a Framework's per-class
-// speculation budgets from its observed phase-completion profile.
-type (
-	// AdaptiveController adjusts a Framework's budgets in epochs.
-	AdaptiveController = adaptive.Controller
-	// AdaptiveConfig tunes the controller's thresholds.
-	AdaptiveConfig = adaptive.Config
-)
-
-// NewAdaptive builds a budget controller for fw; call its Step method
-// periodically from one thread.
-func NewAdaptive(fw *Framework, cfg AdaptiveConfig) *AdaptiveController {
-	return adaptive.New(fw, cfg)
-}
-
-// Evidence-driven autotuning (closing the observability loop): a Tuner
-// subsumes the AdaptiveController by learning full per-class phase
-// policies — skipping TryPrivate for always-conflicting classes, promoting
-// conflict-free classes out of combining, reviving parked speculation via
-// scheduled probes, spreading classes across publication arrays and
-// resizing batch bounds — from the metrics recorder's latency/outcome
-// evidence and the trace collector's per-class abort attribution. Every
-// change is appended to a lock-free decision Journal together with the
-// evidence that triggered it (see cmd/hcftune).
+// Adaptive tuning (the paper's §2.4 future-work mechanism): a Tuner
+// re-tunes a Framework's per-class phase policies in epochs. From the
+// framework's own phase-completion profile alone it shifts speculation
+// budgets; with the metrics recorder's latency/outcome evidence and the
+// trace collector's per-class abort attribution attached it also skips
+// TryPrivate for always-conflicting classes, promotes conflict-free
+// classes out of combining, revives parked speculation via scheduled
+// probes, spreads classes across publication arrays and resizes batch
+// bounds. Every change is appended to a lock-free decision Journal
+// together with the evidence that triggered it (see cmd/hcftune).
 type (
 	// Tuner rewrites a Framework's per-class policies in epochs.
 	Tuner = adaptive.Tuner

@@ -3,140 +3,22 @@
 // configuration of HCF fits all data structures and workloads, calling for
 // an adaptive runtime mechanism to tune the HCF performance."
 //
-// The controller watches each operation class's phase-completion profile
-// in epochs and shifts its speculation budgets: classes that keep
-// succeeding privately earn more private attempts (up to a cap), while
-// classes whose speculation keeps failing stop burning attempts and reach
-// the combining phases sooner. Because HCF's budgets affect performance
-// only — never correctness (§2.1) — adaptation is safe while operations
-// are in flight.
+// The mechanism is the Tuner. It watches each operation class in epochs
+// and rewrites the class's phase policy from whatever evidence it is
+// given. The framework's phase-completion profile is always available:
+// classes that keep succeeding privately earn more private attempts (up
+// to a cap) and then shed their combining budget, while classes whose
+// speculation keeps failing stop burning attempts and reach the combining
+// phases sooner. With a metrics recorder and a trace collector attached,
+// the same loop also skips TryPrivate for inherently conflicting classes,
+// revives parked speculation, resizes combining batches and spreads
+// combining classes over spare publication arrays. Every change is
+// journaled with the evidence behind it. Because HCF's budgets affect
+// performance only — never correctness (§2.1) — tuning is safe while
+// operations are in flight.
 package adaptive
 
-import (
-	"fmt"
-
-	"hcf/internal/core"
-)
-
-// Config tunes the controller. Zero fields take defaults.
-type Config struct {
-	// MinOpsPerEpoch is the number of completions a class needs in an
-	// epoch before its budgets are adjusted (default 64).
-	MinOpsPerEpoch uint64
-	// HighPrivate is the private-success fraction above which a class's
-	// private budget grows (default 0.90).
-	HighPrivate float64
-	// LowPrivate is the fraction below which speculation budgets shrink in
-	// favour of combining (default 0.40).
-	LowPrivate float64
-	// MaxPrivate caps the private budget (default 8).
-	MaxPrivate int
-	// MaxCombining caps the combining budget (default 8).
-	MaxCombining int
-	// PrivateFloor is the minimum private budget adaptation will not cut
-	// below (default 2): even at high conflict rates a little speculation
-	// is cheap, while cutting to zero forfeits all parallelism — a cliff
-	// in the configuration landscape.
-	PrivateFloor int
-}
-
-func (c *Config) normalize() {
-	if c.MinOpsPerEpoch == 0 {
-		c.MinOpsPerEpoch = 64
-	}
-	if c.HighPrivate == 0 {
-		c.HighPrivate = 0.90
-	}
-	if c.LowPrivate == 0 {
-		c.LowPrivate = 0.40
-	}
-	if c.MaxPrivate == 0 {
-		c.MaxPrivate = 8
-	}
-	if c.MaxCombining == 0 {
-		c.MaxCombining = 8
-	}
-	if c.PrivateFloor == 0 {
-		c.PrivateFloor = 2
-	}
-}
-
-// Controller adapts one Framework's per-class budgets.
-type Controller struct {
-	fw   *core.Framework
-	cfg  Config
-	prev [][core.NumPhases]uint64
-	// Steps counts applied adjustment rounds (for tests/diagnostics).
-	Steps int
-}
-
-// New builds a controller for fw.
-func New(fw *core.Framework, cfg Config) *Controller {
-	cfg.normalize()
-	return &Controller{
-		fw:   fw,
-		cfg:  cfg,
-		prev: fw.PhaseBreakdown(),
-	}
-}
-
-// Step closes the current epoch: it reads each class's phase-completion
-// deltas since the previous Step and adjusts budgets. Call it periodically
-// from any single thread (e.g. every few hundred operations); concurrent
-// Steps are not supported.
-func (c *Controller) Step() {
-	cur := c.fw.PhaseBreakdown()
-	for class := range cur {
-		var delta [core.NumPhases]uint64
-		var total uint64
-		for p := 0; p < core.NumPhases; p++ {
-			delta[p] = cur[class][p] - c.prev[class][p]
-			total += delta[p]
-		}
-		if total < c.cfg.MinOpsPerEpoch {
-			continue // not enough signal this epoch
-		}
-		c.adjust(class, delta, total)
-		c.prev[class] = cur[class]
-	}
-	c.Steps++
-}
-
-// adjust applies the budget rule for one class.
-//
-// Trials→SetTrials is a read-modify-write over budgets that users may set
-// concurrently (Framework.SetTrials is a public runtime knob), so adjust
-// only writes when it actually has an adjustment to make, and clamps the
-// values it writes: a user SetTrials landing mid-epoch must not be echoed
-// back outside [PrivateFloor, MaxPrivate] / [0, MaxCombining] by the
-// controller's next adjustment.
-func (c *Controller) adjust(class int, delta [core.NumPhases]uint64, total uint64) {
-	private, visible, combining := c.fw.Trials(class)
-	privFrac := float64(delta[core.PhaseTryPrivate]) / float64(total)
-	switch {
-	case privFrac >= c.cfg.HighPrivate:
-		// Speculation is winning: make sure it has budget to keep winning
-		// and stop paying for combining machinery it doesn't use.
-		private++
-	case privFrac <= c.cfg.LowPrivate:
-		// Speculation keeps failing often: give the combining phase more
-		// budget and trim the less valuable announced attempts, but keep
-		// a private floor — some cheap speculation always pays, and
-		// cutting it to zero forfeits all parallelism.
-		private--
-		if visible > 0 {
-			visible--
-		}
-		combining++
-	default:
-		// No adjustment: don't write the stale read back, it would silently
-		// revert a concurrent user SetTrials.
-		return
-	}
-	private = min(max(private, c.cfg.PrivateFloor), c.cfg.MaxPrivate)
-	combining = min(combining, c.cfg.MaxCombining)
-	c.fw.SetTrials(class, private, visible, combining)
-}
+import "hcf/internal/core"
 
 // ClassSnapshot is one class's entry in a Snapshot: its name and the
 // current runtime policy knobs.
@@ -150,20 +32,9 @@ type ClassSnapshot struct {
 }
 
 // Snapshot is a JSON-marshalable picture of a framework's current per-class
-// budgets and policies. Its String method renders the legacy log form.
+// budgets and policies.
 type Snapshot struct {
 	Classes []ClassSnapshot `json:"classes"`
-}
-
-// String renders the snapshot in the free-form log format earlier versions
-// of Snapshot returned directly.
-func (s Snapshot) String() string {
-	out := ""
-	for _, c := range s.Classes {
-		out += fmt.Sprintf("class %d: private=%d visible=%d combining=%d\n",
-			c.Class, c.Policy.Private, c.Policy.Visible, c.Policy.Combining)
-	}
-	return out
 }
 
 // snapshotOf assembles the per-class policy snapshot of fw.
@@ -178,7 +49,3 @@ func snapshotOf(fw *core.Framework) Snapshot {
 	}
 	return s
 }
-
-// Snapshot reports the current budgets and policy per class, for logging
-// (via String) or structured export (JSON).
-func (c *Controller) Snapshot() Snapshot { return snapshotOf(c.fw) }

@@ -1,12 +1,11 @@
 package adaptive
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"hcf/internal/core"
+	"hcf/internal/journal"
 	"hcf/internal/trace"
 )
 
@@ -86,7 +85,8 @@ type Evidence struct {
 // Decision is one journal entry: which rule fired for which class at what
 // time, the policy before and after, and the evidence that triggered it.
 type Decision struct {
-	// Seq is the entry's index in the journal.
+	// Seq is the entry's index in the journal, set by the appending
+	// Tuner.
 	Seq int `json:"seq"`
 	// Epoch is the tuner epoch (Step call) that produced the decision.
 	Epoch uint64 `json:"epoch"`
@@ -104,53 +104,19 @@ type Decision struct {
 	Evidence Evidence `json:"evidence"`
 }
 
-// Journal is the lock-free decision log: a single writer (the thread
-// driving Tuner.Step) appends by copy-on-write publication, so any thread
-// may snapshot, render or export it concurrently without locks — the
-// journal can be scraped while the run it documents is still going.
+// Journal is the tuner's decision log: the shared single-writer,
+// lock-free-reader journal.Log (the thread driving Tuner.Step appends), so
+// any thread may snapshot, tail, render or export it while the run it
+// documents is still going. Its JSON is byte-identical across runs of the
+// same seed on the deterministic backend.
 type Journal struct {
-	entries atomic.Pointer[[]Decision]
-}
-
-// append publishes one more decision (single writer: the Step caller).
-func (j *Journal) append(d Decision) {
-	var cur []Decision
-	if p := j.entries.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]Decision, len(cur)+1)
-	copy(next, cur)
-	d.Seq = len(cur)
-	next[len(cur)] = d
-	j.entries.Store(&next)
-}
-
-// Decisions returns the journal entries in order.
-func (j *Journal) Decisions() []Decision {
-	if p := j.entries.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Len returns the number of recorded decisions.
-func (j *Journal) Len() int { return len(j.Decisions()) }
-
-// JSON renders the journal as an indented JSON array (empty array when no
-// decision has been recorded). The output is byte-identical across runs of
-// the same seed on the deterministic backend.
-func (j *Journal) JSON() ([]byte, error) {
-	ds := j.Decisions()
-	if ds == nil {
-		ds = []Decision{}
-	}
-	return json.MarshalIndent(ds, "", "  ")
+	journal.Log[Decision]
 }
 
 // Text renders the journal as a human-readable log, one decision per line.
 func (j *Journal) Text() string {
 	var b strings.Builder
-	for _, d := range j.Decisions() {
+	for _, d := range j.Entries() {
 		name := d.Name
 		if name == "" {
 			name = fmt.Sprintf("class%d", d.Class)
@@ -202,7 +168,7 @@ func (j *Journal) Prometheus(scenario, engine string) string {
 	counts := make(map[key]uint64)
 	var order []key
 	var lastTime int64
-	for _, d := range j.Decisions() {
+	for _, d := range j.Entries() {
 		name := d.Name
 		if name == "" {
 			name = fmt.Sprintf("class%d", d.Class)

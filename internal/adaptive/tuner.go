@@ -158,15 +158,15 @@ type classState struct {
 // spreading combining classes over spare publication arrays.
 //
 // Both evidence sources are optional: with only the framework's phase
-// breakdown the tuner degrades to budget shifting (the Controller's
-// ability), each extra source enabling the richer rules. Every change is
-// recorded in the decision Journal together with the evidence that
-// triggered it.
+// breakdown the tuner is a budget shifter (grow, promote, shrink, and the
+// scheduled revive probe), each extra source enabling the richer rules.
+// Every change is recorded in the decision Journal together with the
+// evidence that triggered it.
 //
-// Like the Controller, the tuner only ever adjusts performance knobs, so
-// tuning is safe while operations are in flight. Call Step periodically
-// from a single thread; concurrent Steps are not supported (journal
-// readers need no coordination).
+// The tuner only ever adjusts performance knobs, so tuning is safe while
+// operations are in flight. Call Step periodically from a single thread;
+// concurrent Steps are not supported (journal readers need no
+// coordination).
 type Tuner struct {
 	fw  *core.Framework
 	rec *metrics.Recorder
@@ -219,6 +219,13 @@ func NewTuner(fw *core.Framework, rec *metrics.Recorder, col *trace.Collector, c
 // Journal returns the tuner's decision journal. It is safe to read (and
 // export) from any thread at any time.
 func (t *Tuner) Journal() *Journal { return t.journal }
+
+// record stamps d with its journal index and appends it (Step is the
+// journal's single writer).
+func (t *Tuner) record(d Decision) {
+	d.Seq = t.journal.Len()
+	t.journal.Append(d)
+}
 
 // Snapshot reports the framework's current per-class policy state.
 func (t *Tuner) Snapshot() Snapshot { return snapshotOf(t.fw) }
@@ -334,7 +341,7 @@ func (t *Tuner) Step(now int64) {
 				ev.EWMAAbortRate = st.ewma
 				ev.HotLines = t.hotLines(class)
 				cur := t.fw.PolicyState(class)
-				t.journal.append(Decision{
+				t.record(Decision{
 					Epoch: t.epoch, Time: now, Class: class, Name: t.fw.ClassName(class),
 					Rule: RuleDrift, Old: cur, New: cur, Evidence: ev,
 				})
@@ -452,7 +459,7 @@ func (t *Tuner) decide(class int, ev *Evidence) string {
 // apply executes rule for class and journals the change. Budgets are
 // re-read at apply time and every write is clamped into the tuner's
 // bounds, so a concurrent user SetTrials is never echoed back outside
-// them (the Controller.adjust contract).
+// them.
 func (t *Tuner) apply(class int, rule string, ev *Evidence, now int64) {
 	old := t.fw.PolicyState(class)
 	pol := old
@@ -501,7 +508,7 @@ func (t *Tuner) apply(class int, rule string, ev *Evidence, now int64) {
 	if pol.MaxBatch != old.MaxBatch {
 		t.fw.SetMaxBatch(class, pol.MaxBatch)
 	}
-	t.journal.append(Decision{
+	t.record(Decision{
 		Epoch: t.epoch, Time: now, Class: class, Name: t.fw.ClassName(class),
 		Rule: rule, Old: old, New: pol, Evidence: *ev,
 	})
@@ -571,7 +578,7 @@ func (t *Tuner) trySpread(now int64) {
 	}
 	pol := old
 	pol.PubArray = spare
-	t.journal.append(Decision{
+	t.record(Decision{
 		Epoch: t.epoch, Time: now, Class: light, Name: t.fw.ClassName(light),
 		Rule: RuleSpreadArray, Old: old, New: pol,
 		Evidence: Evidence{

@@ -3,13 +3,157 @@ package adaptive
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
 	"hcf/internal/core"
+	"hcf/internal/engine"
 	"hcf/internal/memsim"
 	"hcf/internal/trace"
 )
+
+// hotOp increments a single shared counter — speculation almost always
+// conflicts under many threads.
+type hotOp struct{ addr memsim.Addr }
+
+func (o hotOp) Apply(ctx memsim.Ctx) uint64 {
+	v := ctx.Load(o.addr)
+	ctx.Store(o.addr, v+1)
+	return v
+}
+
+func (o hotOp) Class() int { return 0 }
+
+// coldOp touches a thread-private cell — speculation always succeeds.
+type coldOp struct{ addr memsim.Addr }
+
+func (o coldOp) Apply(ctx memsim.Ctx) uint64 {
+	v := ctx.Load(o.addr)
+	ctx.Store(o.addr, v+1)
+	return v
+}
+
+func (o coldOp) Class() int { return 1 }
+
+var _ engine.Op = hotOp{}
+var _ engine.Op = coldOp{}
+
+func twoClassFramework(t *testing.T, env memsim.Env) *core.Framework {
+	t.Helper()
+	fw, err := core.New(env, core.Config{Policies: []core.Policy{
+		{Name: "hot", PubArray: 0, TryPrivateTrials: 4, TryVisibleTrials: 3, TryCombiningTrials: 2},
+		{Name: "cold", PubArray: 1, TryPrivateTrials: 4, TryVisibleTrials: 3, TryCombiningTrials: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fw
+}
+
+// TestAdaptationShiftsBudgetsByConflictProfile runs a budget-only tuner
+// (phase evidence alone) over one conflicting and one conflict-free class:
+// the conflicting class's speculation must shrink toward combining while
+// the conflict-free class keeps its private budget.
+func TestAdaptationShiftsBudgetsByConflictProfile(t *testing.T) {
+	const threads = 12
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads})
+	fw := twoClassFramework(t, env)
+	tun := NewTuner(fw, nil, nil, TunerConfig{MinOpsPerEpoch: 32, LowPrivate: 0.8, HighPrivate: 0.97})
+	hot := env.Alloc(1)
+	cold := make([]memsim.Addr, threads)
+	for i := range cold {
+		cold[i] = env.Alloc(memsim.WordsPerLine)
+	}
+	env.Run(func(th *memsim.Thread) {
+		for i := 0; i < 400; i++ {
+			fw.Execute(th, hotOp{addr: hot})
+			fw.Execute(th, coldOp{addr: cold[th.ID()]})
+			if th.ID() == 0 && i%50 == 49 {
+				tun.Step(th.Now())
+			}
+		}
+	})
+	hotP, _, hotC := fw.Trials(0)
+	coldP, _, _ := fw.Trials(1)
+	if hotP >= 4 {
+		t.Errorf("hot class private budget did not shrink: %d\n%s", hotP, tun.Journal().Text())
+	}
+	if hotC <= 2 {
+		t.Errorf("hot class combining budget did not grow: %d\n%s", hotC, tun.Journal().Text())
+	}
+	if coldP < 4 {
+		t.Errorf("cold class private budget shrank: %d", coldP)
+	}
+	if snap := tun.Snapshot(); len(snap.Classes) != 2 {
+		t.Errorf("bad snapshot: %+v", snap)
+	}
+}
+
+// TestAdaptationPreservesExactlyOnce changes budgets mid-run with a
+// budget-only tuner; the permutation witness must still hold.
+func TestAdaptationPreservesExactlyOnce(t *testing.T) {
+	const threads, perThread = 8, 120
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads})
+	fw := twoClassFramework(t, env)
+	tun := NewTuner(fw, nil, nil, TunerConfig{MinOpsPerEpoch: 16, LowPrivate: 0.85, Hysteresis: 1, Cooldown: 1})
+	counter := env.Alloc(1)
+	results := make([][]uint64, threads)
+	env.Run(func(th *memsim.Thread) {
+		mine := make([]uint64, 0, perThread)
+		for i := 0; i < perThread; i++ {
+			mine = append(mine, fw.Execute(th, hotOp{addr: counter}))
+			if th.ID() == 1 && i%20 == 19 {
+				tun.Step(th.Now())
+			}
+		}
+		results[th.ID()] = mine
+	})
+	if tun.Journal().Len() == 0 {
+		t.Fatal("budgets never changed; test exercised nothing")
+	}
+	var all []uint64
+	for _, r := range results {
+		all = append(all, r...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	for i, v := range all {
+		if v != uint64(i) {
+			t.Fatalf("permutation broken at %d: %d", i, v)
+		}
+	}
+}
+
+// TestBudgetsNeverGoNegativeOrExplode steps a budget-only tuner after
+// every short round of conflicting work: budgets stay non-negative and
+// within the configured caps.
+func TestBudgetsNeverGoNegativeOrExplode(t *testing.T) {
+	env := memsim.NewDet(memsim.DetConfig{Threads: 4})
+	fw := twoClassFramework(t, env)
+	cfg := TunerConfig{MinOpsPerEpoch: 1, MaxPrivate: 5, MaxVisible: 5, MaxCombining: 5, Hysteresis: 1, Cooldown: 1}
+	tun := NewTuner(fw, nil, nil, cfg)
+	hot := env.Alloc(1)
+	for round := 0; round < 30; round++ {
+		env.Run(func(th *memsim.Thread) {
+			for i := 0; i < 20; i++ {
+				fw.Execute(th, hotOp{addr: hot})
+			}
+		})
+		tun.Step(env.Now(0))
+		for class := 0; class < fw.NumClasses(); class++ {
+			p, v, c := fw.Trials(class)
+			if p < 0 || v < 0 || c < 0 {
+				t.Fatalf("negative budget: %d %d %d", p, v, c)
+			}
+			if p > cfg.MaxPrivate || v > cfg.MaxVisible || c > cfg.MaxCombining {
+				t.Fatalf("budget exceeded cap: %d %d %d", p, v, c)
+			}
+		}
+	}
+	if tun.Journal().Len() == 0 {
+		t.Fatal("tuner never decided; test exercised nothing")
+	}
+}
 
 // TestTunerGrowsAndPromotesConflictFree drives only conflict-free work: the
 // tuner must grow the class's private budget to the cap and then dismantle
@@ -41,7 +185,7 @@ func TestTunerGrowsAndPromotesConflictFree(t *testing.T) {
 		t.Errorf("cold combining budget = %d, want 0 after promotion", c)
 	}
 	var grows, promotes int
-	for _, d := range tun.Journal().Decisions() {
+	for _, d := range tun.Journal().Entries() {
 		if d.Class != 1 {
 			t.Errorf("decision on idle class: %+v", d)
 		}
@@ -88,7 +232,7 @@ func TestTunerSkipsPrivateOnConflictEvidence(t *testing.T) {
 		t.Fatalf("hot private budget = %d, want 0 after skip\n%s", p, tun.Journal().Text())
 	}
 	var skip *Decision
-	for _, d := range tun.Journal().Decisions() {
+	for _, d := range tun.Journal().Entries() {
 		if d.Rule == RuleSkipPrivate {
 			skip = &d
 			break
@@ -133,7 +277,7 @@ func TestTunerProbeRevivesParkedClass(t *testing.T) {
 			}
 		}
 	})
-	ds := tun.Journal().Decisions()
+	ds := tun.Journal().Entries()
 	if len(ds) == 0 || ds[0].Rule != RuleRevivePrivate {
 		t.Fatalf("first decision is not revive-private\n%s", tun.Journal().Text())
 	}
@@ -288,7 +432,7 @@ func TestTunerConcurrentSetTrialsRespectsClamps(t *testing.T) {
 		if tun.Journal().Len() == 0 {
 			t.Fatalf("seed %d: tuner never decided; test exercised nothing", seed)
 		}
-		for _, d := range tun.Journal().Decisions() {
+		for _, d := range tun.Journal().Entries() {
 			n := d.New
 			if n.Private < 0 || n.Private > maxPrivate || n.Visible < 0 || n.Combining < 0 || n.Combining > maxCombining {
 				t.Fatalf("seed %d: journaled write violates clamps: %+v", seed, d)
@@ -301,10 +445,10 @@ func TestTunerConcurrentSetTrialsRespectsClamps(t *testing.T) {
 // journal.
 func TestJournalRenders(t *testing.T) {
 	j := &Journal{}
-	j.append(Decision{Epoch: 3, Time: 700, Class: 0, Name: "insert", Rule: RuleGrowPrivate,
+	j.Append(Decision{Seq: 0, Epoch: 3, Time: 700, Class: 0, Name: "insert", Rule: RuleGrowPrivate,
 		Old: core.PolicyState{Private: 2, MaxBatch: 8}, New: core.PolicyState{Private: 3, MaxBatch: 8},
 		Evidence: Evidence{Ops: 64, PrivFrac: 0.97, Peer: -1}})
-	j.append(Decision{Epoch: 5, Time: 900, Class: 1, Name: "removemin", Rule: RuleDrift,
+	j.Append(Decision{Seq: 1, Epoch: 5, Time: 900, Class: 1, Name: "removemin", Rule: RuleDrift,
 		Old: core.PolicyState{Combining: 4}, New: core.PolicyState{Combining: 4},
 		Evidence: Evidence{Ops: 80, AbortRate: 0.7, EWMAAbortRate: 0.2, Attempts: 40, Peer: -1,
 			HotLines: []trace.HotLine{{Line: 7, Aborts: 12, TopWriter: 3}}}})

@@ -329,6 +329,38 @@ func TestResetMetrics(t *testing.T) {
 	}
 }
 
+func TestSetTrialsClampsNegatives(t *testing.T) {
+	env := memsim.NewDet(memsim.DetConfig{Threads: 1})
+	fw := newFW(t, env, Config{Policies: []Policy{defaultPolicy()}})
+	fw.SetTrials(0, -3, -1, -2)
+	p, v, c := fw.Trials(0)
+	if p != 0 || v != 0 || c != 0 {
+		t.Fatalf("negatives not clamped: %d %d %d", p, v, c)
+	}
+}
+
+func TestZeroBudgetClassStillCompletes(t *testing.T) {
+	// A tuner can drive every speculative budget to zero; operations must
+	// still complete via the combining phases.
+	env := memsim.NewDet(memsim.DetConfig{Threads: 4})
+	fw := newFW(t, env, Config{Policies: []Policy{
+		{Name: "hot", TryPrivateTrials: 4, TryVisibleTrials: 3, TryCombiningTrials: 2},
+	}})
+	fw.SetTrials(0, 0, 0, 0)
+	counter := env.Alloc(1)
+	env.Run(func(th *memsim.Thread) {
+		for i := 0; i < 30; i++ {
+			fw.Execute(th, incOp{addr: counter})
+		}
+	})
+	if got := env.Boot().Load(counter); got != 120 {
+		t.Fatalf("counter = %d, want 120", got)
+	}
+	if m := fw.Metrics(); m.PhaseCompleted[PhaseTryPrivate] != 0 {
+		t.Fatal("zero private budget still completed privately")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 1})
 	if _, err := New(env, Config{}); err == nil {

@@ -531,7 +531,11 @@ func (r *AutotuneReport) Text() string {
 		b.WriteByte('\n')
 	}
 	if t := r.Tuned(); t != nil && t.FinalPolicy != nil {
-		fmt.Fprintf(&b, "\nfinal tuned policy:\n%s", t.FinalPolicy.String())
+		b.WriteString("\nfinal tuned policy:\n")
+		for _, c := range t.FinalPolicy.Classes {
+			fmt.Fprintf(&b, "class %d: private=%d visible=%d combining=%d\n",
+				c.Class, c.Policy.Private, c.Policy.Visible, c.Policy.Combining)
+		}
 	}
 	return b.String()
 }

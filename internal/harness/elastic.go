@@ -267,7 +267,7 @@ func RunPointElastic(sc Scenario, mode string, rebalance bool, threads int, cfg 
 	topo := el.Topology()
 	pt.Topology = &topo
 	if rb != nil {
-		pt.Decisions = rb.Decisions()
+		pt.Decisions = rb.Journal().Entries()
 	}
 	if inst.Check != nil {
 		pt.InvariantViolation = inst.Check(env.Boot())

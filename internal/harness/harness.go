@@ -92,7 +92,7 @@ type Instance struct {
 	Check func(ctx memsim.Ctx) string
 	// Sharding, when non-nil, lets the scenario run under the sharded HCF
 	// engine ("HCF-S"): the structure is partitioned into Shards pieces and
-	// Router maps each operation to its piece (or shard.CrossShard).
+	// each keyed operation runs on the piece its key's ring owner names.
 	Sharding *Sharding
 	// Elastic, when non-nil, lets the scenario run under the elastic
 	// HCF engine ("HCF-E"): a consistent-hash ring routes keyed
@@ -100,15 +100,11 @@ type Instance struct {
 	Elastic *ElasticPlan
 }
 
-// Sharding is a scenario's plan for the sharded HCF engine. Routing is
-// either a Router closure or a Key extractor over a consistent-hash
-// ring (exactly one of the two; see shard.Config).
+// Sharding is a scenario's plan for the sharded HCF engine: a Key
+// extractor over a consistent-hash ring (see shard.Config).
 type Sharding struct {
 	// Shards is the number of per-shard frameworks.
 	Shards int
-	// Router maps operations to shards; see shard.Router. Mutually
-	// exclusive with Key.
-	Router shard.Router
 	// Key extracts the routing key for ring routing; see shard.KeyFunc.
 	Key shard.KeyFunc
 	// Ring overrides the topology used with Key (nil = uniform).
@@ -224,7 +220,6 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 		}
 		return shard.New(env, shard.Config{
 			Shards:            inst.Sharding.Shards,
-			Router:            inst.Sharding.Router,
 			Key:               inst.Sharding.Key,
 			Ring:              inst.Sharding.Ring,
 			Policies:          inst.Policies,

@@ -248,34 +248,6 @@ func TestShapeHCFBeatsLockUnderContention(t *testing.T) {
 	}
 }
 
-func TestRunAdaptiveComparison(t *testing.T) {
-	res, err := RunAdaptiveComparison(12, Config{Horizon: 120_000, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two rows (total + post-drift) per variant: the static grid, the
-	// tuned run, and the oracle.
-	want := 2 * (len(AutotuneStatics()) + 2)
-	if len(res) != want {
-		t.Fatalf("got %d results, want %d", len(res), want)
-	}
-	tuned := false
-	for _, r := range res {
-		if r.Engine == "HCF-tuned" {
-			tuned = true
-		}
-		if r.Ops == 0 {
-			t.Fatalf("%s/%s: no ops", r.Engine, r.Scenario)
-		}
-		if r.InvariantViolation != "" {
-			t.Fatalf("%s: %s", r.Engine, r.InvariantViolation)
-		}
-	}
-	if !tuned {
-		t.Fatal("no HCF-tuned row in the comparison")
-	}
-}
-
 func TestRunPointRealSmoke(t *testing.T) {
 	for _, name := range []string{"Lock", "TLE", "HCF"} {
 		r, err := RunPointReal(HashTableScenario(40, 128), name, 4, 50, Config{Seed: 2})

@@ -77,9 +77,9 @@ func (o SumOp) Apply(ctx memsim.Ctx) uint64 {
 func (o SumOp) Class() int { return ClassFind }
 
 // SumAllOp sums every value across a set of tables (a sharded structure's
-// whole-structure scan). Its read set spans all shards, so a sharded engine
-// must route it CrossShard onto the all-locks path. Result: Pack(sum mod
-// 2^63, true).
+// whole-structure scan). Its read set spans all shards, so RouteKey gives
+// it no key and a sharded engine runs it on the all-locks cross-shard
+// path. Result: Pack(sum mod 2^63, true).
 type SumAllOp struct {
 	Tables []*Table
 }

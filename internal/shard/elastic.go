@@ -80,7 +80,6 @@ type ElasticConfig struct {
 type Elastic struct {
 	*Sharded
 	table   *route.Table
-	key     KeyFunc
 	bind    func(op engine.Op, si int) engine.Op
 	migrate MigrateFunc
 	// per-thread routing state: one outstanding routed op per thread.
@@ -167,10 +166,10 @@ func NewElastic(env memsim.Env, cfg ElasticConfig) (*Elastic, error) {
 	if err != nil {
 		return nil, err
 	}
+	base.key = cfg.Key
 	e := &Elastic{
 		Sharded: base,
 		table:   route.NewTable(ring),
-		key:     cfg.Key,
 		bind:    cfg.Bind,
 		migrate: cfg.Migrate,
 		routed:  make([]routedOp, env.NumThreads()+1),

@@ -305,7 +305,7 @@ func TestRebalancerSplitsHotShard(t *testing.T) {
 			}
 		}
 	})
-	ds := rb.Decisions()
+	ds := rb.Journal().Entries()
 	if len(ds) == 0 {
 		t.Fatal("no decisions journaled")
 	}
@@ -345,7 +345,7 @@ func TestRebalancerJournalDeterminism(t *testing.T) {
 				}
 			}
 		})
-		j, err := rb.JSON()
+		j, err := rb.Journal().JSON()
 		if err != nil {
 			t.Fatal(err)
 		}

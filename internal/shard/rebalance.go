@@ -1,11 +1,10 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
+	"hcf/internal/journal"
 	"hcf/internal/memsim"
 	"hcf/internal/route"
 )
@@ -89,8 +88,8 @@ type RebalanceDecision struct {
 // detect a hot shard, split it (or merge cold split-created shards
 // back). Drive it from ONE thread at deterministic instants —
 // typically the harness's thread-0 sampling tick — so its decision
-// journal is replayable byte-for-byte per seed, in the same spirit as
-// adaptive.Tuner's journal (ROADMAP item 4).
+// journal (the same journal.Log the adaptive.Tuner keeps) is
+// replayable byte-for-byte per seed.
 type Rebalancer struct {
 	e       *Elastic
 	cfg     RebalanceConfig
@@ -98,7 +97,7 @@ type Rebalancer struct {
 	last    []uint64
 	window  int
 	cool    int
-	journal atomic.Pointer[[]RebalanceDecision]
+	journal journal.Log[RebalanceDecision]
 }
 
 // NewRebalancer attaches a rebalancer to e.
@@ -161,7 +160,7 @@ func (rb *Rebalancer) Step(th *memsim.Thread) RebalanceDecision {
 	default:
 		d.Reason = "balanced"
 	}
-	rb.append(d)
+	rb.journal.Append(d)
 	return d
 }
 
@@ -218,41 +217,16 @@ func (rb *Rebalancer) decideMerge(th *memsim.Thread, ring *route.Ring, d *Rebala
 	rb.cool = rb.cfg.Cooldown
 }
 
-// append is single-writer copy-on-write (same discipline as
-// adaptive.Journal): readers snapshot lock-free.
-func (rb *Rebalancer) append(d RebalanceDecision) {
-	var cur []RebalanceDecision
-	if p := rb.journal.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]RebalanceDecision, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = d
-	rb.journal.Store(&next)
-}
-
-// Decisions returns the journal entries in order.
-func (rb *Rebalancer) Decisions() []RebalanceDecision {
-	if p := rb.journal.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// JSON renders the journal as a deterministic JSON array (the
-// byte-identical-per-seed replay artifact).
-func (rb *Rebalancer) JSON() ([]byte, error) {
-	ds := rb.Decisions()
-	if ds == nil {
-		ds = []RebalanceDecision{}
-	}
-	return json.MarshalIndent(ds, "", "  ")
-}
+// Journal returns the decision journal: one entry per Step, hold
+// windows included. Readers may snapshot or export it lock-free while
+// Step is still appending; its JSON is the byte-identical-per-seed
+// replay artifact.
+func (rb *Rebalancer) Journal() *journal.Log[RebalanceDecision] { return &rb.journal }
 
 // Text renders the journal's actions for human consumption.
 func (rb *Rebalancer) Text() string {
 	var b strings.Builder
-	for _, d := range rb.Decisions() {
+	for _, d := range rb.journal.Entries() {
 		if d.Action == "hold" {
 			continue
 		}

@@ -6,7 +6,7 @@
 // "inherent limitations" argument: shrinking the shared conflict footprint
 // is the only way past it).
 //
-// Operations the router cannot confine to one shard (CrossShard) take a
+// Operations whose key extractor reports no key (they span shards) take a
 // pessimistic cross-shard path: the thread acquires every shard's
 // data-structure lock in canonical (ascending index) order, applies the
 // operation directly, and releases in reverse order. This is deadlock-free
@@ -29,41 +29,28 @@ import (
 	"hcf/internal/route"
 )
 
-// Router maps an operation to the shard that owns it, or CrossShard for
-// operations spanning shards. It must be deterministic and cheap: it runs
-// on every Execute, and an operation must resolve to the same shard for
-// its whole lifetime.
-type Router func(op engine.Op) int
-
 // KeyFunc extracts an operation's routing key. ok=false marks an
 // operation that spans shards (it runs on the all-locks cross-shard
-// path). Engines that route by key share one audited key→shard map (the
-// internal/route ring) instead of N hand-written mod-N closures.
+// path). It must be deterministic and cheap: it runs on every Execute,
+// and an operation must resolve to the same key for its whole lifetime.
 type KeyFunc func(op engine.Op) (key uint64, ok bool)
-
-// CrossShard is the Router return value for operations that cannot be
-// confined to one shard; they run on the all-locks pessimistic path.
-const CrossShard = -1
 
 // Config configures a Sharded engine. Policies, HoldSelectionLock, HTM
 // and ExtraArrays are applied to every per-shard framework (budgets stay
 // independently adjustable per shard afterwards via Shard).
 //
-// Routing is configured in exactly one of two ways: a Router closure
-// (full control, legacy), or a Key extractor plus an optional Ring —
-// key-routed engines look the owner up on a consistent-hash ring
-// (route.NewUniform over Shards when Ring is nil), which is the shared,
-// audited key→shard map and the prerequisite for elastic resharding.
+// Routing is a Key extractor plus an optional Ring: the owner of a key
+// is looked up on a consistent-hash ring (route.NewUniform over Shards
+// when Ring is nil), the shared, audited key→shard map and the
+// prerequisite for elastic resharding.
 type Config struct {
 	// Shards is the number of frameworks; must be >= 1.
 	Shards int
-	// Router maps operations to shards; mutually exclusive with Key.
-	Router Router
-	// Key extracts the routing key; mutually exclusive with Router.
+	// Key extracts the routing key; must be non-nil.
 	Key KeyFunc
 	// Ring overrides the consistent-hash topology used with Key
-	// (default: route.NewUniform(Shards, 0, Shards)). Ignored with
-	// Router. Must have NumShards() == Shards.
+	// (default: route.NewUniform(Shards, 0, Shards)). Must have
+	// NumShards() == Shards.
 	Ring *route.Ring
 	// Policies, indexed by Op.Class(), must be non-empty.
 	Policies []core.Policy
@@ -87,8 +74,8 @@ type threadMetrics struct {
 // interface.
 type Sharded struct {
 	shards []*core.Framework
-	router Router
-	ring   *route.Ring // non-nil iff key-routed (static topology)
+	key    KeyFunc
+	ring   *route.Ring // static topology; nil for Elastic
 	name   string
 	// per holds the cross-shard path's counters; shard-local operations
 	// are counted by their framework.
@@ -104,8 +91,8 @@ var (
 )
 
 // newShards provisions n per-shard frameworks and the cross-path
-// counters; routing is the caller's concern (New wires a Router or a
-// static ring, Elastic wires its epoch-published table).
+// counters; routing is the caller's concern (New wires a static ring,
+// Elastic wires its epoch-published table).
 func newShards(env memsim.Env, cfg Config, n int, name string) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: Shards must be >= 1, got %d", n)
@@ -132,8 +119,8 @@ func newShards(env memsim.Env, cfg Config, n int, name string) (*Sharded, error)
 
 // New builds a Sharded engine over env.
 func New(env memsim.Env, cfg Config) (*Sharded, error) {
-	if (cfg.Router == nil) == (cfg.Key == nil) {
-		return nil, fmt.Errorf("shard: exactly one of Router and Key must be set")
+	if cfg.Key == nil {
+		return nil, fmt.Errorf("shard: Key must be set")
 	}
 	name := cfg.Name
 	if name == "" {
@@ -142,10 +129,6 @@ func New(env memsim.Env, cfg Config) (*Sharded, error) {
 	s, err := newShards(env, cfg, cfg.Shards, name)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Router != nil {
-		s.router = cfg.Router
-		return s, nil
 	}
 	ring := cfg.Ring
 	if ring == nil {
@@ -156,21 +139,12 @@ func New(env memsim.Env, cfg Config) (*Sharded, error) {
 	if ring.NumShards() != cfg.Shards {
 		return nil, fmt.Errorf("shard: ring spans %d shards, engine has %d", ring.NumShards(), cfg.Shards)
 	}
-	key := cfg.Key
-	s.ring = ring
-	s.router = func(op engine.Op) int {
-		k, ok := key(op)
-		if !ok {
-			return CrossShard
-		}
-		return ring.Owner(k)
-	}
+	s.key, s.ring = cfg.Key, ring
 	return s, nil
 }
 
-// Ring returns the static consistent-hash topology of a key-routed
-// engine, or nil for Router-based engines (and for Elastic, whose
-// topology is dynamic — see Elastic.Topology).
+// Ring returns the engine's static consistent-hash topology, or nil for
+// Elastic, whose topology is dynamic (see Elastic.Topology).
 func (s *Sharded) Ring() *route.Ring { return s.ring }
 
 // Name returns the engine name.
@@ -182,11 +156,11 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Shard exposes shard i's framework (budget tuning, statistics, tests).
 func (s *Sharded) Shard(i int) *core.Framework { return s.shards[i] }
 
-// Execute routes op to its shard's framework, or over the cross-shard
-// path when the router returns CrossShard.
+// Execute routes op to the framework owning its key, or over the
+// cross-shard path when op has no key.
 func (s *Sharded) Execute(th *memsim.Thread, op engine.Op) uint64 {
-	if i := s.router(op); i != CrossShard {
-		return s.shards[i].Execute(th, op)
+	if k, ok := s.key(op); ok {
+		return s.shards[s.ring.Owner(k)].Execute(th, op)
 	}
 	return s.executeCross(th, op)
 }

@@ -9,38 +9,41 @@ import (
 	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
+	"hcf/internal/route"
 	"hcf/internal/seq/hashtable"
 	"hcf/internal/witness"
 )
 
 func policies() []core.Policy { return hashtable.Policies() }
 
-func keyRouter(shards int) Router {
-	return func(op engine.Op) int {
-		switch o := op.(type) {
-		case hashtable.FindOp:
-			return int(o.Key % uint64(shards))
-		case hashtable.InsertOp:
-			return int(o.Key % uint64(shards))
-		case hashtable.RemoveOp:
-			return int(o.Key % uint64(shards))
-		default:
-			return CrossShard
-		}
+// newTestSharded builds a key-routed engine over the uniform ring.
+func newTestSharded(t *testing.T, env memsim.Env, shards int) *Sharded {
+	t.Helper()
+	s, err := New(env, Config{Shards: shards, Key: hashtable.RouteKey, Policies: policies()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
 }
 
 func TestConfigValidation(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 2})
-	if _, err := New(env, Config{Shards: 0, Router: keyRouter(1), Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Shards") {
+	if _, err := New(env, Config{Shards: 0, Key: hashtable.RouteKey, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Shards") {
 		t.Errorf("zero shards accepted: %v", err)
 	}
-	if _, err := New(env, Config{Shards: 2, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Router") {
-		t.Errorf("nil router accepted: %v", err)
+	if _, err := New(env, Config{Shards: 2, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "Key") {
+		t.Errorf("nil key extractor accepted: %v", err)
 	}
-	s, err := New(env, Config{Shards: 3, Router: keyRouter(3), Policies: policies()})
+	ring, err := route.NewUniform(2, 0, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := New(env, Config{Shards: 3, Key: hashtable.RouteKey, Ring: ring, Policies: policies()}); err == nil || !strings.Contains(err.Error(), "ring") {
+		t.Errorf("ring of the wrong size accepted: %v", err)
+	}
+	s := newTestSharded(t, env, 3)
+	if s.Ring() == nil || s.Ring().NumShards() != 3 {
+		t.Fatalf("default ring = %v, want a uniform 3-shard ring", s.Ring())
 	}
 	if s.Name() != "HCF-S" {
 		t.Errorf("default name %q, want HCF-S", s.Name())
@@ -60,10 +63,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestCompletionPaths(t *testing.T) {
 	env := memsim.NewDet(memsim.DetConfig{Threads: 2})
-	s, err := New(env, Config{Shards: 2, Router: keyRouter(2), Policies: policies()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestSharded(t, env, 2)
 	want := []string{"TryPrivate", "TryVisible", "TryCombining", "CombineUnderLock", engine.PathCross}
 	if got := s.CompletionPaths(); !reflect.DeepEqual(got, want) {
 		t.Errorf("CompletionPaths = %v, want %v", got, want)
@@ -78,17 +78,13 @@ func buildSharded(t *testing.T, env memsim.Env, shards int) (*Sharded, []*hashta
 	for i := range tables {
 		tables[i] = hashtable.New(boot, 16)
 	}
-	s, err := New(env, Config{Shards: shards, Router: keyRouter(shards), Policies: policies()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, tables
+	return newTestSharded(t, env, shards), tables
 }
 
 // runMixed drives a mixed single-key + cross-shard workload and returns ops
 // executed.
 func runMixed(env memsim.Env, s *Sharded, tables []*hashtable.Table, perThread int) int {
-	shards := uint64(len(tables))
+	ring := s.Ring()
 	env.Run(func(th *memsim.Thread) {
 		rng := rand.New(rand.NewPCG(uint64(th.ID())+1, 77))
 		for i := 0; i < perThread; i++ {
@@ -97,7 +93,7 @@ func runMixed(env memsim.Env, s *Sharded, tables []*hashtable.Table, perThread i
 				continue
 			}
 			k := rng.Uint64N(64)
-			tbl := tables[k%shards]
+			tbl := tables[ring.Owner(k)]
 			switch rng.IntN(3) {
 			case 0:
 				s.Execute(th, hashtable.InsertOp{T: tbl, Key: k, Val: k})
@@ -239,11 +235,7 @@ func TestSingleShardMatchesFramework(t *testing.T) {
 		tbl := hashtable.New(boot, 16)
 		var eng engine.Engine
 		if sharded {
-			s, err := New(env, Config{Shards: 1, Router: keyRouter(1), Policies: policies()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng = s
+			eng = newTestSharded(t, env, 1)
 		} else {
 			fw, err := core.New(env, core.Config{Policies: policies()})
 			if err != nil {

@@ -48,6 +48,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -423,16 +424,14 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no journal configured", http.StatusNotFound)
 		return
 	}
-	ds := j.Decisions()
+	ds := j.Entries()
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
-		var n int
-		if _, err := fmt.Sscanf(nStr, "%d", &n); err != nil || n < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
+		n, err := strconv.Atoi(nStr)
+		if err != nil || n < 0 {
+			http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		if n < len(ds) {
-			ds = ds[len(ds)-n:]
-		}
+		ds = j.Tail(n)
 	}
 	if ds == nil {
 		ds = []adaptive.Decision{}

@@ -169,6 +169,50 @@ func TestEndpointsWithProviders(t *testing.T) {
 	}
 }
 
+// TestJournalTailParam pins /debug/journal's ?n= validation: only a
+// non-negative integer is accepted, and it tails the last n decisions.
+func TestJournalTailParam(t *testing.T) {
+	j := &adaptive.Journal{}
+	for i := 0; i < 3; i++ {
+		j.Append(adaptive.Decision{Seq: i, Rule: adaptive.RuleGrowPrivate, Evidence: adaptive.Evidence{Peer: -1}})
+	}
+	s := New()
+	s.SetJournal(j)
+	h := s.Handler()
+	for _, tc := range []struct {
+		n    string
+		code int
+		seqs []int
+	}{
+		{"5abc", http.StatusBadRequest, nil},
+		{"-1", http.StatusBadRequest, nil},
+		{"x", http.StatusBadRequest, nil},
+		{"0", 200, []int{}},
+		{"2", 200, []int{1, 2}},
+		{"10", 200, []int{0, 1, 2}},
+	} {
+		code, body := get(t, h, "/debug/journal?n="+tc.n)
+		if code != tc.code {
+			t.Errorf("n=%s: code %d, want %d (body %q)", tc.n, code, tc.code, body)
+			continue
+		}
+		if code != 200 {
+			continue
+		}
+		var ds []adaptive.Decision
+		if err := json.Unmarshal([]byte(body), &ds); err != nil {
+			t.Fatalf("n=%s: %v in %q", tc.n, err, body)
+		}
+		seqs := []int{}
+		for _, d := range ds {
+			seqs = append(seqs, d.Seq)
+		}
+		if fmt.Sprint(seqs) != fmt.Sprint(tc.seqs) {
+			t.Errorf("n=%s: seqs %v, want %v", tc.n, seqs, tc.seqs)
+		}
+	}
+}
+
 // tickProbe wraps the server observer and, on every driver tick, issues
 // synchronous HTTP requests against the live server — guaranteeing the
 // endpoints are exercised WHILE the simulated run is in flight, not just
