@@ -10,49 +10,49 @@
 //	hcfbench -fig 5a -json         # emit JSON Lines (one record per cell)
 //	hcfbench -fig 2a -threads 1,8,36 -horizon 500000 -seed 7
 //
-// The open-loop figure has its own pipeline — offered-load sweep with
-// coordinated-omission-safe sojourn tails, SLO verdicts, JSONL output and
-// a p99 regression gate:
+// Five runs have their own pipelines, each producing a record checked in
+// under bench/:
 //
-//	hcfbench -fig openloop                            # table to stdout
-//	hcfbench -fig openloop -json                      # JSONL to stdout
-//	hcfbench -fig openloop -out bench/OPENLOOP_sweep.jsonl
-//	hcfbench -fig openloop -openloop-baseline bench/OPENLOOP_sweep.jsonl
+//   - -bench: host throughput of a simulated sweep (default figure 2c),
+//     bench/BENCH_sim.json;
+//   - -fig native: the native (direct-atomics) HCF backend against
+//     sync.Mutex, sync.RWMutex and sync.Map on the wall clock,
+//     bench/BENCH_native.json;
+//   - -fig kv: open-loop Zipfian get/put/delete mixes against the KV
+//     engine with fsync-backed group commit and a crash-recovery replay
+//     check per point, bench/KV_sweep.jsonl;
+//   - -fig openloop: an offered-load sweep with coordinated-omission-safe
+//     sojourn tails and SLO verdicts, bench/OPENLOOP_sweep.jsonl;
+//   - -fig elastic: the same drifting 90%-skewed workload with the
+//     topology frozen and with the rebalancer splitting hot shards
+//     online, bench/ELASTIC_sweep.jsonl.
+//
+// All five end in the same steps: -out writes the record; the table is
+// printed, or the record itself with -json; the record's own check runs
+// (invariant violations, the KV recovery replay, the elastic healing
+// story) and fails the run whether or not a baseline is given; and
+// -baseline compares the record against a baseline record with the
+// figure's fixed gate (all but elastic, whose record is compared with
+// cmp instead):
+//
+//	hcfbench -bench -threads 1,4,12,36 -horizon 50000 -baseline bench/BENCH_sim.json
+//	hcfbench -fig native -dur 80 -out BENCH_native.json -baseline bench/BENCH_native.json
+//	hcfbench -fig kv -dur 200 -baseline bench/KV_sweep.jsonl
+//	hcfbench -fig openloop -json -baseline bench/OPENLOOP_sweep.jsonl
 //	hcfbench -fig openloop -serve 127.0.0.1:7070      # live /debug endpoints
+//	hcfbench -fig elastic -out ELASTIC_sweep.jsonl
 //
-// So does the native backend's wall-clock sweep — the direct-atomics
-// HCF engine against sync.Mutex, sync.RWMutex and sync.Map:
-//
-//	hcfbench -fig native                              # table to stdout
-//	hcfbench -fig native -out bench/BENCH_native.json # record for the CI gate
-//	hcfbench -fig native -native-baseline bench/BENCH_native.json
-//	hcfbench -fig native -threads 1,2,4,8 -native-dur 300
-//
-// And the KV storage engine's durability sweep — open-loop Zipfian
-// get/put/delete mixes against hcf.NewKV with fsync-backed group commit
-// and a crash-recovery replay check per point:
-//
-//	hcfbench -fig kv                                  # table to stdout
-//	hcfbench -fig kv -out bench/KV_sweep.jsonl        # record for the CI gate
-//	hcfbench -fig kv -kv-baseline bench/KV_sweep.jsonl
-//	hcfbench -fig kv -threads 8 -kv-dur 100           # quick smoke
-//
-// And the elastic-sharding hot-shard healing figure — the same drifting
-// 90%-skewed workload run with the topology frozen and with the
-// rebalancer splitting hot shards online:
-//
-//	hcfbench -fig elastic                             # table to stdout
-//	hcfbench -fig elastic -out bench/ELASTIC_sweep.jsonl
-//	hcfbench -fig elastic -elastic-gate 0.8           # CI: healed >= 0.8x balanced
+// A flag the chosen run does not use is an error, reported before
+// anything runs.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -102,123 +102,192 @@ func writeMemProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(args []string) error {
+// options holds the parsed command line.
+type options struct {
+	list, real, csv, json, bench bool
+	fig, threads, engines        string
+	rates, serve, out, baseline  string
+	cpuProf, memProf             string
+	horizon                      int64
+	seed                         uint64
+	parallel, realOps, dur       int
+	// set records which flags were given explicitly.
+	set map[string]bool
+}
+
+// modeFlags lists, per run mode, the flags it reads besides -fig and the
+// profiling flags; anything else given is rejected before the run.
+var modeFlags = map[string]string{
+	"bench":    "bench threads engines horizon seed parallel json out baseline",
+	"native":   "threads dur json out baseline",
+	"kv":       "threads dur json out baseline",
+	"openloop": "threads engines horizon seed parallel json rates serve out baseline",
+	"elastic":  "threads horizon seed parallel json out",
+	"real":     "real threads engines seed real-ops",
+	"figure":   "threads engines horizon seed parallel csv json",
+}
+
+// mode picks the pipeline the options select.
+func (o *options) mode() string {
+	switch {
+	case o.bench:
+		return "bench"
+	case o.fig == "native" || o.fig == "kv":
+		return o.fig
+	case o.real:
+		return "real"
+	case o.fig == "openloop" || o.fig == "elastic":
+		return o.fig
+	}
+	return "figure"
+}
+
+// checkFlags rejects every explicitly set flag the selected mode ignores.
+func (o *options) checkFlags() error {
+	allowed := strings.Fields("fig cpuprofile memprofile " + modeFlags[o.mode()])
+	for name := range o.set {
+		if !slices.Contains(allowed, name) {
+			return fmt.Errorf("-%s does not apply to %s runs", name, o.mode())
+		}
+	}
+	return nil
+}
+
+func (o *options) config() harness.Config {
+	return harness.Config{Horizon: o.horizon, Seed: o.seed, Parallel: o.parallel}
+}
+
+// singleThreads parses -threads for pipelines that take one thread count.
+func (o *options) singleThreads(def int) (int, error) {
+	if o.threads == "" {
+		return def, nil
+	}
+	ts, err := parseInts(o.threads)
+	if err != nil {
+		return 0, err
+	}
+	if len(ts) != 1 {
+		return 0, fmt.Errorf("-fig %s takes exactly one thread count, got %v", o.fig, ts)
+	}
+	return ts[0], nil
+}
+
+// override applies -threads and -engines to a registered figure.
+func (o *options) override(f *harness.Figure) error {
+	if o.threads != "" {
+		ts, err := parseInts(o.threads)
+		if err != nil {
+			return err
+		}
+		f.Threads = ts
+	}
+	if o.engines != "" {
+		f.Engines = strings.Split(o.engines, ",")
+	}
+	return nil
+}
+
+// newFlagSet defines every command-line flag, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
-	var (
-		list     = fs.Bool("list", false, "list available figures and exit")
-		realFlg  = fs.Bool("real", false, "run the figure's scenario on the real-concurrency backend (wall clock; meaningful on multicore hosts)")
-		realOps  = fs.Int("real-ops", 2000, "operations per thread in -real mode")
-		figID    = fs.String("fig", "", "figure id to reproduce, or 'all'")
-		horizon  = fs.Int64("horizon", 200_000, "virtual cycles per measurement")
-		seed     = fs.Uint64("seed", 1, "workload seed")
-		csv      = fs.Bool("csv", false, "emit CSV instead of tables")
-		jsonFlg  = fs.Bool("json", false, "emit JSON Lines (one record per scenario/engine/threads cell) instead of tables")
-		threads  = fs.String("threads", "", "comma-separated thread counts (override)")
-		engs     = fs.String("engines", "", "comma-separated engine names (override)")
-		parallel = fs.Int("parallel", 0, "max concurrently measured sweep points (0 = all host cores, 1 = serial)")
-		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a pprof allocation profile to this file")
-		benchFlg = fs.Bool("bench", false, "measure host throughput of the reference sweep and emit a BENCH_sim.json record")
-		benchOut = fs.String("bench-out", "", "write the -bench record to this file instead of stdout")
-		baseline = fs.String("baseline", "", "compare the -bench record against this BENCH_sim.json; exit non-zero on >25% host-throughput regression")
-		rates    = fs.String("rates", "", "comma-separated offered loads in ops/Mcycle (-fig openloop only; default 2000,8000,20000,45000,90000)")
-		outPath  = fs.String("out", "", "write the -fig openloop sweep as JSONL to this file (in addition to stdout rendering)")
-		olBase   = fs.String("openloop-baseline", "", "compare the -fig openloop sweep against this JSONL baseline; exit non-zero if any matching point's sojourn p99 regressed by more than 25%")
-		serveAt  = fs.String("serve", "", "host:port for live introspection endpoints during the -fig openloop run (forces serial point order)")
-		natDur   = fs.Int("native-dur", 150, "measured window per point in milliseconds (-fig native only)")
-		natBase  = fs.String("native-baseline", "", "compare the -fig native sweep against this BENCH_native.json; exit non-zero when any point regresses more than 2x below the median fresh/baseline ratio")
-		kvDur    = fs.Int64("kv-dur", 400, "arrival window per point in milliseconds (-fig kv only)")
-		kvBase   = fs.String("kv-baseline", "", "compare the -fig kv sweep against this JSONL baseline; median-normalized sojourn-p99 gate plus an unconditional recovery-replay check")
-		elGate   = fs.Float64("elastic-gate", 0, "-fig elastic only: fail unless the healed run's post-phase throughput is at least this fraction of the balanced run's (0 = report, don't gate)")
-		elRate   = fs.Float64("elastic-rate", 0, "-fig elastic only: offered load in ops/Mcycle (0 = default)")
-	)
+	fs.BoolVar(&o.list, "list", false, "list available figures and exit")
+	fs.BoolVar(&o.real, "real", false, "run the figure's scenario on the real-concurrency backend (wall clock; meaningful on multicore hosts)")
+	fs.IntVar(&o.realOps, "real-ops", 2000, "operations per thread in -real mode")
+	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'")
+	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic defaults to its own when unset)")
+	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of tables")
+	fs.BoolVar(&o.json, "json", false, "emit JSON Lines (one record per scenario/engine/threads cell), or the figure's record, instead of tables")
+	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop and elastic)")
+	fs.StringVar(&o.engines, "engines", "", "comma-separated engine names (override)")
+	fs.IntVar(&o.parallel, "parallel", 0, "max concurrently measured sweep points (0 = all host cores, 1 = serial)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a pprof allocation profile to this file")
+	fs.BoolVar(&o.bench, "bench", false, "measure host throughput of a figure sweep (default 2c) and emit a BENCH_sim.json record")
+	fs.StringVar(&o.rates, "rates", "", "comma-separated offered loads in ops/Mcycle (-fig openloop only; default 2000,8000,20000,45000,90000)")
+	fs.StringVar(&o.serve, "serve", "", "host:port for live introspection endpoints during the -fig openloop run (forces serial point order)")
+	fs.IntVar(&o.dur, "dur", 0, "measured window per point in milliseconds (-fig native, default 150; -fig kv, default 400)")
+	fs.StringVar(&o.out, "out", "", "write the record to this file (-bench, -fig native, kv, openloop, elastic)")
+	fs.StringVar(&o.baseline, "baseline", "", "compare the record against this baseline record with the figure's fixed gate; exit non-zero on a regression (-bench, -fig native, kv, openloop)")
+	return fs
+}
+
+func run(args []string) error {
+	o := &options{set: map[string]bool{}}
+	fs := newFlagSet(o)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := startCPUProfile(*cpuProf)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	defer func() {
-		if err := writeMemProfile(*memProf); err != nil {
-			fmt.Fprintln(os.Stderr, "hcfbench: memprofile:", err)
-		}
-	}()
-	if *jsonFlg && *realFlg {
-		return fmt.Errorf("-json is not supported with -real")
-	}
-	if *engs != "" {
-		if err := harness.ValidateEngineNames(strings.Split(*engs, ",")); err != nil {
-			return err
-		}
-	}
-	if *benchFlg {
-		fig := *figID
-		if fig == "" {
-			fig = "2c" // the reference sweep: hashtable 40% finds, all engines
-		}
-		return runBench(fig, *threads, *engs, *horizon, *seed, *parallel, *benchOut, *baseline)
-	}
-	if *list {
+	if o.list {
 		for _, f := range harness.Figures() {
 			fmt.Printf("%-14s %-18s %s\n", f.ID, f.Ref, f.Title)
 		}
 		return nil
 	}
-	if *figID == "" {
+	if o.fig == "" && !o.bench {
 		fs.Usage()
 		return fmt.Errorf("missing -fig (or -list)")
 	}
-	if *figID == "native" {
-		return runNative(*threads, *natDur, *jsonFlg, *outPath, *natBase)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	if err := o.checkFlags(); err != nil {
+		return err
 	}
-	if *figID == "kv" {
-		return runKV(*threads, *kvDur, *jsonFlg, *outPath, *kvBase)
+	if o.engines != "" {
+		if err := harness.ValidateEngineNames(strings.Split(o.engines, ",")); err != nil {
+			return err
+		}
 	}
-	if *figID == "openloop" && !*realFlg {
-		return runOpenLoop(*threads, *engs, *rates, *horizon, *seed, *parallel,
-			*csv, *jsonFlg, *outPath, *olBase, *serveAt)
+	stopProf, err := startCPUProfile(o.cpuProf)
+	if err != nil {
+		return err
 	}
-	if *figID == "elastic" && !*realFlg {
-		// The elastic figure has its own (longer) default horizon: only
-		// forward -horizon when the user actually set it.
-		h := int64(0)
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "horizon" {
-				h = *horizon
-			}
-		})
-		return runElastic(*threads, h, *seed, *parallel, *jsonFlg, *outPath, *elRate, *elGate)
+	defer stopProf()
+	defer func() {
+		if err := writeMemProfile(o.memProf); err != nil {
+			fmt.Fprintln(os.Stderr, "hcfbench: memprofile:", err)
+		}
+	}()
+	switch o.mode() {
+	case "bench":
+		return runBench(o)
+	case "native":
+		return runNative(o)
+	case "kv":
+		return runKV(o)
+	case "openloop":
+		return runOpenLoop(o)
+	case "elastic":
+		return runElastic(o)
 	}
+	return runFigures(o)
+}
+
+// runFigures renders registered figures as tables, CSV or JSON Lines
+// (or measures them on the real backend with -real), then fails if any
+// point violated its scenario invariant.
+func runFigures(o *options) error {
 	var figs []harness.Figure
-	if *figID == "all" {
+	if o.fig == "all" {
 		figs = harness.Figures()
 	} else {
-		f, err := harness.FigureByID(*figID)
+		f, err := harness.FigureByID(o.fig)
 		if err != nil {
 			return err
 		}
 		figs = []harness.Figure{f}
 	}
-	cfg := harness.Config{Horizon: *horizon, Seed: *seed, Parallel: *parallel}
+	cfg := o.config()
+	var all []harness.Result
 	for i := range figs {
-		if *threads != "" {
-			ts, err := parseInts(*threads)
-			if err != nil {
-				return err
-			}
-			figs[i].Threads = ts
+		if err := o.override(&figs[i]); err != nil {
+			return err
 		}
-		if *engs != "" {
-			figs[i].Engines = strings.Split(*engs, ",")
-		}
-		if *realFlg {
+		if o.real {
 			fmt.Printf("== %s on the real backend (wall clock, %d ops/thread)\n",
-				figs[i].ID, *realOps)
+				figs[i].ID, o.realOps)
 			for _, t := range figs[i].Threads {
 				for _, e := range figs[i].Engines {
-					r, err := harness.RunPointReal(figs[i].Scenario, e, t, *realOps, cfg)
+					r, err := harness.RunPointReal(figs[i].Scenario, e, t, o.realOps, cfg)
 					if err != nil {
 						return err
 					}
@@ -228,6 +297,8 @@ func run(args []string) error {
 					}
 					fmt.Printf("threads=%-3d %-8s %10.1f ops/ms (%v)%s\n",
 						t, e, r.Throughput, r.Elapsed.Round(time.Millisecond), status)
+					all = append(all, harness.Result{Scenario: r.Scenario, Engine: e, Threads: t,
+						InvariantViolation: r.InvariantViolation})
 				}
 			}
 			continue
@@ -236,150 +307,103 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		all = append(all, results...)
 		switch {
-		case *jsonFlg:
+		case o.json:
 			out, err := harness.FormatJSONL(results)
 			if err != nil {
 				return err
 			}
 			fmt.Print(out)
-		case *csv:
+		case o.csv:
 			fmt.Print(harness.FormatCSV(results))
 		default:
 			fmt.Println(harness.FormatFigure(figs[i], results))
 		}
 	}
+	if err := harness.CheckResults(all); err != nil {
+		return fmt.Errorf("invariant check failed:\n  %w", err)
+	}
 	return nil
 }
 
-// benchRecord is the machine-readable host-throughput record emitted by
-// -bench (BENCH_sim.json). Throughput is simulated work done per host
-// second, so the number is meaningful across horizon choices; regressions
-// are judged on sim_mcycles_per_host_sec.
-type benchRecord struct {
-	Kind       string   `json:"kind"` // "hcf-host-bench"
-	Figure     string   `json:"figure"`
-	Threads    []int    `json:"threads"`
-	Engines    []string `json:"engines"`
-	Horizon    int64    `json:"horizon"`
-	Seed       uint64   `json:"seed"`
-	Parallel   int      `json:"parallel"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	WallSec    float64  `json:"wall_seconds"`
-	Points     int      `json:"points"`
-	TotalOps   uint64   `json:"total_ops"`
-	// SimMcyclesPerHostSec is the headline metric: simulated megacycles
-	// executed per second of host wall-clock time.
-	SimMcyclesPerHostSec float64 `json:"sim_mcycles_per_host_sec"`
-	OpsPerHostSec        float64 `json:"ops_per_host_sec"`
-	// Baseline is filled when -baseline is given: the reference record's
-	// throughput and the measured speedup over it.
-	Baseline *benchBaseline `json:"baseline,omitempty"`
-}
-
-type benchBaseline struct {
-	Path                 string  `json:"path"`
-	SimMcyclesPerHostSec float64 `json:"sim_mcycles_per_host_sec"`
-	Speedup              float64 `json:"speedup"`
-}
-
-// runBench measures the host wall-clock cost of one reference sweep and
-// emits a benchRecord, optionally enforcing a regression threshold against
-// a checked-in baseline record.
-func runBench(figID, threadsCSV, engsCSV string, horizon int64, seed uint64, parallel int, outPath, basePath string) error {
-	fig, err := harness.FigureByID(figID)
+// finish is the tail every record-producing run ends in: write -out,
+// render the table (or the record with -json), run the record's own
+// check, then compare against -baseline.
+func finish[R any, P interface {
+	*R
+	harness.Record
+}](rec P, o *options) error {
+	data, err := rec.Encode()
 	if err != nil {
 		return err
 	}
-	if threadsCSV != "" {
-		if fig.Threads, err = parseInts(threadsCSV); err != nil {
+	if o.out != "" {
+		if err := os.WriteFile(o.out, data, 0o644); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "hcfbench: wrote %s\n", o.out)
 	}
-	if engsCSV != "" {
-		fig.Engines = strings.Split(engsCSV, ",")
-	}
-	cfg := harness.Config{Horizon: horizon, Seed: seed, Parallel: parallel}
-	start := time.Now()
-	results, err := harness.RunFigure(fig, cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	rec := benchRecord{
-		Kind:       "hcf-host-bench",
-		Figure:     fig.ID,
-		Threads:    fig.Threads,
-		Engines:    fig.Engines,
-		Horizon:    horizon,
-		Seed:       seed,
-		Parallel:   parallel,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		WallSec:    wall,
-		Points:     len(results),
-	}
-	var simCycles int64
-	for _, r := range results {
-		rec.TotalOps += r.Ops
-		simCycles += r.Cycles
-	}
-	if wall > 0 {
-		rec.SimMcyclesPerHostSec = float64(simCycles) / 1e6 / wall
-		rec.OpsPerHostSec = float64(rec.TotalOps) / wall
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		var base benchRecord
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("baseline %s: %w", basePath, err)
-		}
-		if base.SimMcyclesPerHostSec > 0 {
-			rec.Baseline = &benchBaseline{
-				Path:                 basePath,
-				SimMcyclesPerHostSec: base.SimMcyclesPerHostSec,
-				Speedup:              rec.SimMcyclesPerHostSec / base.SimMcyclesPerHostSec,
-			}
-		}
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench: %s in %.2fs (%.1f sim Mcycles/s) -> %s\n",
-			fig.ID, wall, rec.SimMcyclesPerHostSec, outPath)
+	if o.json {
+		os.Stdout.Write(data)
 	} else {
-		fmt.Print(string(out))
+		fmt.Print(rec.Text())
 	}
-	if rec.Baseline != nil {
-		fmt.Fprintf(os.Stderr, "bench: %.2fx the baseline's host throughput (%s)\n",
-			rec.Baseline.Speedup, basePath)
-		if rec.Baseline.Speedup < 0.75 {
-			return fmt.Errorf("host-throughput regression: %.1f sim Mcycles/s is %.0f%% of baseline %.1f",
-				rec.SimMcyclesPerHostSec, 100*rec.Baseline.Speedup, rec.Baseline.SimMcyclesPerHostSec)
-		}
+	if err := rec.Check(); err != nil {
+		return fmt.Errorf("%s check failed:\n  %w", o.mode(), err)
 	}
+	if o.baseline == "" {
+		return nil
+	}
+	fresh, ok := any(rec).(harness.GatedRecord)
+	if !ok {
+		return fmt.Errorf("-baseline: %T has no baseline gate", rec)
+	}
+	if data, err = os.ReadFile(o.baseline); err != nil {
+		return err
+	}
+	base := P(new(R))
+	if err := base.Decode(data); err != nil {
+		return fmt.Errorf("baseline %s: %w", o.baseline, err)
+	}
+	n, err := harness.CompareRecords(fresh, any(base).(harness.GatedRecord))
+	if err != nil {
+		return fmt.Errorf("baseline %s: %w", o.baseline, err)
+	}
+	g, _ := fresh.Baseline()
+	fmt.Fprintf(os.Stderr, "hcfbench: %d points within %.2fx of baseline %s on %s\n",
+		n, g.Tolerance, o.baseline, g.Metric)
 	return nil
+}
+
+// runBench times one figure sweep (default: the 2c reference sweep) on
+// the host clock.
+func runBench(o *options) error {
+	id := o.fig
+	if id == "" {
+		id = "2c" // the reference sweep: hashtable 40% finds, all engines
+	}
+	f, err := harness.FigureByID(id)
+	if err != nil {
+		return err
+	}
+	if err := o.override(&f); err != nil {
+		return err
+	}
+	rep, err := harness.RunHostBench(f, o.config())
+	if err != nil {
+		return err
+	}
+	return finish(rep, o)
 }
 
 // runNative is the -fig native pipeline: a wall-clock sweep of the
 // native (direct-atomics) HCF backend against sync.Mutex, sync.RWMutex
-// and sync.Map across goroutine counts and read/write mixes. With -out
-// the record (bench/BENCH_native.json) is written for the CI smoke gate;
-// with -native-baseline the fresh sweep is compared against a checked-in
-// record using median-normalized point ratios, so the gate survives the
-// baseline having been recorded on different hardware.
-func runNative(threadsCSV string, durMS int, jsonFlg bool, outPath, basePath string) error {
-	opts := harness.NativeOptions{Duration: time.Duration(durMS) * time.Millisecond}
-	if threadsCSV != "" {
-		gs, err := parseInts(threadsCSV)
+// and sync.Map across goroutine counts and read/write mixes.
+func runNative(o *options) error {
+	opts := harness.NativeOptions{Duration: time.Duration(o.dur) * time.Millisecond}
+	if o.threads != "" {
+		gs, err := parseInts(o.threads)
 		if err != nil {
 			return err
 		}
@@ -389,126 +413,41 @@ func runNative(threadsCSV string, durMS int, jsonFlg bool, outPath, basePath str
 	if err != nil {
 		return err
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("native: %d points in %.1fs -> %s\n", len(rep.Points), rep.WallSec, outPath)
-	}
-	if jsonFlg {
-		fmt.Print(string(out))
-	} else {
-		fmt.Print(harness.FormatNativeReport(rep))
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("native baseline: %w", err)
-		}
-		base, err := harness.ParseNativeReport(data)
-		if err != nil {
-			return fmt.Errorf("native baseline %s: %w", basePath, err)
-		}
-		matched, err := harness.CompareNativeBaseline(rep, base, 2)
-		if err != nil {
-			return fmt.Errorf("native baseline %s: %w", basePath, err)
-		}
-		fmt.Fprintf(os.Stderr, "native: %d points within 2x of the median ratio vs %s\n", matched, basePath)
-	}
-	return nil
+	return finish(rep, o)
 }
 
 // runKV is the -fig kv pipeline: an open-loop sweep of the HCF-backed
 // KV engine (hcf.NewKV) across simulated-user populations and get/put/
 // delete mixes, with fsync-backed group commit, sojourn tails, SLO
-// verdicts and an inline crash-recovery replay check per point. With
-// -out the JSONL record (bench/KV_sweep.jsonl) is written for the CI
-// smoke gate; with -kv-baseline the fresh sweep is compared against a
-// checked-in record using median-normalized p99 ratios (hardware- and
-// disk-speed-tolerant), and any point whose recovery replay diverged
-// from its witness dump fails unconditionally.
-func runKV(threadsCSV string, durMS int64, jsonFlg bool, outPath, basePath string) error {
-	opts := harness.KVSweepOptions{DurationMS: durMS}
-	if threadsCSV != "" {
-		gs, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
-		}
-		if len(gs) != 1 {
-			return fmt.Errorf("-fig kv takes a single -threads value (worker count), got %q", threadsCSV)
-		}
-		opts.Workers = gs[0]
-	}
-	rep, err := harness.RunKVSweep(opts)
+// verdicts and an inline crash-recovery replay check per point.
+func runKV(o *options) error {
+	workers, err := o.singleThreads(0)
 	if err != nil {
 		return err
 	}
-	out, err := rep.JSONL()
+	rep, err := harness.RunKVSweep(harness.KVSweepOptions{Workers: workers, DurationMS: int64(o.dur)})
 	if err != nil {
 		return err
 	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("kv: %d points -> %s\n", len(rep.Points), outPath)
-	}
-	if jsonFlg {
-		fmt.Print(string(out))
-	} else {
-		fmt.Print(rep.Text())
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("kv baseline: %w", err)
-		}
-		base, err := harness.ParseKVJSONL(data)
-		if err != nil {
-			return fmt.Errorf("kv baseline %s: %w", basePath, err)
-		}
-		matched, err := harness.CompareKVBaseline(rep, base, 2)
-		if err != nil {
-			return fmt.Errorf("kv baseline %s: %w", basePath, err)
-		}
-		fmt.Fprintf(os.Stderr, "kv: %d points within 2x of the median p99 ratio vs %s, recovery replay clean\n", matched, basePath)
-	}
-	return nil
+	return finish(rep, o)
 }
 
-// openLoopP99Ratio is the regression gate for -openloop-baseline: a
-// matching point fails if its sojourn p99 exceeds 1.25x the baseline's.
-const openLoopP99Ratio = 1.25
-
 // runOpenLoop is the -fig openloop pipeline: an offered-load sweep with
-// coordinated-omission-safe sojourn latency, optional live introspection
-// endpoints during the run, JSONL output for the checked-in baseline, and
-// a p99 regression gate against a prior sweep.
-func runOpenLoop(threadsCSV, engsCSV, ratesCSV string, horizon int64, seed uint64, parallel int, csv, jsonFlg bool, outPath, basePath, serveAt string) error {
-	threads := 36
-	if threadsCSV != "" {
-		ts, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
-		}
-		if len(ts) != 1 {
-			return fmt.Errorf("-fig openloop takes exactly one thread count, got %v", ts)
-		}
-		threads = ts[0]
+// coordinated-omission-safe sojourn latency and optional live
+// introspection endpoints during the run.
+func runOpenLoop(o *options) error {
+	threads, err := o.singleThreads(36)
+	if err != nil {
+		return err
 	}
 	engines := harness.OpenLoopDefaultEngines
-	if engsCSV != "" {
-		engines = strings.Split(engsCSV, ",")
+	if o.engines != "" {
+		engines = strings.Split(o.engines, ",")
 	}
 	rates := harness.OpenLoopDefaultRates
-	if ratesCSV != "" {
+	if o.rates != "" {
 		rates = rates[:0:0]
-		for _, p := range strings.Split(ratesCSV, ",") {
+		for _, p := range strings.Split(o.rates, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil || r <= 0 {
 				return fmt.Errorf("bad rate %q", p)
@@ -516,133 +455,44 @@ func runOpenLoop(threadsCSV, engsCSV, ratesCSV string, horizon int64, seed uint6
 			rates = append(rates, r)
 		}
 	}
-	sc := harness.OpenLoopScenario()
-	cfg := harness.Config{Horizon: horizon, Seed: seed, Parallel: parallel}
-	ol := harness.OpenLoopConfig{Interval: max(horizon/20, 1)}
-
-	var rep *harness.OpenLoopReport
-	if serveAt != "" {
-		// Live introspection: points run serially so the single observer
-		// always describes the point in flight. Results are bit-identical
-		// to the unserved sweep.
+	ol := harness.OpenLoopConfig{Interval: max(o.horizon/20, 1)}
+	if o.serve != "" {
+		// Live introspection: the sweep runs its points serially so the
+		// observer always describes the point in flight. Results are
+		// bit-identical to the unserved sweep.
 		srv := serve.New()
-		addr, err := srv.Start(serveAt)
+		addr, err := srv.Start(o.serve)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "hcfbench: live introspection at http://%s/debug\n", addr)
-		rep = &harness.OpenLoopReport{
-			Figure: "openloop", Scenario: sc.Name, Threads: threads,
-			Seed: cfg.Seed, Horizon: cfg.Horizon, Interval: ol.Interval, Rates: rates,
-		}
-		for _, r := range rates {
-			for _, name := range engines {
-				olp := ol
-				olp.Rate = r
-				olp.Observer = srv
-				p, _, err := harness.RunPointOpenLoop(sc, name, threads, cfg, olp)
-				if err != nil {
-					return err
-				}
-				rep.Points = append(rep.Points, p)
-			}
-		}
-	} else {
-		var err error
-		rep, err = harness.RunOpenLoopSweep(sc, engines, rates, threads, cfg, ol)
-		if err != nil {
-			return err
-		}
+		ol.Observer = srv
 	}
-
-	switch {
-	case jsonFlg:
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-	case csv:
-		return fmt.Errorf("-csv is not supported with -fig openloop (use -json for JSONL)")
-	default:
-		fmt.Print(rep.Text())
-	}
-	if outPath != "" {
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: wrote %d open-loop points to %s\n", len(rep.Points), outPath)
-	}
-	if basePath != "" {
-		data, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("openloop-baseline: %w", err)
-		}
-		base, err := harness.ParseOpenLoopJSONL(data)
-		if err != nil {
-			return fmt.Errorf("openloop-baseline %s: %w", basePath, err)
-		}
-		if err := harness.CompareOpenLoopBaseline(rep, base, openLoopP99Ratio); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: open-loop sojourn p99 within %.0f%% of baseline %s\n",
-			100*(openLoopP99Ratio-1), basePath)
-	}
-	return nil
-}
-
-// runElastic is the -fig elastic pipeline: the three-mode hot-shard
-// healing comparison (balanced / static skew / rebalanced), rendered as
-// a table or JSONL (bench/ELASTIC_sweep.jsonl) and optionally gated on
-// the healing story itself (-elastic-gate).
-func runElastic(threadsCSV string, horizon int64, seed uint64, parallel int, jsonFlg bool, outPath string, rate, gate float64) error {
-	threads := 36
-	if threadsCSV != "" {
-		ts, err := parseInts(threadsCSV)
-		if err != nil {
-			return err
-		}
-		if len(ts) != 1 {
-			return fmt.Errorf("-fig elastic takes exactly one thread count, got %v", ts)
-		}
-		threads = ts[0]
-	}
-	cfg := harness.Config{Horizon: horizon, Seed: seed, Parallel: parallel}
-	rep, err := harness.RunElasticFigure(threads, cfg, harness.ElasticRunConfig{Rate: rate, Gate: gate})
+	rep, err := harness.RunOpenLoopSweep(harness.OpenLoopScenario(), engines, rates, threads, o.config(), ol)
 	if err != nil {
 		return err
 	}
-	if jsonFlg {
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-	} else {
-		fmt.Print(rep.Text())
+	return finish(rep, o)
+}
+
+// runElastic is the -fig elastic pipeline: the three-mode hot-shard
+// healing comparison (balanced / static skew / rebalanced), whose check
+// is the healing story itself.
+func runElastic(o *options) error {
+	threads, err := o.singleThreads(36)
+	if err != nil {
+		return err
 	}
-	if outPath != "" {
-		data, err := rep.JSONL()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: wrote %d elastic points to %s\n", len(rep.Points), outPath)
+	cfg := o.config()
+	if !o.set["horizon"] {
+		cfg.Horizon = 0 // the figure's own, longer default
 	}
-	if gate > 0 {
-		if err := harness.CheckElasticGate(rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hcfbench: elastic gate ok (post-heal throughput >= %.2fx balanced, verdict recovered)\n", rep.Gate)
+	rep, err := harness.RunElasticFigure(threads, cfg, harness.ElasticRunConfig{})
+	if err != nil {
+		return err
 	}
-	return nil
+	return finish(rep, o)
 }
 
 func parseInts(s string) ([]int, error) {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -451,7 +450,6 @@ func (r *AutotuneReport) Results() []Result {
 // describing the scenario, then one line per variant per region (total,
 // each segment, post-drift) — the format checked in under bench/.
 func (r *AutotuneReport) JSONL() ([]byte, error) {
-	var b strings.Builder
 	type header struct {
 		Scenario string   `json:"scenario"`
 		Threads  int      `json:"threads"`
@@ -460,12 +458,6 @@ func (r *AutotuneReport) JSONL() ([]byte, error) {
 		Bounds   []int64  `json:"bounds"`
 		Segments []string `json:"segments"`
 	}
-	h, err := json.Marshal(header{r.Scenario, r.Threads, r.Seed, r.Horizon, r.Bounds, r.Segments})
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
 	type row struct {
 		Variant    string  `json:"variant"`
 		Tuned      bool    `json:"tuned,omitempty"`
@@ -476,33 +468,19 @@ func (r *AutotuneReport) JSONL() ([]byte, error) {
 		Throughput float64 `json:"throughput"`
 		Decisions  int     `json:"decisions,omitempty"`
 	}
-	emit := func(rw row) error {
-		line, err := json.Marshal(rw)
-		if err != nil {
-			return err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-		return nil
-	}
+	var rows []row
 	for _, v := range r.Variants {
-		if err := emit(row{v.Name, v.Tuned, v.Oracle, v.Budgets, "total", v.Ops, v.Throughput, v.Decisions}); err != nil {
-			return nil, err
-		}
+		rows = append(rows, row{v.Name, v.Tuned, v.Oracle, v.Budgets, "total", v.Ops, v.Throughput, v.Decisions})
 		for s := range v.SegmentOps {
-			if err := emit(row{v.Name, v.Tuned, v.Oracle, v.Budgets, fmt.Sprintf("segment%d", s), v.SegmentOps[s], v.SegmentThroughput[s], 0}); err != nil {
-				return nil, err
-			}
+			rows = append(rows, row{v.Name, v.Tuned, v.Oracle, v.Budgets, fmt.Sprintf("segment%d", s), v.SegmentOps[s], v.SegmentThroughput[s], 0})
 		}
 		var postOps uint64
 		for s := 1; s < len(v.SegmentOps); s++ {
 			postOps += v.SegmentOps[s]
 		}
-		if err := emit(row{v.Name, v.Tuned, v.Oracle, v.Budgets, "post-drift", postOps, v.PostDrift, 0}); err != nil {
-			return nil, err
-		}
+		rows = append(rows, row{v.Name, v.Tuned, v.Oracle, v.Budgets, "post-drift", postOps, v.PostDrift, 0})
 	}
-	return []byte(b.String()), nil
+	return encodeJSONL(header{r.Scenario, r.Threads, r.Seed, r.Horizon, r.Bounds, r.Segments}, rows)
 }
 
 // Text renders the comparison as an aligned table plus the tuned run's

@@ -1,14 +1,11 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
 	"strings"
-	"sync"
 
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
@@ -31,10 +28,11 @@ type ElasticRunConfig struct {
 	// (default DefaultOpenLoopSLOThreshold). A window is "ok" iff its
 	// p99 is at or under the threshold.
 	SLOThreshold int64
-	// Gate is the post-heal throughput floor as a fraction of the
-	// balanced run's post-phase throughput (default 0.8).
-	Gate float64
 }
+
+// elasticGate is the healing check's post-heal throughput floor, as a
+// fraction of the balanced run's post-phase throughput.
+const elasticGate = 0.8
 
 // ElasticDefaultRate is the checked-in figure's offered load
 // (ops/Mcycle): comfortably under the balanced multi-shard capacity,
@@ -65,9 +63,6 @@ func (c *ElasticRunConfig) normalize(horizon int64) {
 	}
 	if c.SLOThreshold <= 0 {
 		c.SLOThreshold = DefaultOpenLoopSLOThreshold
-	}
-	if c.Gate <= 0 {
-		c.Gate = 0.8
 	}
 }
 
@@ -371,50 +366,35 @@ func RunElasticFigure(threads int, cfg Config, ec ElasticRunConfig) (*ElasticRep
 		Rate:         ec.Rate,
 		Window:       ec.Window,
 		SLOThreshold: ec.SLOThreshold,
-		Gate:         ec.Gate,
+		Gate:         elasticGate,
 		Points:       make([]ElasticPoint, len(modes)),
 	}
-	errs := make([]error, len(modes))
-	serial := cfg.Parallel == 1
-	var wg sync.WaitGroup
-	for i := range modes {
-		run := func(i int) {
-			rep.Points[i], errs[i] = RunPointElastic(modes[i].sc, modes[i].mode, modes[i].rebalance, threads, cfg, ec)
-		}
-		if serial {
-			run(i)
-			continue
-		}
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); run(i) }(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := forEachPoint(len(modes), cfg.Parallel, func(i int) (err error) {
+		rep.Points[i], err = RunPointElastic(modes[i].sc, modes[i].mode, modes[i].rebalance, threads, cfg, ec)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-// CheckElasticGate verifies the healing story the figure exists to
-// demonstrate: the skew really hurt the frozen topology, the rebalancer
-// actually split, the verdict flipped back, and post-heal throughput
-// recovered to at least Gate × the balanced run's.
-func CheckElasticGate(r *ElasticReport) error {
+// Check verifies the healing story the figure exists to demonstrate:
+// no invariant violation, the skew really hurt the frozen topology, the
+// rebalancer actually split, the verdict flipped back, and post-heal
+// throughput recovered to at least elasticGate × the balanced run's.
+func (r *ElasticReport) Check() error {
 	byMode := map[string]*ElasticPoint{}
 	for i := range r.Points {
 		byMode[r.Points[i].Mode] = &r.Points[i]
 	}
 	balanced, static, elastic := byMode["balanced"], byMode["static"], byMode["elastic"]
 	if balanced == nil || static == nil || elastic == nil {
-		return fmt.Errorf("harness: elastic report missing a mode (have %d points)", len(r.Points))
+		return fmt.Errorf("elastic report missing a mode (have %d points)", len(r.Points))
 	}
 	var fails []string
-	for _, p := range r.Points {
-		if p.InvariantViolation != "" {
-			fails = append(fails, fmt.Sprintf("%s: invariant violation: %s", p.Mode, p.InvariantViolation))
-		}
+	if err := CheckResults(r.Results()); err != nil {
+		fails = append(fails, err.Error())
 	}
 	if static.BadWindows == 0 {
 		fails = append(fails, "static: skew never degraded the frozen topology (no bad windows — raise the rate?)")
@@ -425,61 +405,22 @@ func CheckElasticGate(r *ElasticReport) error {
 	if elastic.BadWindows > 0 && !elastic.Healed {
 		fails = append(fails, fmt.Sprintf("elastic: verdict never flipped back (last bad window %d)", elastic.LastBad))
 	}
-	if elastic.PostThroughput < r.Gate*balanced.PostThroughput {
+	if elastic.PostThroughput < elasticGate*balanced.PostThroughput {
 		fails = append(fails, fmt.Sprintf("elastic: post-heal throughput %.1f < %.2fx balanced %.1f",
-			elastic.PostThroughput, r.Gate, balanced.PostThroughput))
+			elastic.PostThroughput, elasticGate, balanced.PostThroughput))
 	}
 	if len(fails) > 0 {
-		return fmt.Errorf("harness: elastic gate failed:\n  %s", strings.Join(fails, "\n  "))
+		return errors.New(strings.Join(fails, "\n  "))
 	}
 	return nil
 }
 
-// JSONL renders the report as one JSON object per line (header, then
-// one line per mode) — the format checked in under
-// bench/ELASTIC_sweep.jsonl.
-func (r *ElasticReport) JSONL() ([]byte, error) {
-	var b bytes.Buffer
-	h, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
-	for i := range r.Points {
-		line, err := json.Marshal(&r.Points[i])
-		if err != nil {
-			return nil, err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes(), nil
-}
+// Encode renders the report as JSON Lines (header, then one line per
+// mode): the format checked in under bench/ELASTIC_sweep.jsonl.
+func (r *ElasticReport) Encode() ([]byte, error) { return encodeJSONL(r, r.Points) }
 
-// ParseElasticJSONL parses a JSONL report back (the inverse of JSONL).
-func ParseElasticJSONL(data []byte) (*ElasticReport, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("harness: empty elastic JSONL")
-	}
-	var rep ElasticReport
-	if err := json.Unmarshal(sc.Bytes(), &rep); err != nil {
-		return nil, fmt.Errorf("harness: elastic JSONL header: %w", err)
-	}
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var p ElasticPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			return nil, fmt.Errorf("harness: elastic JSONL row: %w", err)
-		}
-		rep.Points = append(rep.Points, p)
-	}
-	return &rep, sc.Err()
-}
+// Decode is the inverse of Encode.
+func (r *ElasticReport) Decode(data []byte) error { return decodeJSONL(data, r, &r.Points) }
 
 // Text renders the report as a mode-per-block table with the window
 // verdict strip ('.' ok, 'X' missed, '-' empty).

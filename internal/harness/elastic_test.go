@@ -30,7 +30,7 @@ func TestElasticFigureHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckElasticGate(rep); err != nil {
+	if err := rep.Check(); err != nil {
 		t.Fatal(err)
 	}
 	byMode := map[string]ElasticPoint{}
@@ -97,12 +97,12 @@ func TestElasticJSONLRoundTrip(t *testing.T) {
 		SLOThreshold: DefaultOpenLoopSLOThreshold, Gate: 0.8,
 		Points:       []ElasticPoint{p},
 	}
-	data, err := rep.JSONL()
+	data, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseElasticJSONL(data)
-	if err != nil {
+	back := &ElasticReport{}
+	if err := back.Decode(data); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Points) != 1 || back.Points[0].Completed != p.Completed ||
@@ -128,43 +128,43 @@ func TestCheckElasticGateSemantics(t *testing.T) {
 			},
 		}
 	}
-	if err := CheckElasticGate(mk()); err != nil {
+	if err := mk().Check(); err != nil {
 		t.Fatalf("healthy report failed gate: %v", err)
 	}
 
 	r := mk()
 	r.Points = r.Points[:2]
-	if err := CheckElasticGate(r); err == nil {
+	if err := r.Check(); err == nil {
 		t.Error("missing mode passed gate")
 	}
 
 	r = mk()
 	r.Points[1].BadWindows = 0
-	if err := CheckElasticGate(r); err == nil || !strings.Contains(err.Error(), "never degraded") {
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "never degraded") {
 		t.Errorf("undegraded static should fail gate, got %v", err)
 	}
 
 	r = mk()
 	r.Points[2].Topology.Splits = 0
-	if err := CheckElasticGate(r); err == nil || !strings.Contains(err.Error(), "never split") {
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "never split") {
 		t.Errorf("splitless elastic should fail gate, got %v", err)
 	}
 
 	r = mk()
 	r.Points[2].Healed = false
-	if err := CheckElasticGate(r); err == nil || !strings.Contains(err.Error(), "flipped back") {
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "flipped back") {
 		t.Errorf("unhealed elastic should fail gate, got %v", err)
 	}
 
 	r = mk()
 	r.Points[2].PostThroughput = 700
-	if err := CheckElasticGate(r); err == nil || !strings.Contains(err.Error(), "post-heal") {
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "post-heal") {
 		t.Errorf("slow elastic should fail gate, got %v", err)
 	}
 
 	r = mk()
 	r.Points[0].InvariantViolation = "boom"
-	if err := CheckElasticGate(r); err == nil || !strings.Contains(err.Error(), "invariant") {
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "invariant") {
 		t.Errorf("invariant violation should fail gate, got %v", err)
 	}
 }

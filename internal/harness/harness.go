@@ -329,45 +329,45 @@ func RunSweep(sc Scenario, engineNames []string, threads []int, cfg Config) ([]R
 			pts = append(pts, point{threads: t, name: name})
 		}
 	}
-	par := cfg.Parallel
+	results := make([]Result, len(pts))
+	err := forEachPoint(len(pts), cfg.Parallel, func(i int) (err error) {
+		results[i], err = RunPoint(sc, pts[i].name, pts[i].threads, cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// forEachPoint runs run(0), ..., run(n-1) on up to par host goroutines
+// (0 = all host cores, 1 = serial, in index order) and returns the
+// lowest-index error; a goroutine stops at its first error.
+// Each point must own its state, so the order points finish in cannot
+// show in the results.
+func forEachPoint(n, par int, run func(i int) error) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	results := make([]Result, len(pts))
-	if par <= 1 {
-		for i, p := range pts {
-			r, err := RunPoint(sc, p.name, p.threads, cfg)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-	errs := make([]error, len(pts))
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for w := 0; w < min(par, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pts) {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if errs[i] = run(i); errs[i] != nil {
 					return
 				}
-				results[i], errs[i] = RunPoint(sc, pts[i].name, pts[i].threads, cfg)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }

@@ -1,15 +1,12 @@
 package harness
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -364,27 +361,10 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	pt.Saturated = makespan > horizon+horizon/10
 	slo.Step(makespan)
 
-	var all metrics.HistogramSnapshot
-	for c, class := range classNames {
-		snap := rec.ClassHistogram(c)
-		if snap.Count > 0 {
-			pt.ByClass = append(pt.ByClass, ClassSojourn{Class: class, SojournStat: sojournStatOf(snap)})
-		}
-		all.Merge(&snap)
-	}
-	pt.Sojourn = sojournStatOf(all)
-	pt.Completed = all.Count
+	pt.Sojourn, pt.ByClass = sojournOf(rec)
+	pt.Completed = pt.Sojourn.Count
 	pt.Throughput = float64(pt.Completed) * 1e9 / float64(makespan)
-
-	snap := slo.Snapshot()
-	pt.SLO = &snap
-	pt.SLOState = metrics.SLOStateOK
-	for _, o := range snap.Objectives {
-		if o.State == metrics.SLOStatePage ||
-			(o.State == metrics.SLOStateWarn && pt.SLOState == metrics.SLOStateOK) {
-			pt.SLOState = o.State
-		}
-	}
+	pt.SLO, pt.SLOState = sloOf(slo)
 
 	st := store.Stats()
 	pt.Flushes = st.Flushes
@@ -416,26 +396,12 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	return pt, nil
 }
 
-// JSONL renders the sweep as one JSON object per line (header, then one
-// line per point) — the format checked in under bench/KV_sweep.jsonl.
-func (r *KVReport) JSONL() ([]byte, error) {
-	var b bytes.Buffer
-	h, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
-	for i := range r.Points {
-		line, err := json.Marshal(&r.Points[i])
-		if err != nil {
-			return nil, err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes(), nil
-}
+// Encode renders the sweep as JSON Lines (header, then one line per
+// point): the format checked in under bench/KV_sweep.jsonl.
+func (r *KVReport) Encode() ([]byte, error) { return encodeJSONL(r, r.Points) }
+
+// Decode is the inverse of Encode.
+func (r *KVReport) Decode(data []byte) error { return decodeJSONL(data, r, &r.Points) }
 
 // Text renders the sweep as an aligned table.
 func (r *KVReport) Text() string {
@@ -463,113 +429,34 @@ func (r *KVReport) Text() string {
 	return b.String()
 }
 
-// ParseKVJSONL parses a JSONL sweep back into a report (the inverse of
-// JSONL, for baseline comparison).
-func ParseKVJSONL(data []byte) (*KVReport, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("harness: empty kv JSONL")
-	}
-	var rep KVReport
-	if err := json.Unmarshal(sc.Bytes(), &rep); err != nil {
-		return nil, fmt.Errorf("harness: kv JSONL header: %w", err)
-	}
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
+// Check fails if any point's crash-recovery replay diverged from its
+// witness dump.
+func (r *KVReport) Check() error {
+	for _, p := range r.Points {
+		if !p.RecoveryOK {
+			return fmt.Errorf("kv point users=%d get=%d%%: crash-recovery replay mismatch", p.Users, p.GetPct)
 		}
-		var p KVPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			return nil, fmt.Errorf("harness: kv JSONL row: %w", err)
-		}
-		rep.Points = append(rep.Points, p)
 	}
-	return &rep, sc.Err()
+	return nil
 }
 
-// kvGateMinSamples is the sojourn-count floor for a point to enter the
-// p99 ratio gate. Below it the p99 is an order statistic of the top
-// one or two samples — a single fsync stall flips the verdict, and
-// short CI windows at low offered loads sit exactly there. Such points
-// still get the unconditional recovery check; they just don't gate on
-// latency.
-const kvGateMinSamples = 500
+// kvGate judges sojourn p99 per (users, mix) point, normalized by the
+// lower median ratio so uniform disk and hardware shifts between the
+// recording machine and CI pass. Points under 500 completed operations
+// stay out of the ratio gate: there the p99 is an order statistic of
+// the top one or two samples, so a single fsync stall flips the
+// verdict, and short CI windows at low offered loads sit exactly there.
+var kvGate = Gate{Metric: "sojourn p99", Tolerance: 2, Normalize: true, MinSamples: 500}
 
-// CompareKVBaseline gates fresh sojourn p99s against a checked-in
-// baseline with the same median-normalization CompareNativeBaseline
-// uses: each matched (users, mix) point's fresh/baseline p99 ratio is
-// normalized by the median ratio, absorbing uniform hardware shifts
-// between the recording machine and CI; a point more than tolerance
-// times worse than the median ratio fails. Points with fewer than
-// kvGateMinSamples completed operations are excluded from the ratio
-// gate (their p99 is noise). A fresh point with a failed recovery
-// check fails unconditionally regardless of sample count. Returns the
-// ratio-gated point count.
-func CompareKVBaseline(fresh, base *KVReport, tolerance float64) (int, error) {
-	if tolerance <= 1 {
-		tolerance = 2
-	}
-	for _, p := range fresh.Points {
-		if !p.RecoveryOK {
-			return 0, fmt.Errorf("kv point users=%d get=%d%%: crash-recovery replay mismatch", p.Users, p.GetPct)
+// Baseline implements GatedRecord.
+func (r *KVReport) Baseline() (Gate, []GatePoint) {
+	pts := make([]GatePoint, len(r.Points))
+	for i, p := range r.Points {
+		pts[i] = GatePoint{
+			Key:     fmt.Sprintf("users=%d get=%d%%", p.Users, p.GetPct),
+			Value:   float64(p.Sojourn.P99),
+			Samples: p.Sojourn.Count,
 		}
 	}
-	type key struct {
-		users uint64
-		pct   int
-	}
-	baseP99 := map[key]uint64{}
-	for _, p := range base.Points {
-		baseP99[key{p.Users, p.GetPct}] = p.Sojourn.P99
-	}
-	type matched struct {
-		k     key
-		ratio float64 // fresh/base: higher is worse
-	}
-	var ms []matched
-	common := 0
-	for _, p := range fresh.Points {
-		k := key{p.Users, p.GetPct}
-		b, ok := baseP99[k]
-		if !ok {
-			continue
-		}
-		common++
-		if b > 0 && p.Sojourn.P99 > 0 && p.Sojourn.Count >= kvGateMinSamples {
-			ms = append(ms, matched{k, float64(p.Sojourn.P99) / float64(b)})
-		}
-	}
-	if common == 0 {
-		return 0, fmt.Errorf("no points in common with the baseline")
-	}
-	if len(ms) == 0 {
-		// Every common point was below the sample floor: the recovery
-		// checks above are the whole gate.
-		return 0, nil
-	}
-	ratios := make([]float64, len(ms))
-	for i, m := range ms {
-		ratios[i] = m.ratio
-	}
-	sort.Float64s(ratios)
-	// Lower median: with few points the upper median would let a single
-	// regressed point define the norm it is judged against.
-	median := ratios[(len(ratios)-1)/2]
-	if median == 0 {
-		return len(ms), fmt.Errorf("median point ratio is zero")
-	}
-	var fails []string
-	for _, m := range ms {
-		if m.ratio > median*tolerance {
-			fails = append(fails, fmt.Sprintf(
-				"users=%d get=%d%%: p99 %.2fx of baseline vs median %.2fx",
-				m.k.users, m.k.pct, m.ratio, median))
-		}
-	}
-	if len(fails) > 0 {
-		return len(ms), fmt.Errorf("%d/%d kv points regressed more than %.1fx beyond the median ratio:\n  %s",
-			len(fails), len(ms), tolerance, joinLines(fails))
-	}
-	return len(ms), nil
+	return kvGate, pts
 }

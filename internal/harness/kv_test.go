@@ -12,7 +12,7 @@ func kvTestOptions() KVSweepOptions {
 	return KVSweepOptions{
 		Workers: 4,
 		Shards:  2,
-		// High enough that each 60ms point clears kvGateMinSamples
+		// High enough that each 60ms point clears kvGate.MinSamples
 		// (so the baseline tests exercise the ratio gate, not the
 		// small-sample exclusion).
 		Users:       []uint64{10000, 20000},
@@ -72,12 +72,12 @@ func TestKVJSONLRoundTripAndBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.JSONL()
+	data, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseKVJSONL(data)
-	if err != nil {
+	back := &KVReport{}
+	if err := back.Decode(data); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Points) != len(rep.Points) || back.Workers != rep.Workers || back.Seed != rep.Seed {
@@ -90,7 +90,7 @@ func TestKVJSONLRoundTripAndBaseline(t *testing.T) {
 	}
 
 	// Self-comparison passes at any tolerance.
-	n, err := CompareKVBaseline(back, rep, 2)
+	n, err := CompareRecords(back, rep)
 	if err != nil || n != len(rep.Points) {
 		t.Fatalf("self-compare: n=%d err=%v", n, err)
 	}
@@ -98,23 +98,27 @@ func TestKVJSONLRoundTripAndBaseline(t *testing.T) {
 	worse := *back
 	worse.Points = append([]KVPoint(nil), back.Points...)
 	worse.Points[0].Sojourn.P99 *= 100
-	if _, err := CompareKVBaseline(&worse, rep, 2); err == nil {
+	if _, err := CompareRecords(&worse, rep); err == nil {
 		t.Fatal("100x p99 regression passed the baseline gate")
 	}
 	// Below the sample floor the same regression is excluded from the
 	// ratio gate: short-window p99s are top-two order statistics.
 	tiny := *back
 	tiny.Points = append([]KVPoint(nil), back.Points...)
-	tiny.Points[0].Sojourn.Count = kvGateMinSamples - 1
+	tiny.Points[0].Sojourn.Count = kvGate.MinSamples - 1
 	tiny.Points[0].Sojourn.P99 = back.Points[0].Sojourn.P99 * 100
-	if n, err := CompareKVBaseline(&tiny, rep, 2); err != nil || n != len(rep.Points)-1 {
+	if n, err := CompareRecords(&tiny, rep); err != nil || n != len(rep.Points)-1 {
 		t.Fatalf("small-sample point not excluded from ratio gate: n=%d err=%v", n, err)
 	}
-	// A failed recovery check fails unconditionally.
+	// A failed recovery check fails the record's own check, with or
+	// without a baseline.
+	if err := back.Check(); err != nil {
+		t.Fatalf("clean sweep failed its check: %v", err)
+	}
 	broken := *back
 	broken.Points = append([]KVPoint(nil), back.Points...)
 	broken.Points[1].RecoveryOK = false
-	if _, err := CompareKVBaseline(&broken, rep, 2); err == nil ||
+	if err := broken.Check(); err == nil ||
 		!strings.Contains(err.Error(), "recovery") {
 		t.Fatalf("recovery failure not gated: %v", err)
 	}

@@ -6,14 +6,13 @@ package harness
 // read/write mixes, measuring real operations per second over fixed
 // timed windows. This is the wall-clock counterpart of the simulated
 // figure sweeps: no cycle model, just the host clock, which also makes
-// the numbers hardware-dependent. CompareNativeBaseline therefore
+// the numbers hardware-dependent. The baseline gate therefore
 // normalizes by the median point ratio before judging regressions, so a
 // checked-in baseline from one box remains usable as a CI gate on
 // another.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -399,12 +398,12 @@ func RunNativeSweep(opts NativeOptions) (*NativeReport, error) {
 	return rep, nil
 }
 
-// FormatNativeReport renders the sweep as a table per (structure, mix),
-// engines as columns, with the HCF-over-Mutex speedup on each row.
-func FormatNativeReport(rep *NativeReport) string {
+// Text renders the sweep as a table per (structure, mix), engines as
+// columns, with the HCF-over-Mutex speedup on each row.
+func (r *NativeReport) Text() string {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "native wall-clock sweep: GOMAXPROCS=%d NumCPU=%d window=%dms\n",
-		rep.GoMaxProcs, rep.NumCPU, rep.DurationMS)
+		r.GoMaxProcs, r.NumCPU, r.DurationMS)
 	type cell struct {
 		structure string
 		readPct   int
@@ -412,7 +411,7 @@ func FormatNativeReport(rep *NativeReport) string {
 	groups := map[cell]map[int]map[string]float64{}
 	engines := map[cell][]string{}
 	var order []cell
-	for _, p := range rep.Points {
+	for _, p := range r.Points {
 		c := cell{p.Structure, p.ReadPct}
 		if groups[c] == nil {
 			groups[c] = map[int]map[string]float64{}
@@ -458,86 +457,45 @@ func FormatNativeReport(rep *NativeReport) string {
 	return buf.String()
 }
 
-// ParseNativeReport decodes a report, checking its kind.
-func ParseNativeReport(data []byte) (*NativeReport, error) {
-	var rep NativeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, err
+// Encode renders the report as indented JSON (bench/BENCH_native.json).
+func (r *NativeReport) Encode() ([]byte, error) { return encodeJSON(r) }
+
+// Decode is the inverse of Encode, checking the record's kind.
+func (r *NativeReport) Decode(data []byte) error {
+	if err := decodeJSON(data, r, &r.Kind, NativeReportKind); err != nil {
+		return err
 	}
-	if rep.Kind != NativeReportKind {
-		return nil, fmt.Errorf("record kind %q, want %q", rep.Kind, NativeReportKind)
+	if len(r.Points) == 0 {
+		return fmt.Errorf("record has no points")
 	}
-	if len(rep.Points) == 0 {
-		return nil, fmt.Errorf("record has no points")
-	}
-	return &rep, nil
+	return nil
 }
 
-// CompareNativeBaseline judges a fresh sweep against a checked-in
-// baseline. Wall-clock throughput shifts wholesale with the hardware the
-// sweep runs on, so absolute thresholds are useless as a cross-machine
-// gate; instead every matched point's fresh/base ratio is normalized by
-// the median ratio (which absorbs the overall hardware factor) and a
-// point fails when it degraded to less than 1/tolerance of that median —
-// i.e. only *relative* regressions concentrated in some cells trip the
-// gate. Returns the matched count alongside any failure.
-func CompareNativeBaseline(fresh, base *NativeReport, tolerance float64) (int, error) {
-	if tolerance <= 1 {
-		tolerance = 2
-	}
-	type key struct {
-		structure, engine string
-		goroutines, pct   int
-	}
-	baseRate := map[key]float64{}
-	for _, p := range base.Points {
-		baseRate[key{p.Structure, p.Engine, p.Goroutines, p.ReadPct}] = p.OpsPerSec
-	}
-	type matched struct {
-		k     key
-		ratio float64
-	}
-	var ms []matched
-	for _, p := range fresh.Points {
-		k := key{p.Structure, p.Engine, p.Goroutines, p.ReadPct}
-		if b, ok := baseRate[k]; ok && b > 0 && p.OpsPerSec > 0 {
-			ms = append(ms, matched{k, p.OpsPerSec / b})
+// Check fails if any cell completed no operation at all: a stalled
+// engine, whatever the host's speed.
+func (r *NativeReport) Check() error {
+	for _, p := range r.Points {
+		if p.Ops == 0 {
+			return fmt.Errorf("native %s/%s g=%d read=%d%%: no operation completed", p.Structure, p.Engine, p.Goroutines, p.ReadPct)
 		}
 	}
-	if len(ms) == 0 {
-		return 0, fmt.Errorf("no points in common with the baseline")
-	}
-	ratios := make([]float64, len(ms))
-	for i, m := range ms {
-		ratios[i] = m.ratio
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if median == 0 {
-		return len(ms), fmt.Errorf("median point ratio is zero")
-	}
-	var fails []string
-	for _, m := range ms {
-		if m.ratio < median/tolerance {
-			fails = append(fails, fmt.Sprintf(
-				"%s/%s g=%d read=%d%%: %.2fx of baseline vs median %.2fx",
-				m.k.structure, m.k.engine, m.k.goroutines, m.k.pct, m.ratio, median))
-		}
-	}
-	if len(fails) > 0 {
-		return len(ms), fmt.Errorf("%d/%d points regressed more than %.1fx below the median ratio:\n  %s",
-			len(fails), len(ms), tolerance, joinLines(fails))
-	}
-	return len(ms), nil
+	return nil
 }
 
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
+// nativeGate judges ops/s per cell. Wall-clock throughput shifts
+// wholesale with the hardware, so absolute thresholds are useless
+// across machines; each ratio is normalized by the median, and a cell
+// fails only when it fell more than 2x below that median.
+var nativeGate = Gate{Metric: "ops_per_sec", HigherIsBetter: true, Tolerance: 2, Normalize: true}
+
+// Baseline implements GatedRecord.
+func (r *NativeReport) Baseline() (Gate, []GatePoint) {
+	pts := make([]GatePoint, len(r.Points))
+	for i, p := range r.Points {
+		pts[i] = GatePoint{
+			Key:   fmt.Sprintf("%s/%s g=%d read=%d%%", p.Structure, p.Engine, p.Goroutines, p.ReadPct),
+			Value: p.OpsPerSec,
 		}
-		out += s
 	}
-	return out
+	return nativeGate, pts
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -28,18 +27,18 @@ func TestRunNativeSweepSmoke(t *testing.T) {
 			t.Fatalf("empty point: %+v", p)
 		}
 	}
-	data, err := json.Marshal(rep)
+	data, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseNativeReport(data)
-	if err != nil {
+	var back NativeReport
+	if err := back.Decode(data); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Points) != len(rep.Points) {
 		t.Fatalf("round trip lost points: %d != %d", len(back.Points), len(rep.Points))
 	}
-	text := FormatNativeReport(rep)
+	text := rep.Text()
 	for _, want := range []string{NativeEngineHCF, NativeEngineMutex, "HCF/Mutex", NativeStructPQ} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered report missing %q:\n%s", want, text)
@@ -48,10 +47,10 @@ func TestRunNativeSweepSmoke(t *testing.T) {
 }
 
 func TestParseNativeReportRejectsWrongKind(t *testing.T) {
-	if _, err := ParseNativeReport([]byte(`{"kind":"other","points":[{}]}`)); err == nil {
+	if err := new(NativeReport).Decode([]byte(`{"kind":"other","points":[{}]}`)); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
-	if _, err := ParseNativeReport([]byte(`{"kind":"hcf-native-bench","points":[]}`)); err == nil {
+	if err := new(NativeReport).Decode([]byte(`{"kind":"hcf-native-bench","points":[]}`)); err == nil {
 		t.Fatal("empty points accepted")
 	}
 }
@@ -71,30 +70,37 @@ func syntheticReport(scale float64) *NativeReport {
 
 // TestCompareNativeBaseline pins the median-normalization semantics: a
 // uniform hardware-speed shift passes at any magnitude; one point
-// collapsing relative to the rest fails.
+// collapsing relative to the rest, or stalling outright, fails.
 func TestCompareNativeBaseline(t *testing.T) {
 	base := syntheticReport(1)
 
 	// 5x faster across the board: a faster machine, not a regression.
-	if n, err := CompareNativeBaseline(syntheticReport(5), base, 2); err != nil || n != 6 {
+	if n, err := CompareRecords(syntheticReport(5), base); err != nil || n != 6 {
 		t.Fatalf("uniform speedup rejected: n=%d err=%v", n, err)
 	}
 	// 10x slower across the board: a slower machine, still fine.
-	if _, err := CompareNativeBaseline(syntheticReport(0.1), base, 2); err != nil {
+	if _, err := CompareRecords(syntheticReport(0.1), base); err != nil {
 		t.Fatalf("uniform slowdown rejected: %v", err)
 	}
 	// One point collapsed to 1/10 of its baseline while the rest held:
 	// that is a real relative regression and must fail.
 	fresh := syntheticReport(1)
 	fresh.Points[0].OpsPerSec /= 10
-	if _, err := CompareNativeBaseline(fresh, base, 2); err == nil {
+	if _, err := CompareRecords(fresh, base); err == nil {
 		t.Fatal("collapsed point passed the gate")
+	}
+	// One cell stalled to zero ops/s is an infinite regression, not a
+	// point to skip.
+	stalled := syntheticReport(1)
+	stalled.Points[0].OpsPerSec = 0
+	if n, err := CompareRecords(stalled, base); err == nil {
+		t.Fatalf("stalled point passed the gate (matched %d)", n)
 	}
 	// Disjoint reports cannot be compared.
 	disjoint := &NativeReport{Kind: NativeReportKind, Points: []NativePoint{
 		{Structure: "other", Engine: "x", Goroutines: 1, ReadPct: 1, OpsPerSec: 1},
 	}}
-	if _, err := CompareNativeBaseline(disjoint, base, 2); err == nil {
+	if _, err := CompareRecords(disjoint, base); err == nil {
 		t.Fatal("disjoint reports compared successfully")
 	}
 }

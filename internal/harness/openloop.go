@@ -1,15 +1,10 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"hcf/internal/memsim"
@@ -132,6 +127,35 @@ func sojournStatOf(s metrics.HistogramSnapshot) SojournStat {
 		P9999: s.Quantile(0.9999),
 		Max:   s.Max,
 	}
+}
+
+// sojournOf summarizes a sojourn recorder: all classes merged, plus one
+// row per class that completed an operation.
+func sojournOf(rec *metrics.Recorder) (SojournStat, []ClassSojourn) {
+	var all metrics.HistogramSnapshot
+	var byClass []ClassSojourn
+	for c, class := range rec.Classes() {
+		snap := rec.ClassHistogram(c)
+		if snap.Count > 0 {
+			byClass = append(byClass, ClassSojourn{Class: class, SojournStat: sojournStatOf(snap)})
+		}
+		all.Merge(&snap)
+	}
+	return sojournStatOf(all), byClass
+}
+
+// sloOf snapshots a tracker and reduces it to the worst final alert
+// state across objectives.
+func sloOf(slo *metrics.SLOTracker) (*metrics.SLOSnapshot, string) {
+	snap := slo.Snapshot()
+	state := metrics.SLOStateOK
+	for _, o := range snap.Objectives {
+		if o.State == metrics.SLOStatePage ||
+			(o.State == metrics.SLOStateWarn && state == metrics.SLOStateOK) {
+			state = o.State
+		}
+	}
+	return &snap, state
 }
 
 // ClassSojourn is a per-class sojourn breakdown row.
@@ -341,32 +365,14 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 	}
 	pt.MaxBacklog = max(maxBacklog, pt.EndBacklog)
 
-	var all metrics.HistogramSnapshot
-	classes := sojournRec.Classes()
-	for c, class := range classes {
-		snap := sojournRec.ClassHistogram(c)
-		if snap.Count > 0 {
-			pt.ByClass = append(pt.ByClass, ClassSojourn{Class: class, SojournStat: sojournStatOf(snap)})
-		}
-		all.Merge(&snap)
-	}
-	pt.Sojourn = sojournStatOf(all)
-
-	snap := slo.Snapshot()
-	pt.SLO = &snap
-	pt.SLOState = metrics.SLOStateOK
-	for _, o := range snap.Objectives {
-		if o.State == metrics.SLOStatePage ||
-			(o.State == metrics.SLOStateWarn && pt.SLOState == metrics.SLOStateOK) {
-			pt.SLOState = o.State
-		}
-	}
+	pt.Sojourn, pt.ByClass = sojournOf(sojournRec)
+	pt.SLO, pt.SLOState = sloOf(slo)
 	if inst.Check != nil {
 		pt.InvariantViolation = inst.Check(env.Boot())
 	}
 
 	report := metrics.BuildReport(serviceRec, sampler, sc.Name, engineName, threads)
-	report.SLO = &snap
+	report.SLO = pt.SLO
 	if col != nil {
 		pt.TraceDropped = col.Dropped()
 		report.Trace = &metrics.TraceHealth{
@@ -393,7 +399,9 @@ type OpenLoopReport struct {
 // RunOpenLoopSweep measures every engine at every offered rate. Points run
 // concurrently across host cores (bounded by cfg.Parallel) — each owns a
 // fresh deterministic environment, so results are identical, in identical
-// (rate-major, engine-minor) order, at any parallelism.
+// (rate-major, engine-minor) order, at any parallelism. With an
+// ol.Observer the points run serially, so the observer always describes
+// the point in flight.
 func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, threads int, cfg Config, ol OpenLoopConfig) (*OpenLoopReport, error) {
 	cfg.normalize()
 	ol.normalize(cfg.Horizon)
@@ -420,78 +428,29 @@ func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, thread
 		Rates:    rates,
 		Points:   make([]OpenLoopPoint, len(pts)),
 	}
-	run := func(i int) error {
+	par := cfg.Parallel
+	if ol.Observer != nil {
+		par = 1 // one observer describes the point in flight
+	}
+	err := forEachPoint(len(pts), par, func(i int) (err error) {
 		olp := ol
 		olp.Rate = pts[i].rate
-		olp.Observer = nil // observers attach to single points, not sweeps
-		p, _, err := RunPointOpenLoop(sc, pts[i].name, threads, cfg, olp)
-		if err != nil {
-			return err
-		}
-		rep.Points[i] = p
-		return nil
-	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par <= 1 {
-		for i := range pts {
-			if err := run(i); err != nil {
-				return nil, err
-			}
-		}
-		return rep, nil
-	}
-	errs := make([]error, len(pts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pts) {
-					return
-				}
-				errs[i] = run(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		rep.Points[i], _, err = RunPointOpenLoop(sc, pts[i].name, threads, cfg, olp)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-// JSONL renders the sweep as one JSON object per line: a header describing
-// the configuration, then one line per (rate, engine) point — the format
+// Encode renders the sweep as JSON Lines: a header describing the
+// configuration, then one line per (rate, engine) point — the format
 // checked in under bench/OPENLOOP_sweep.jsonl.
-func (r *OpenLoopReport) JSONL() ([]byte, error) {
-	var b bytes.Buffer
-	h, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	b.Write(h)
-	b.WriteByte('\n')
-	for i := range r.Points {
-		line, err := json.Marshal(&r.Points[i])
-		if err != nil {
-			return nil, err
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes(), nil
-}
+func (r *OpenLoopReport) Encode() ([]byte, error) { return encodeJSONL(r, r.Points) }
+
+// Decode is the inverse of Encode.
+func (r *OpenLoopReport) Decode(data []byte) error { return decodeJSONL(data, r, &r.Points) }
 
 // Text renders the sweep as an aligned table, one block per engine.
 func (r *OpenLoopReport) Text() string {
@@ -519,68 +478,33 @@ func (r *OpenLoopReport) Text() string {
 			fmt.Fprintf(&b, "  %10.1f %10.1f %8d %8d %8d %8d %10d %10d %6s %5s\n",
 				p.Rate, p.Throughput, p.Sojourn.P50, p.Sojourn.P99, p.Sojourn.P999,
 				p.Sojourn.P9999, p.MaxBacklog, p.EndBacklog, p.SLOState, sat)
+			if p.InvariantViolation != "" {
+				fmt.Fprintf(&b, "  !! INVARIANT VIOLATION at rate %.1f: %s\n", p.Rate, p.InvariantViolation)
+			}
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// ParseOpenLoopJSONL parses a JSONL sweep back into a report (the inverse
-// of JSONL, for baseline comparison).
-func ParseOpenLoopJSONL(data []byte) (*OpenLoopReport, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("harness: empty open-loop JSONL")
-	}
-	var rep OpenLoopReport
-	if err := json.Unmarshal(sc.Bytes(), &rep); err != nil {
-		return nil, fmt.Errorf("harness: open-loop JSONL header: %w", err)
-	}
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var p OpenLoopPoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			return nil, fmt.Errorf("harness: open-loop JSONL row: %w", err)
-		}
-		rep.Points = append(rep.Points, p)
-	}
-	return &rep, sc.Err()
-}
+// Check fails on any point whose scenario invariant check failed.
+func (r *OpenLoopReport) Check() error { return CheckResults(r.Results()) }
 
-// CompareOpenLoopBaseline fails if any point in current has sojourn p99
-// above maxRatio times the matching (engine, rate, threads) baseline point.
-// Points without a baseline match are ignored (new rates or engines are not
-// regressions). On the deterministic simulator results are bit-identical
-// run to run, so a trip means the code changed the latency profile.
-func CompareOpenLoopBaseline(current, baseline *OpenLoopReport, maxRatio float64) error {
-	type key struct {
-		engine  string
-		rate    float64
-		threads int
-	}
-	base := map[key]OpenLoopPoint{}
-	for _, p := range baseline.Points {
-		base[key{p.Engine, p.Rate, p.Threads}] = p
-	}
-	var fails []string
-	for _, p := range current.Points {
-		bp, ok := base[key{p.Engine, p.Rate, p.Threads}]
-		if !ok {
-			continue
-		}
-		if bp.Sojourn.P99 > 0 && float64(p.Sojourn.P99) > maxRatio*float64(bp.Sojourn.P99) {
-			fails = append(fails, fmt.Sprintf(
-				"%s @ rate %.0f: sojourn p99 %d vs baseline %d (> %.2fx)",
-				p.Engine, p.Rate, p.Sojourn.P99, bp.Sojourn.P99, maxRatio))
+// openLoopGate judges sojourn p99 per (engine, rate, threads) point
+// without normalization: the simulator is deterministic, so any trip
+// means a code change moved the latency profile by more than 25%.
+var openLoopGate = Gate{Metric: "sojourn p99", Tolerance: 1.25}
+
+// Baseline implements GatedRecord.
+func (r *OpenLoopReport) Baseline() (Gate, []GatePoint) {
+	pts := make([]GatePoint, len(r.Points))
+	for i, p := range r.Points {
+		pts[i] = GatePoint{
+			Key:   fmt.Sprintf("%s rate=%g threads=%d", p.Engine, p.Rate, p.Threads),
+			Value: float64(p.Sojourn.P99),
 		}
 	}
-	if len(fails) > 0 {
-		return fmt.Errorf("harness: open-loop p99 regression:\n  %s", strings.Join(fails, "\n  "))
-	}
-	return nil
+	return openLoopGate, pts
 }
 
 // OpenLoopDefaultRates is the checked-in sweep's offered-load ladder

@@ -107,11 +107,11 @@ func TestOpenLoopSweepParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj, err := serial.JSONL()
+	sj, err := serial.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := parallel.JSONL()
+	pj, err := parallel.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,12 @@ func TestOpenLoopJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rep.JSONL()
+	data, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseOpenLoopJSONL(data)
-	if err != nil {
+	back := &OpenLoopReport{}
+	if err := back.Decode(data); err != nil {
 		t.Fatal(err)
 	}
 	if back.Scenario != rep.Scenario || back.Threads != rep.Threads || back.Seed != rep.Seed {
@@ -169,13 +169,13 @@ func TestOpenLoopBaselineComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareOpenLoopBaseline(rep, rep, 1.25); err != nil {
+	if _, err := CompareRecords(rep, rep); err != nil {
 		t.Fatalf("self-comparison must pass: %v", err)
 	}
 	worse := *rep
 	worse.Points = append([]OpenLoopPoint(nil), rep.Points...)
 	worse.Points[0].Sojourn.P99 = rep.Points[0].Sojourn.P99 * 2
-	if err := CompareOpenLoopBaseline(&worse, rep, 1.25); err == nil {
+	if _, err := CompareRecords(&worse, rep); err == nil {
 		t.Fatal("2x p99 regression must fail the gate")
 	}
 	// Points missing from the baseline are not regressions.
@@ -184,8 +184,14 @@ func TestOpenLoopBaselineComparison(t *testing.T) {
 		Engine: "HCF", Rate: 9999, Threads: 12,
 		Sojourn: SojournStat{P99: 1 << 40},
 	})
-	if err := CompareOpenLoopBaseline(&extra, rep, 1.25); err != nil {
+	if _, err := CompareRecords(&extra, rep); err != nil {
 		t.Fatalf("unmatched point must be ignored: %v", err)
+	}
+	// But a sweep sharing no point with the baseline cannot pass.
+	disjoint := *rep
+	disjoint.Points = extra.Points[len(rep.Points):]
+	if _, err := CompareRecords(&disjoint, rep); err == nil {
+		t.Fatal("sweep with no point in common passed the gate")
 	}
 }
 
