@@ -95,7 +95,7 @@ func TestElasticJSONLRoundTrip(t *testing.T) {
 		Figure: "elastic", Scenario: sc.Name, Threads: 4, Seed: 5,
 		Horizon: horizon, Rate: 4000, Window: horizon / 16,
 		SLOThreshold: DefaultOpenLoopSLOThreshold, Gate: 0.8,
-		Points:       []ElasticPoint{p},
+		Points: []ElasticPoint{p},
 	}
 	data, err := rep.Encode()
 	if err != nil {

@@ -88,27 +88,27 @@ func FormatCSV(results []Result) string {
 // snake_case fields plus derived rates, so external tooling needs no
 // knowledge of internal types.
 type ResultRecord struct {
-	Scenario           string             `json:"scenario"`
-	Engine             string             `json:"engine"`
-	Threads            int                `json:"threads"`
-	Ops                uint64             `json:"ops"`
-	Cycles             int64              `json:"cycles"`
-	Throughput         float64            `json:"throughput"`
-	LockAcquisitions   uint64             `json:"lock_acquisitions"`
-	AuxAcquisitions    uint64             `json:"aux_acquisitions"`
-	CombinerSessions   uint64             `json:"combiner_sessions"`
-	CombinedOps        uint64             `json:"combined_ops"`
-	CombiningDegree    float64            `json:"combining_degree"`
-	HTMStarted         uint64             `json:"htm_started"`
-	HTMCommits         uint64             `json:"htm_commits"`
-	HTMAborts          map[string]uint64  `json:"htm_aborts,omitempty"`
-	Loads              uint64             `json:"loads"`
-	Stores             uint64             `json:"stores"`
-	L1MissRate         float64            `json:"l1_miss_rate"`
-	CoherenceMisses    uint64             `json:"coherence_misses"`
-	RemoteMisses       uint64             `json:"remote_misses"`
+	Scenario           string              `json:"scenario"`
+	Engine             string              `json:"engine"`
+	Threads            int                 `json:"threads"`
+	Ops                uint64              `json:"ops"`
+	Cycles             int64               `json:"cycles"`
+	Throughput         float64             `json:"throughput"`
+	LockAcquisitions   uint64              `json:"lock_acquisitions"`
+	AuxAcquisitions    uint64              `json:"aux_acquisitions"`
+	CombinerSessions   uint64              `json:"combiner_sessions"`
+	CombinedOps        uint64              `json:"combined_ops"`
+	CombiningDegree    float64             `json:"combining_degree"`
+	HTMStarted         uint64              `json:"htm_started"`
+	HTMCommits         uint64              `json:"htm_commits"`
+	HTMAborts          map[string]uint64   `json:"htm_aborts,omitempty"`
+	Loads              uint64              `json:"loads"`
+	Stores             uint64              `json:"stores"`
+	L1MissRate         float64             `json:"l1_miss_rate"`
+	CoherenceMisses    uint64              `json:"coherence_misses"`
+	RemoteMisses       uint64              `json:"remote_misses"`
 	PhaseByClass       []map[string]uint64 `json:"phase_by_class,omitempty"`
-	InvariantViolation string             `json:"invariant_violation,omitempty"`
+	InvariantViolation string              `json:"invariant_violation,omitempty"`
 }
 
 // RecordOf converts a Result to its machine-readable record.

@@ -2,6 +2,9 @@ package memsim
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 )
 
 const (
@@ -60,7 +63,9 @@ type DetConfig struct {
 // runnable thread (a heap peek, no synchronization), and when another thread
 // becomes the minimum the CPU is handed to it directly — one channel
 // rendezvous per switch instead of a park/resume round-trip through a
-// central scheduler loop. The thread selected at every scheduling point is
+// central scheduler loop. A passive spin-waiter whose last probe failed
+// leaves the run heap until a line it watches is about to be written (see
+// dispatch and wake). The thread selected at every scheduling point is
 // identical to the classic pop-min design, so simulated results are
 // bit-for-bit unchanged; only host time is saved.
 type DetEnv struct {
@@ -84,6 +89,16 @@ type DetEnv struct {
 	sched   detHeap
 	waits   []detWait
 	panicV  any
+
+	// Dormant passive waiters: off the heap, asleep on the lines they
+	// watch (one bit per line in watch) until wake catches them up to the
+	// frontier, the largest (clock+boost, id) selected to run so far in
+	// this Run. cur is the thread selected last.
+	dormant []int32
+	watch   []uint64
+	frontK  int64
+	frontID int32
+	cur     int32
 
 	// Schedule exploration (see explore.go). Both stay nil with a zero
 	// DetConfig.Explore, keeping the scheduler's fast paths untouched.
@@ -114,6 +129,13 @@ const (
 	waitUntilEitherEq              // until Load(addr)==want or Load(addr2)==want2
 )
 
+// Outcomes of one passive-wait step.
+const (
+	stepMore    uint8 = iota // the wait goes on
+	stepBlocked              // a failed check: while the watched lines stay unchanged, no later step can succeed
+	stepDone                 // the predicate held
+)
+
 // Step phases of a passive wait.
 const (
 	phAccess1 uint8 = iota // charge the access for addr
@@ -137,6 +159,7 @@ func NewDet(cfg DetConfig) *DetEnv {
 		nextFree: WordsPerLine, // reserve line 0 so Addr 0 stays nil
 		freelist: make([][]Addr, 64),
 		done:     make(chan struct{}),
+		dormant:  make([]int32, 0, cfg.Threads),
 	}
 	if cfg.CapacityHint > 0 {
 		npages := (cfg.CapacityHint + pageWords - 1) / pageWords
@@ -203,6 +226,8 @@ func (e *DetEnv) Run(body func(th *Thread)) {
 	for i := range e.waits {
 		e.waits[i] = detWait{}
 	}
+	clear(e.watch)
+	e.frontK, e.frontID = math.MinInt64, -1
 	for i := 0; i < e.n; i++ {
 		go func(id int) {
 			<-e.resume[id]
@@ -283,33 +308,168 @@ func (e *DetEnv) switchTo(t int) {
 // minimum-(clock, id) runnable thread and pops it, executing passive
 // waiters' spin-loop steps inline on the calling goroutine along the way.
 // Returns -1 when no runnable thread remains.
+//
+// A waiter whose step fails a check goes dormant: it leaves the heap and
+// sleeps on its watched lines. A step only reads those lines and writes
+// the waiter's own clock, counters, L1 model and jitter state, so while the
+// lines are unchanged every skipped step would fail the same way and nobody
+// could observe it; wake replays them before the first write to a watched
+// line. Only a waiter whose key is past the frontier may sleep, so that
+// catching it up to the frontier never runs a step that the schedule
+// would not have run.
 func (e *DetEnv) dispatch() int32 {
 	for {
 		ids := e.sched.ids
 		if len(ids) == 0 {
+			if len(e.dormant) != 0 {
+				return e.deadlock()
+			}
 			return -1
 		}
-		w := &e.waits[ids[0]]
-		if !w.passive {
-			return e.sched.pop()
-		}
-		if e.stepWait(int(ids[0]), w) {
+		id := ids[0]
+		if w := &e.waits[id]; w.passive {
+			if r := e.stepWait(int(id), w); r != stepDone {
+				if r == stepBlocked && e.before(e.frontK, e.frontID, id) {
+					e.sched.pop()
+					e.dormant = append(e.dormant, id)
+					e.mark(w, true)
+				} else {
+					e.sched.siftDown(0) // the step charged the waiter; restore order
+				}
+				continue
+			}
 			// The wait completed without a charge, so the thread is still
 			// the minimum: schedule it now.
 			w.passive = false
-			return e.sched.pop()
 		}
-		e.sched.siftDown(0) // the step charged the waiter; restore order
+		e.sched.pop()
+		e.cur = id
+		e.selected(id)
+		return id
+	}
+}
+
+// selected raises the frontier to thread id's current key, at which it has
+// been selected to run.
+func (e *DetEnv) selected(id int32) {
+	if e.before(e.frontK, e.frontID, id) {
+		e.frontK, e.frontID = e.key(id), id
+	}
+}
+
+// key is thread id's scheduling key: its clock plus its exploration boost.
+func (e *DetEnv) key(id int32) int64 {
+	if e.boost != nil {
+		return e.clocks[id] + e.boost[id]
+	}
+	return e.clocks[id]
+}
+
+// before reports whether (k, kid) orders before thread id's current key.
+func (e *DetEnv) before(k int64, kid int32, id int32) bool {
+	c := e.key(id)
+	return k < c || (k == c && kid < id)
+}
+
+// mark sets or clears the watch bits of w's lines.
+func (e *DetEnv) mark(w *detWait, on bool) {
+	e.markLine(LineOf(w.addr), on)
+	if w.kind == waitUntilEitherEq {
+		e.markLine(LineOf(w.addr2), on)
+	}
+}
+
+func (e *DetEnv) markLine(line uint32, on bool) {
+	i := int(line / 64)
+	for i >= len(e.watch) {
+		e.watch = append(e.watch, 0)
+	}
+	if on {
+		e.watch[i] |= 1 << (line % 64)
+	} else {
+		e.watch[i] &^= 1 << (line % 64)
+	}
+}
+
+// wake runs just before line is written while some waiter is dormant.
+// Every dormant waiter watching line replays the steps it skipped, up to
+// the frontier, and rejoins the heap: it then sees the write at exactly the
+// step it would have without sleeping. The frontier is the largest key
+// selected to run so far: frontK/frontID record heap pops and an exploring
+// scheduler's keep-running points, and the running thread's current key
+// covers the plain scheduler's keep-running points without touching its
+// fast path. The running thread's key alone is not enough: a forced
+// preemption can redraw its boost below a key selected before it.
+func (e *DetEnv) wake(line uint32) {
+	if i := int(line / 64); i >= len(e.watch) || e.watch[i]&(1<<(line%64)) == 0 {
+		return
+	}
+	k, kid := e.frontK, e.frontID
+	if e.before(k, kid, e.cur) {
+		k, kid = e.key(e.cur), e.cur
+	}
+	kept := e.dormant[:0]
+	for _, id := range e.dormant {
+		w := &e.waits[id]
+		if LineOf(w.addr) != line && (w.kind != waitUntilEitherEq || LineOf(w.addr2) != line) {
+			kept = append(kept, id)
+			continue
+		}
+		for !e.before(k, kid, id) {
+			if e.stepWait(int(id), w) == stepDone {
+				panic("memsim: dormant wait completed while its lines were unchanged")
+			}
+		}
+		e.sched.push(id)
+		e.mark(w, false)
+	}
+	e.dormant = kept
+	for _, id := range kept {
+		e.mark(&e.waits[id], true) // restore bits shared with a woken waiter
+	}
+}
+
+// deadlock runs when no thread is runnable but some waiters sleep: no
+// thread is left to write the lines they watch. It records the report Run
+// raises and hands the CPU to one sleeper, whose wait call then exits its
+// goroutine (see park); each sleeper retires the same way in turn.
+func (e *DetEnv) deadlock() int32 {
+	if e.panicV == nil {
+		var b strings.Builder
+		b.WriteString("memsim: deadlock:")
+		for _, id := range e.dormant {
+			w := &e.waits[id]
+			fmt.Fprintf(&b, " thread %d waits for addr %d == %d", id, w.addr, w.want)
+			if w.kind == waitUntilEitherEq {
+				fmt.Fprintf(&b, " or addr %d == %d", w.addr2, w.want2)
+			}
+			b.WriteByte(';')
+		}
+		e.panicV = strings.TrimSuffix(b.String(), ";")
+	}
+	last := len(e.dormant) - 1
+	id := e.dormant[last]
+	e.dormant = e.dormant[:last]
+	return id
+}
+
+// written runs before every write to line's word, metadata or last writer.
+// It must stay small enough to inline into the store paths.
+func (e *DetEnv) written(line uint32) {
+	if len(e.dormant) != 0 {
+		e.wake(line)
 	}
 }
 
 // stepWait executes one scheduling quantum of a passive wait on behalf of
 // thread t: the events between two scheduling points of the open-coded spin
 // loop the wait replaces (one charge, plus the seqlock reads that precede
-// it). It reports whether the wait's predicate was satisfied. The event
-// stream is bit-identical to Thread.Load/Thread.Yield executing the same
-// loop; only the goroutine switches between quanta are elided.
-func (e *DetEnv) stepWait(t int, w *detWait) bool {
+// it). It reports whether the wait goes on, failed a check (stepBlocked: the
+// step yielded after a probe that, like every probe of the next round, must
+// fail again while the watched lines stay unchanged), or is satisfied. The
+// event stream is bit-identical to Thread.Load/Thread.Yield executing the
+// same loop; only the goroutine switches between quanta are elided.
+func (e *DetEnv) stepWait(t int, w *detWait) uint8 {
 	switch w.phase {
 	case phAccess1: // Thread.Load(addr) charges its access first
 		e.accessBook(t, LineOf(w.addr), false)
@@ -319,21 +479,21 @@ func (e *DetEnv) stepWait(t int, w *detWait) bool {
 		m1 := e.LoadMeta(line)
 		if MetaLocked(m1) {
 			e.yieldBook(t)
-			return false // retry the read after the yield, as Load does
+			return stepBlocked // retry the read after the yield, as Load does
 		}
 		v := e.LoadWord(w.addr)
 		if e.LoadMeta(line) != m1 {
 			e.yieldBook(t)
-			return false
+			return stepMore
 		}
 		if v == w.want {
 			w.which = 0
-			return true
+			return stepDone
 		}
 		if w.kind == waitUntilEq {
 			e.yieldBook(t) // failed round: Yield, then re-access addr
 			w.phase = phAccess1
-			return false
+			return stepBlocked
 		}
 		// Either-shape: probe addr2 next, with no yield in between — the
 		// loop this replaces falls straight through to its second Load.
@@ -346,21 +506,25 @@ func (e *DetEnv) stepWait(t int, w *detWait) bool {
 		m1 := e.LoadMeta(line)
 		if MetaLocked(m1) {
 			e.yieldBook(t)
-			return false
+			return stepBlocked
 		}
 		v := e.LoadWord(w.addr2)
 		if e.LoadMeta(line) != m1 {
 			e.yieldBook(t)
-			return false
+			return stepMore
 		}
 		if v == w.want2 {
 			w.which = 1
-			return true
+			return stepDone
 		}
 		e.yieldBook(t) // both probes failed: Yield, restart at addr
 		w.phase = phAccess1
+		// Blocked only if the next round's probe of addr must fail too.
+		if MetaLocked(e.LoadMeta(LineOf(w.addr))) || e.LoadWord(w.addr) != w.want {
+			return stepBlocked
+		}
 	}
-	return false
+	return stepMore
 }
 
 // spinUntilEq parks worker t until a coherent load of a observes want,
@@ -374,7 +538,7 @@ func (e *DetEnv) stepWait(t int, w *detWait) bool {
 func (e *DetEnv) spinUntilEq(t int, a Addr, want uint64) {
 	e.accessBook(t, LineOf(a), false)
 	e.waits[t] = detWait{passive: true, kind: waitUntilEq, phase: phRead1, addr: a, want: want}
-	e.switchTo(t)
+	e.park(t)
 }
 
 // spinUntilEitherEq parks worker t until a load of a1 observes want1
@@ -386,8 +550,19 @@ func (e *DetEnv) spinUntilEitherEq(t int, a1 Addr, want1 uint64, a2 Addr, want2 
 		passive: true, kind: waitUntilEitherEq, phase: phRead1,
 		addr: a1, want: want1, addr2: a2, want2: want2,
 	}
-	e.switchTo(t)
+	e.park(t)
 	return e.waits[t].which
+}
+
+// park hands the CPU on until worker t's passive wait completes. A wait
+// still pending when t gets the CPU back was ended by deadlock: t's body
+// must not go on, so its goroutine exits (running its deferred calls, which
+// retire the thread), and Run raises the deadlock report.
+func (e *DetEnv) park(t int) {
+	e.switchTo(t)
+	if e.waits[t].passive {
+		runtime.Goexit()
+	}
 }
 
 // page returns the arena page holding word index w, growing the arena as
@@ -446,6 +621,7 @@ func (e *DetEnv) CASMeta(line uint32, old, new uint64) bool {
 	if p.metas[i] != old {
 		return false
 	}
+	e.written(line)
 	p.metas[i] = new
 	return true
 }
@@ -454,6 +630,7 @@ func (e *DetEnv) CASMeta(line uint32, old, new uint64) bool {
 // line with a new version also refreshes t's cached copy and records t as
 // the line's last writer for the coherence model.
 func (e *DetEnv) StoreMeta(t int, line uint32, m uint64) {
+	e.written(line)
 	p := e.page(line << LineShift)
 	p.metas[line%pageLines] = m
 	if !MetaLocked(m) && t >= 0 && t < len(e.caches) {
@@ -469,6 +646,7 @@ func (e *DetEnv) LoadWord(a Addr) uint64 {
 
 // StoreWord writes a word without cost accounting.
 func (e *DetEnv) StoreWord(a Addr, v uint64) {
+	e.written(LineOf(a))
 	e.page(uint32(a)).words[uint32(a)%pageWords] = v
 }
 
@@ -523,6 +701,7 @@ func (e *DetEnv) accessBook(t int, line uint32, write bool) {
 		e.caches[t].fill(line, ver)
 	}
 	if write {
+		e.written(line)
 		p.lastW[li] = int32(t)
 	}
 	e.charge(t, cost)

@@ -135,14 +135,11 @@ func (e *DetEnv) explorePoint(t int) {
 		x.budget--
 		x.injected++
 	}
+	// Keeping t running selects it at its (possibly redrawn) key, which
+	// the dormant waiters' frontier must cover (see DetEnv.wake).
 	ids := e.sched.ids
-	if len(ids) == 0 {
-		return // only runnable thread
-	}
-	m := ids[0]
-	ct := e.clocks[t] + e.boost[t]
-	cm := e.clocks[m] + e.boost[m]
-	if ct < cm || (ct == cm && t < int(m)) {
+	if len(ids) == 0 || e.before(e.clocks[t]+e.boost[t], int32(t), ids[0]) {
+		e.selected(int32(t))
 		return
 	}
 	e.switchTo(t)

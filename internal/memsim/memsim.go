@@ -246,7 +246,10 @@ func (t *Thread) Yield() { t.env.Yield(t.id) }
 //
 // On the deterministic backend the waiting goroutine parks and the
 // scheduler replays the loop's events inline on whichever goroutine holds
-// the host CPU, so futile spin iterations cost no host context switches.
+// the host CPU, so futile spin iterations cost no host context switches;
+// after a failed probe they are deferred altogether until a probed line is
+// about to be written. A wait nothing can ever satisfy makes Run panic with
+// "memsim: deadlock".
 func (t *Thread) SpinLoadUntilEq(a Addr, want uint64) {
 	if e, ok := t.env.(*DetEnv); ok && e.running && t.id < e.n {
 		e.spinUntilEq(t.id, a, want)
