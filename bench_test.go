@@ -1,6 +1,5 @@
 // Benchmarks regenerating the paper's figures (deterministic simulator,
-// virtual-cycle throughput reported as the custom metric "ops/Mcycle") plus
-// wall-clock micro-benchmarks of the substrate on the real backend.
+// virtual-cycle throughput reported as the custom metric "ops/Mcycle").
 //
 // Full-scale reproductions with the paper's exact parameters are run by
 // cmd/hcfbench; these benches use reduced horizons so `go test -bench=.`
@@ -11,10 +10,7 @@ import (
 	"fmt"
 	"testing"
 
-	"hcf"
 	"hcf/internal/harness"
-	"hcf/internal/htm"
-	"hcf/internal/memsim"
 )
 
 // benchCfg is the reduced configuration for figure benches.
@@ -174,141 +170,4 @@ func BenchmarkAutotune(b *testing.B) {
 // BenchmarkDeque: §2.4's two-ends deque with the specialized variant.
 func BenchmarkDeque(b *testing.B) {
 	figureBench(b, "deque", []string{"Lock", "TLE", "FC", "HCF"}, []int{16})
-}
-
-// --- Wall-clock substrate micro-benchmarks (real backend) ---
-
-// BenchmarkRealDirectLoad measures a coherent direct load.
-func BenchmarkRealDirectLoad(b *testing.B) {
-	env := hcf.NewRealEnv(1)
-	boot := env.Boot()
-	a := env.Alloc(1)
-	boot.Store(a, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		boot.Load(a)
-	}
-}
-
-// BenchmarkRealDirectStore measures a coherent direct store (line lock +
-// version bump).
-func BenchmarkRealDirectStore(b *testing.B) {
-	env := hcf.NewRealEnv(1)
-	boot := env.Boot()
-	a := env.Alloc(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		boot.Store(a, uint64(i))
-	}
-}
-
-// BenchmarkRealTxCommit measures an uncontended read-modify-write
-// transaction end to end.
-func BenchmarkRealTxCommit(b *testing.B) {
-	env := hcf.NewRealEnv(1)
-	eng := htm.New(env, htm.Config{})
-	boot := env.Boot()
-	a := env.Alloc(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, _ := eng.Run(boot, func(tx *htm.Tx) {
-			tx.Store(a, tx.Load(a)+1)
-		})
-		if !ok {
-			b.Fatal("uncontended tx aborted")
-		}
-	}
-}
-
-// BenchmarkRealTxReadSet measures transactions with growing read sets.
-func BenchmarkRealTxReadSet(b *testing.B) {
-	for _, lines := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
-			env := hcf.NewRealEnv(1)
-			eng := htm.New(env, htm.Config{})
-			boot := env.Boot()
-			addrs := make([]hcf.Addr, lines)
-			for i := range addrs {
-				addrs[i] = env.Alloc(memsim.WordsPerLine)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Run(boot, func(tx *htm.Tx) {
-					for _, a := range addrs {
-						tx.Load(a)
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkRealHCFExecute measures the HCF fast path (TryPrivate commit) on
-// the real backend, uncontended.
-func BenchmarkRealHCFExecute(b *testing.B) {
-	env := hcf.NewRealEnv(1)
-	fw, err := hcf.New(env, hcf.Config{Policies: []hcf.Policy{{
-		TryPrivateTrials:   2,
-		TryVisibleTrials:   3,
-		TryCombiningTrials: 5,
-	}}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	boot := env.Boot()
-	a := env.Alloc(1)
-	op := benchIncOp{addr: a}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fw.Execute(boot, op)
-	}
-}
-
-type benchIncOp struct {
-	addr hcf.Addr
-}
-
-func (o benchIncOp) Apply(ctx hcf.Ctx) uint64 {
-	v := ctx.Load(o.addr)
-	ctx.Store(o.addr, v+1)
-	return v
-}
-
-func (o benchIncOp) Class() int { return 0 }
-
-// BenchmarkRealContendedCounter compares engines on a hot counter with real
-// goroutine concurrency.
-func BenchmarkRealContendedCounter(b *testing.B) {
-	const threads = 4
-	for _, name := range []string{"Lock", "TLE", "HCF"} {
-		b.Run(name, func(b *testing.B) {
-			env := hcf.NewRealEnv(threads)
-			var eng hcf.Engine
-			switch name {
-			case "Lock":
-				eng = hcf.NewLockEngine(env, hcf.BaselineOptions{})
-			case "TLE":
-				eng = hcf.NewTLE(env, hcf.BaselineOptions{})
-			case "HCF":
-				fw, err := hcf.New(env, hcf.Config{Policies: []hcf.Policy{{
-					TryPrivateTrials:   2,
-					TryVisibleTrials:   3,
-					TryCombiningTrials: 5,
-				}}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng = fw
-			}
-			a := env.Alloc(1)
-			perThread := b.N/threads + 1
-			op := benchIncOp{addr: a}
-			b.ResetTimer()
-			env.Run(func(th *hcf.Thread) {
-				for i := 0; i < perThread; i++ {
-					eng.Execute(th, op)
-				}
-			})
-		})
-	}
 }

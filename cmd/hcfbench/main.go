@@ -5,7 +5,7 @@
 //
 //	hcfbench -list                 # show all reproducible experiments
 //	hcfbench -fig 2c               # reproduce one figure
-//	hcfbench -fig all              # reproduce everything
+//	hcfbench -fig all              # reproduce everything (= results_figures.txt)
 //	hcfbench -fig 5a -csv          # emit CSV for external plotting
 //	hcfbench -fig 5a -json         # emit JSON Lines (one record per cell)
 //	hcfbench -fig 2a -threads 1,8,36 -horizon 500000 -seed 7
@@ -104,13 +104,13 @@ func writeMemProfile(path string) error {
 
 // options holds the parsed command line.
 type options struct {
-	list, real, csv, json, bench bool
-	fig, threads, engines        string
-	rates, serve, out, baseline  string
-	cpuProf, memProf             string
-	horizon                      int64
-	seed                         uint64
-	parallel, realOps, dur       int
+	list, csv, json, bench      bool
+	fig, threads, engines       string
+	rates, serve, out, baseline string
+	cpuProf, memProf            string
+	horizon                     int64
+	seed                        uint64
+	parallel, dur               int
 	// set records which flags were given explicitly.
 	set map[string]bool
 }
@@ -123,7 +123,6 @@ var modeFlags = map[string]string{
 	"kv":       "threads dur json out baseline",
 	"openloop": "threads engines horizon seed parallel json rates serve out baseline",
 	"elastic":  "threads horizon seed parallel json out",
-	"real":     "real threads engines seed real-ops",
 	"figure":   "threads engines horizon seed parallel csv json",
 }
 
@@ -134,8 +133,6 @@ func (o *options) mode() string {
 		return "bench"
 	case o.fig == "native" || o.fig == "kv":
 		return o.fig
-	case o.real:
-		return "real"
 	case o.fig == "openloop" || o.fig == "elastic":
 		return o.fig
 	}
@@ -191,8 +188,6 @@ func (o *options) override(f *harness.Figure) error {
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	fs.BoolVar(&o.list, "list", false, "list available figures and exit")
-	fs.BoolVar(&o.real, "real", false, "run the figure's scenario on the real-concurrency backend (wall clock; meaningful on multicore hosts)")
-	fs.IntVar(&o.realOps, "real-ops", 2000, "operations per thread in -real mode")
 	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'")
 	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic defaults to its own when unset)")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
@@ -262,9 +257,8 @@ func run(args []string) error {
 	return runFigures(o)
 }
 
-// runFigures renders registered figures as tables, CSV or JSON Lines
-// (or measures them on the real backend with -real), then fails if any
-// point violated its scenario invariant.
+// runFigures renders registered figures as tables, CSV or JSON Lines,
+// then fails if any point violated its scenario invariant.
 func runFigures(o *options) error {
 	var figs []harness.Figure
 	if o.fig == "all" {
@@ -281,27 +275,6 @@ func runFigures(o *options) error {
 	for i := range figs {
 		if err := o.override(&figs[i]); err != nil {
 			return err
-		}
-		if o.real {
-			fmt.Printf("== %s on the real backend (wall clock, %d ops/thread)\n",
-				figs[i].ID, o.realOps)
-			for _, t := range figs[i].Threads {
-				for _, e := range figs[i].Engines {
-					r, err := harness.RunPointReal(figs[i].Scenario, e, t, o.realOps, cfg)
-					if err != nil {
-						return err
-					}
-					status := ""
-					if r.InvariantViolation != "" {
-						status = "  !! " + r.InvariantViolation
-					}
-					fmt.Printf("threads=%-3d %-8s %10.1f ops/ms (%v)%s\n",
-						t, e, r.Throughput, r.Elapsed.Round(time.Millisecond), status)
-					all = append(all, harness.Result{Scenario: r.Scenario, Engine: e, Threads: t,
-						InvariantViolation: r.InvariantViolation})
-				}
-			}
-			continue
 		}
 		results, err := harness.RunFigure(figs[i], cfg)
 		if err != nil {

@@ -92,24 +92,19 @@ func TestRunJSONL(t *testing.T) {
 	}
 }
 
-func TestJSONRejectedWithReal(t *testing.T) {
-	if err := run([]string{"-fig", "stack", "-real", "-json"}); err == nil {
-		t.Error("-json with -real accepted")
-	}
-}
-
 // TestFlagSet pins the command line: one -out/-baseline pair and one
 // -dur for every figure, nothing per figure.
 func TestFlagSet(t *testing.T) {
 	var got []string
 	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"baseline", "bench", "cpuprofile", "csv", "dur", "engines", "fig",
-		"horizon", "json", "list", "memprofile", "out", "parallel", "rates", "real",
-		"real-ops", "seed", "serve", "threads"}
+		"horizon", "json", "list", "memprofile", "out", "parallel", "rates", "seed",
+		"serve", "threads"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flags = %v\nwant    %v", got, want)
 	}
-	// The per-figure forms the shared pair replaced no longer parse.
+	// The per-figure forms the shared pair replaced, and the retired
+	// wall-clock -real mode, no longer parse.
 	var gone []string
 	for _, fig := range []string{"native", "kv", "openloop"} {
 		gone = append(gone, "-"+fig+"-baseline")
@@ -117,7 +112,7 @@ func TestFlagSet(t *testing.T) {
 	for _, fig := range []string{"native", "kv"} {
 		gone = append(gone, "-"+fig+"-dur")
 	}
-	gone = append(gone, "-bench"+"-out", "-elastic-"+"gate", "-elastic-"+"rate")
+	gone = append(gone, "-bench"+"-out", "-elastic-"+"gate", "-elastic-"+"rate", "-real", "-real"+"-ops")
 	for _, name := range gone {
 		err := run([]string{"-fig", "stack", name, "1"})
 		if err == nil || !strings.Contains(err.Error(), "not defined") {
@@ -149,9 +144,6 @@ func TestRejectUnusedFlags(t *testing.T) {
 		{"-fig", "native", "-horizon", "5000"},
 		{"-fig", "kv", "-seed", "3"},
 		{"-fig", "kv", "-engines", "HCF"},
-		{"-fig", "native", "-real"},
-		{"-fig", "stack", "-real", "-out", out},
-		{"-fig", "stack", "-real-ops", "5"},
 		{"-bench", "-csv", "-out", out},
 	} {
 		err := run(args)

@@ -11,13 +11,11 @@
 //	hcfmetrics -scenario hashtable -engine HCF -format csv > run.csv
 //	hcfmetrics -scenario hashtable -engine HCF -format prom
 //	hcfmetrics -scenario sharded -shards 4 -engine HCF-S -threads 36
-//	hcfmetrics -scenario stack -engine FC -real -real-ops 5000
 //	hcfmetrics -tune -threads 36 -format prom   # autotuner decision journal
 //
 // Formats: text (default, human tables), json (one indented object), csv
 // (two tables: intervals, then latencies), prom (Prometheus text
-// exposition). Latencies and interval timestamps are virtual cycles on the
-// default deterministic backend and wall nanoseconds with -real.
+// exposition). Latencies and interval timestamps are virtual cycles.
 package main
 
 import (
@@ -55,11 +53,9 @@ func run(args []string) error {
 		theta    = fs.Float64("theta", 0.9, "zipf skew (avl)")
 		horizon  = fs.Int64("horizon", 200_000, "virtual cycles")
 		seed     = fs.Uint64("seed", 1, "workload seed")
-		interval = fs.Int64("interval", 10_000, "sampling interval (virtual cycles, or ns with -real)")
+		interval = fs.Int64("interval", 10_000, "sampling interval (virtual cycles)")
 		format   = fs.String("format", "text", "text | json | csv | prom")
 		tuneFlg  = fs.Bool("tune", false, "run the policy autotuner on the drifting priority-queue workload and export its decision journal instead of a metered point")
-		realFlg  = fs.Bool("real", false, "run on the real-concurrency backend (wall-clock nanoseconds)")
-		realOps  = fs.Int("real-ops", 2000, "operations per thread in -real mode")
 		traceLim = fs.Int("trace-limit", 0, "attach a flight recorder retaining this many events per thread (0 = off); trace health lands in the report, hot lines on the -serve endpoints")
 		serveAt  = fs.String("serve", "", "after the run, serve the report on host:port (/debug endpoints, including Prometheus via ?format=prom) until interrupted")
 	)
@@ -88,30 +84,19 @@ func run(args []string) error {
 	}
 	cfg := harness.Config{Horizon: *horizon, Seed: *seed}
 
-	var report *metrics.Report
-	var col *trace.Collector
-	if *realFlg {
-		if *traceLim > 0 {
-			return fmt.Errorf("-trace-limit is not supported with -real")
-		}
-		res, rep, err := harness.RunPointRealMetered(sc, *engName, *threads, *realOps, cfg, *interval)
-		if err != nil {
-			return err
-		}
-		if res.InvariantViolation != "" {
-			fmt.Fprintf(os.Stderr, "!! INVARIANT VIOLATION: %s\n", res.InvariantViolation)
-		}
-		report = rep
-	} else {
-		res, rep, c, err := harness.RunPointMeteredTraced(sc, *engName, *threads, cfg, *interval, *traceLim)
-		if err != nil {
-			return err
-		}
-		if res.InvariantViolation != "" {
-			fmt.Fprintf(os.Stderr, "!! INVARIANT VIOLATION: %s\n", res.InvariantViolation)
-		}
-		report, col = rep, c
+	pt, err := harness.RunPointWith(sc, *engName, *threads, cfg, harness.Probes{
+		Metrics:    true,
+		Interval:   *interval,
+		Trace:      *traceLim > 0,
+		TraceLimit: *traceLim,
+	})
+	if err != nil {
+		return err
 	}
+	if pt.InvariantViolation != "" {
+		fmt.Fprintf(os.Stderr, "!! INVARIANT VIOLATION: %s\n", pt.InvariantViolation)
+	}
+	report := pt.Report
 
 	switch *format {
 	case "text":
@@ -130,7 +115,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown format %q (want text, json, csv or prom)", *format)
 	}
 	if *serveAt != "" {
-		return serveReport(*serveAt, report, col)
+		return serveReport(*serveAt, report, pt.Trace)
 	}
 	return nil
 }

@@ -125,14 +125,6 @@ func TestPromFormatParses(t *testing.T) {
 	}
 }
 
-func TestRealBackend(t *testing.T) {
-	out := captureRun(t, "-scenario", "hashtable", "-engine", "HCF",
-		"-threads", "2", "-real", "-real-ops", "300", "-interval", "0")
-	if !strings.Contains(out, "unit      ns") {
-		t.Errorf("real backend must report nanoseconds:\n%s", out)
-	}
-}
-
 func TestErrors(t *testing.T) {
 	if err := run([]string{"-scenario", "nope"}); err == nil {
 		t.Error("unknown scenario accepted")

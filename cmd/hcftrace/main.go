@@ -100,10 +100,11 @@ func run(args []string) error {
 	}
 
 	cfg := harness.Config{Horizon: *horizon, Seed: *seed}
-	res, col, err := harness.RunPointTraced(sc, *engine, *threads, cfg, *limit)
+	pt, err := harness.RunPointWith(sc, *engine, *threads, cfg, harness.Probes{Trace: true, TraceLimit: *limit})
 	if err != nil {
 		return err
 	}
+	res, col := pt.Result, pt.Trace
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

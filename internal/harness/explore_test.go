@@ -7,8 +7,8 @@ import (
 	"hcf/internal/memsim"
 )
 
-// TestExploredZeroConfigMatchesRunPoint pins that RunPointExplored with a
-// zero ExploreConfig IS RunPoint: same environment construction, same
+// TestExploredZeroConfigMatchesRunPoint pins that RunPointWith with a zero
+// ExploreConfig IS RunPoint: same environment construction, same
 // scheduler fast path, bit-identical Result. The golden JSONL fixtures
 // (perf_test.go) pin the same property against recordings made before the
 // exploration layer existed.
@@ -20,11 +20,11 @@ func TestExploredZeroConfigMatchesRunPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero, err := RunPointExplored(sc, name, 4, cfg, memsim.ExploreConfig{})
+		zero, err := RunPointWith(sc, name, 4, cfg, Probes{Explore: memsim.ExploreConfig{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(base, zero) {
+		if !reflect.DeepEqual(base, zero.Result) {
 			t.Errorf("%s: zero ExploreConfig diverged from RunPoint:\n%+v\nvs\n%+v", name, base, zero)
 		}
 	}
@@ -38,11 +38,11 @@ func TestExploredRunDeterministicPerSeed(t *testing.T) {
 	cfg := Config{Horizon: 20_000, Seed: 9}
 	ex := memsim.ExploreConfig{Seed: 31, PreemptBudget: 48, JitterClass: 2}
 	for _, name := range []string{"FC", "HCF"} {
-		a, err := RunPointExplored(sc, name, 4, cfg, ex)
+		a, err := RunPointWith(sc, name, 4, cfg, Probes{Explore: ex})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunPointExplored(sc, name, 4, cfg, ex)
+		b, err := RunPointWith(sc, name, 4, cfg, Probes{Explore: ex})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestExploredRunPerturbsAndStaysSound(t *testing.T) {
 	perturbed := false
 	for seed := uint64(0); seed < 6; seed++ {
 		ex := memsim.ExploreConfig{Seed: seed, PreemptBudget: 48, JitterClass: 3}
-		r, err := RunPointExplored(sc, "HCF", 4, cfg, ex)
+		r, err := RunPointWith(sc, "HCF", 4, cfg, Probes{Explore: ex})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,10 @@ import (
 	"hcf/internal/engines"
 	"hcf/internal/htm"
 	"hcf/internal/memsim"
+	"hcf/internal/metrics"
 	"hcf/internal/route"
 	"hcf/internal/shard"
+	"hcf/internal/trace"
 )
 
 // EngineNames lists all engines in the paper's presentation order.
@@ -250,32 +252,84 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 // RunPoint measures one (scenario, engine, threads) configuration in a
 // fresh deterministic environment.
 func RunPoint(sc Scenario, engineName string, threads int, cfg Config) (Result, error) {
-	return RunPointExplored(sc, engineName, threads, cfg, memsim.ExploreConfig{})
+	pt, err := RunPointWith(sc, engineName, threads, cfg, Probes{})
+	return pt.Result, err
 }
 
-// RunPointExplored is RunPoint under adversarial schedule exploration: the
-// environment perturbs the min-clock schedule per ex (randomized thread
-// priorities plus bounded forced preemptions; see memsim.ExploreConfig).
-// A zero ex is exactly RunPoint — the scheduler takes its unexplored fast
-// path, and results are bit-identical to the golden fixtures (pinned by
-// TestExploredZeroConfigMatchesRunPoint and the Golden tests). A non-zero
-// ex measures a deliberately unfair schedule: use it to validate invariants
-// under hostile interleavings, not to compare throughput.
-func RunPointExplored(sc Scenario, engineName string, threads int, cfg Config, ex memsim.ExploreConfig) (Result, error) {
+// Probes selects what RunPointWith attaches to a run besides the
+// measurement itself. The zero value attaches nothing: RunPointWith is
+// then exactly RunPoint.
+type Probes struct {
+	// Explore perturbs the min-clock schedule (randomized thread
+	// priorities plus bounded forced preemptions; see
+	// memsim.ExploreConfig). A zero Explore takes the scheduler's
+	// unexplored fast path, bit-identical to the golden fixtures (pinned
+	// by TestExploredZeroConfigMatchesRunPoint). A non-zero Explore
+	// measures a deliberately unfair schedule: use it to validate
+	// invariants under hostile interleavings, not to compare throughput.
+	Explore memsim.ExploreConfig
+	// Metrics installs a recorder (see Instrument) and returns the full
+	// report: latency percentiles per operation class and completion
+	// path, transaction-outcome durations, lock hold times, and the
+	// per-interval time series.
+	Metrics bool
+	// Interval is the sampling period of the time series in virtual
+	// cycles (0 = one interval); thread 0 drives the sampler.
+	Interval int64
+	// Trace installs a lifecycle-trace collector (see InstrumentTrace):
+	// every operation's span (start, attempts with abort attribution,
+	// announce, combined-by edges, completion) lands in Point.Trace, and
+	// with Metrics the report carries the collector's health.
+	Trace bool
+	// TraceLimit bounds the collector to the most recent TraceLimit
+	// events per thread (0 = retain everything).
+	TraceLimit int
+}
+
+// Point is one RunPointWith measurement: the Result plus whatever the
+// probes collected (nil when not requested).
+type Point struct {
+	Result
+	Report *metrics.Report
+	Trace  *trace.Collector
+}
+
+// RunPointWith measures one (scenario, engine, threads) configuration in a
+// fresh deterministic environment with probes attached. Recording and
+// tracing charge no simulated cycles, so Point.Result is bit-identical to
+// RunPoint's for the same configuration and a zero Explore, and the
+// collected event stream is itself bit-identical across same-seed runs.
+func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, p Probes) (Point, error) {
 	cfg.normalize()
 	env := memsim.NewDet(memsim.DetConfig{
 		Threads:      threads,
 		Cost:         cfg.Cost,
 		CapacityHint: cfg.CapacityHint,
-		Explore:      ex,
+		Explore:      p.Explore,
 	})
 	inst := sc.Setup(env, cfg.Seed)
 	eng, err := BuildEngine(engineName, env, inst, cfg)
 	if err != nil {
-		return Result{}, err
+		return Point{}, err
+	}
+	var rec *metrics.Recorder
+	var col *trace.Collector
+	if p.Metrics {
+		if rec, err = Instrument(eng, &inst, threads); err != nil {
+			return Point{}, err
+		}
+	}
+	if p.Trace {
+		if col, err = InstrumentTrace(eng, p.TraceLimit); err != nil {
+			return Point{}, err
+		}
 	}
 	env.ResetStats() // exclude prefill from measurements
 	eng.ResetMetrics()
+	var sampler *metrics.Sampler
+	if rec != nil {
+		sampler = metrics.NewSampler(rec, p.Interval)
+	}
 	opWork := env.Cost().OpWork // per-op application logic outside the DS
 	opsByThread := make([]uint64, threads)
 	env.Run(func(th *memsim.Thread) {
@@ -284,6 +338,9 @@ func RunPointExplored(sc Scenario, engineName string, threads int, cfg Config, e
 			th.Work(opWork)
 			eng.Execute(th, inst.NextOp(rng))
 			opsByThread[th.ID()]++
+			if sampler != nil && th.ID() == 0 {
+				sampler.MaybeSample(th.Now())
+			}
 		}
 	})
 	res := Result{
@@ -310,7 +367,20 @@ func RunPointExplored(sc Scenario, engineName string, threads int, cfg Config, e
 	if inst.Check != nil {
 		res.InvariantViolation = inst.Check(env.Boot())
 	}
-	return res, nil
+	pt := Point{Result: res, Trace: col}
+	if sampler != nil {
+		sampler.Flush(res.Cycles)
+		report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)
+		if col != nil {
+			report.Trace = &metrics.TraceHealth{
+				Starts:   col.Starts(),
+				Retained: uint64(col.Retained()),
+				Dropped:  col.Dropped(),
+			}
+		}
+		pt.Report = &report
+	}
+	return pt, nil
 }
 
 // RunSweep measures every engine at every thread count. Points are measured

@@ -243,7 +243,7 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 	if err != nil {
 		return OpenLoopPoint{}, nil, err
 	}
-	serviceRec, err := Instrument(eng, &inst, threads, "cycles")
+	serviceRec, err := Instrument(eng, &inst, threads)
 	if err != nil {
 		return OpenLoopPoint{}, nil, err
 	}

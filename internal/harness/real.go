@@ -2,53 +2,35 @@ package harness
 
 import (
 	"math/rand/v2"
-	"time"
 
 	"hcf/internal/memsim"
 )
 
-// RealResult is one wall-clock measurement on the real-concurrency backend.
-type RealResult struct {
-	Scenario   string
-	Engine     string
-	Threads    int
-	Ops        uint64
-	Elapsed    time.Duration
-	Throughput float64 // operations per millisecond of wall time
-	// InvariantViolation is non-empty if the scenario's check failed.
-	InvariantViolation string
-}
-
-// RunPointReal measures one (scenario, engine, threads) configuration on
-// the real-concurrency backend: actual goroutines, atomics and wall-clock
-// time. On a single-core host the numbers mostly reflect scheduling; on a
-// multicore host they give a native cross-check of the simulated shapes.
-// Each thread executes opsPerThread operations.
-func RunPointReal(sc Scenario, engineName string, threads, opsPerThread int, cfg Config) (RealResult, error) {
+// RunPointReal runs one (scenario, engine, threads) configuration on the
+// real-concurrency backend: actual goroutines and atomics, each thread
+// executing opsPerThread operations. It exists to check engines under real
+// concurrency (invariants, and data races under -race), not to time them,
+// so the Result carries Scenario, Engine, Threads, Ops and
+// InvariantViolation only.
+func RunPointReal(sc Scenario, engineName string, threads, opsPerThread int, cfg Config) (Result, error) {
 	cfg.normalize()
 	env := memsim.NewReal(memsim.RealConfig{Threads: threads})
 	inst := sc.Setup(env, cfg.Seed)
 	eng, err := BuildEngine(engineName, env, inst, cfg)
 	if err != nil {
-		return RealResult{}, err
+		return Result{}, err
 	}
-	start := time.Now()
 	env.Run(func(th *memsim.Thread) {
 		rng := rand.New(rand.NewPCG(cfg.Seed^0xFEED, uint64(th.ID())+1))
 		for i := 0; i < opsPerThread; i++ {
 			eng.Execute(th, inst.NextOp(rng))
 		}
 	})
-	elapsed := time.Since(start)
-	res := RealResult{
+	res := Result{
 		Scenario: sc.Name,
 		Engine:   engineName,
 		Threads:  threads,
 		Ops:      uint64(threads * opsPerThread),
-		Elapsed:  elapsed,
-	}
-	if ms := elapsed.Seconds() * 1000; ms > 0 {
-		res.Throughput = float64(res.Ops) / ms
 	}
 	if inst.Check != nil {
 		res.InvariantViolation = inst.Check(env.Boot())

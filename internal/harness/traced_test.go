@@ -14,18 +14,18 @@ func TestTracedStreamDeterministic(t *testing.T) {
 	sc := HashTableScenario(40, 1024)
 	cfg := Config{Horizon: 8_000, Seed: 7}
 	for _, name := range EngineNames {
-		res1, col1, err := RunPointTraced(sc, name, 4, cfg, 0)
+		pt1, err := RunPointWith(sc, name, 4, cfg, Probes{Trace: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res2, col2, err := RunPointTraced(sc, name, 4, cfg, 0)
+		pt2, err := RunPointWith(sc, name, 4, cfg, Probes{Trace: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(res1, res2) {
-			t.Errorf("%s: results differ across same-seed runs:\n%+v\n%+v", name, res1, res2)
+		if !reflect.DeepEqual(pt1.Result, pt2.Result) {
+			t.Errorf("%s: results differ across same-seed runs:\n%+v\n%+v", name, pt1.Result, pt2.Result)
 		}
-		ev1, ev2 := col1.Events(), col2.Events()
+		ev1, ev2 := pt1.Trace.Events(), pt2.Trace.Events()
 		if len(ev1) == 0 {
 			t.Errorf("%s: no events traced", name)
 		}
@@ -40,44 +40,16 @@ func TestTracedStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotPerturbRun is the zero-perturbation acceptance test:
-// recording with the flight recorder on the deterministic backend must
-// leave the run's results bit-identical to an untraced run.
-func TestTracingDoesNotPerturbRun(t *testing.T) {
-	sc := HashTableScenario(40, 1024)
-	cfg := Config{Horizon: 10_000, Seed: 3}
-	for _, name := range EngineNames {
-		plain, err := RunPoint(sc, name, 4, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Both an unbounded collector and a tight flight-recorder ring.
-		for _, limit := range []int{0, 16} {
-			traced, col, err := RunPointTraced(sc, name, 4, cfg, limit)
-			if err != nil {
-				t.Fatalf("%s limit=%d: %v", name, limit, err)
-			}
-			if !reflect.DeepEqual(traced, plain) {
-				t.Errorf("%s limit=%d: traced run diverged from untraced:\n%+v\n%+v",
-					name, limit, traced, plain)
-			}
-			if col.Starts() == 0 {
-				t.Errorf("%s limit=%d: collector saw no operations", name, limit)
-			}
-		}
-	}
-}
-
 // TestTracedSpansReconstruct sanity-checks the span pipeline end-to-end
 // on the HCF engine: spans reconstruct, stats add up, and help edges pair
 // with helped spans.
 func TestTracedSpansReconstruct(t *testing.T) {
 	sc := HashTableScenario(40, 1024)
-	_, col, err := RunPointTraced(sc, "HCF", 6, Config{Horizon: 15_000, Seed: 1}, 0)
+	pt, err := RunPointWith(sc, "HCF", 6, Config{Horizon: 15_000, Seed: 1}, Probes{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := trace.BuildSpans(col.Events())
+	spans := trace.BuildSpans(pt.Trace.Events())
 	st := trace.ComputeSpanStats(spans)
 	if st.Spans == 0 || st.Spans != uint64(len(spans)) {
 		t.Fatalf("span count mismatch: %d vs %d", st.Spans, len(spans))

@@ -23,9 +23,9 @@ func scanClearHandshake(t *testing.T, env memsim.Env, combiners, rounds int) {
 	owners := n - combiners
 	a := New(env, n)
 	lock := locks.NewTATAS(env)
-	doneGen := make([]memsim.Addr, n)     // combiner -> owner completion signal
-	finished := env.Alloc(1)              // owners done with all rounds
-	adopted := make([]int, n)             // combiner-side bookkeeping (under lock)
+	doneGen := make([]memsim.Addr, n) // combiner -> owner completion signal
+	finished := env.Alloc(1)          // owners done with all rounds
+	adopted := make([]int, n)         // combiner-side bookkeeping (under lock)
 	for tid := range doneGen {
 		doneGen[tid] = env.Alloc(memsim.WordsPerLine)
 	}
