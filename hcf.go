@@ -258,7 +258,11 @@ type (
 	KV = kvstore.Store
 	// KVHandle is a per-goroutine participant handle on a KV.
 	KVHandle = kvstore.Handle
-	// KVConfig configures a KV (shards, index capacity, commit delay).
+	// KVConfig configures a KV: shard count, per-shard index capacity,
+	// handle and value limits, read speculation, DisableSync, and
+	// CommitDelay, the upper bound in yields on each group commit's
+	// wait for more writers (cut short when nobody else can join or
+	// the wait has cost as much as the flush it would share).
 	KVConfig = kvstore.Config
 	// KVStats snapshots a KV's group-commit and occupancy metrics.
 	KVStats = kvstore.Stats

@@ -73,11 +73,16 @@ type Config struct {
 	TryPrivate int
 	// MaxValue caps value length in bytes. 0 defaults to 1<<20.
 	MaxValue int
-	// CommitDelay is the group-commit delay in scheduler yields: a
-	// combiner about to pay a flush yields this many times first so
-	// concurrent writers can announce and share the fsync. 0 defaults
-	// to 16; set negative to disable. A yield costs well under a
-	// microsecond against a ~100µs flush, so generous is cheap.
+	// CommitDelay bounds the group-commit delay in scheduler yields: a
+	// put- or delete-led combiner yields up to this many times before
+	// its claim sweep so concurrent writers can announce and share its
+	// flush. The wait stops early once every other handle on the shard
+	// has announced, or once it has cost as much as the shard's recent
+	// write batches (a moving average; see native.Policy.CombineDelay):
+	// a batch that fsyncs (~100µs) keeps the whole window, while a lone
+	// writer or a cheap flush (DisableSync, ~1µs) stops waiting for
+	// batching that cannot pay. 0 defaults to 16; set negative to
+	// disable.
 	CommitDelay int
 	// DisableSync skips the fsync at each group-commit boundary. Only
 	// for tests and benchmarks that measure the batching machinery
@@ -224,8 +229,9 @@ func openShard(path string, cfg Config) (*shard, error) {
 		// TryPrivate 0: a put that won the CAS would hold the shard's
 		// seqlock across a solo fsync; announcing instead routes every
 		// write through the combiner's group commit. CombineDelay is
-		// the commit delay — a write-led combiner waits a few yields so
-		// concurrent writers announce and share its flush.
+		// the commit delay — a write-led combiner waits a few yields,
+		// never longer than a batch costs, so concurrent writers
+		// announce and share its flush.
 		Name: "Put", TryPrivate: 0, MaxBatch: cfg.MaxHandles,
 		CombineDelay: cfg.CommitDelay,
 		Run:          sh.applyOne,

@@ -34,17 +34,24 @@ func TestExecuteAllocFree(t *testing.T) {
 
 func TestCombinedApplyAllocFree(t *testing.T) {
 	// Zero budget forces announce -> self-combine on every op: the full
-	// slot protocol plus a combiner session, still allocation-free.
-	pols, _ := counterPolicies(0)
-	f, err := New(Config{Policies: pols})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := f.MustHandle()
-	defer h.Release()
-	h.Execute(Op{Class: 0, A: 1}) // warm the path once
-	requireZeroAllocs(t, "combined self-apply", func() { h.Execute(Op{Class: 0, A: 1}) })
-	if m := f.Metrics(); m.CombinerSessions == 0 {
-		t.Fatalf("combining path not exercised: %+v", m)
+	// slot protocol plus a combiner session, still allocation-free —
+	// also with a commit delay, whose session timing must not allocate.
+	for _, c := range []struct {
+		name  string
+		delay int
+	}{{"combined self-apply", 0}, {"combined self-apply with delay", 16}} {
+		pols, _ := counterPolicies(0)
+		pols[0].CombineDelay = c.delay
+		f, err := New(Config{Policies: pols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := f.MustHandle()
+		h.Execute(Op{Class: 0, A: 1}) // warm the path once
+		requireZeroAllocs(t, c.name, func() { h.Execute(Op{Class: 0, A: 1}) })
+		if m := f.Metrics(); m.CombinerSessions == 0 {
+			t.Fatalf("%s: combining path not exercised: %+v", c.name, m)
+		}
+		h.Release()
 	}
 }

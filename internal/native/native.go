@@ -68,6 +68,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Publication-slot status values, mirroring internal/phases' descriptor
@@ -148,15 +149,21 @@ type Policy struct {
 	// ShouldHelp selects which announced operations a combiner running an
 	// operation of this class adopts. Nil means help-all.
 	ShouldHelp ShouldHelpFunc
-	// CombineDelay makes a combiner whose own operation is of this class
-	// yield the scheduler this many times before its claim sweep, giving
+	// CombineDelay bounds, in scheduler yields, how long a combiner whose
+	// own operation is of this class waits before its claim sweep, giving
 	// concurrent owners a window to announce and join the batch — the
-	// flat-combining analogue of a group-commit delay. Worth paying only
-	// when RunMulti amortizes an expensive per-batch cost (e.g. an
-	// fsync); leave 0 for cheap in-memory batches. It matters most when
-	// GOMAXPROCS is low: a combiner blocked in a syscall does not free
-	// its P promptly, so without the yield window announcements never
-	// overlap and batches collapse to size one.
+	// flat-combining analogue of a group-commit delay. The wait ends
+	// early when every other registered handle has already announced
+	// (nobody is left to wait for), or once it has lasted as long as a
+	// moving average of this class's recent combining sessions: waiting
+	// longer than the session a joiner would otherwise run itself cannot
+	// pay (the ski-rental rule, so the delay costs at most one session).
+	// Worth setting only when RunMulti amortizes an expensive per-batch
+	// cost (e.g. an fsync); leave 0 for cheap in-memory batches, which
+	// then skip the session timing too. It matters most when GOMAXPROCS
+	// is low: a combiner blocked in a syscall does not free its P
+	// promptly, so without the yield window announcements never overlap
+	// and batches collapse to size one.
 	CombineDelay int
 	// Run is the operation's sequential code. Required.
 	Run ApplyFunc
@@ -191,7 +198,24 @@ type slot struct {
 type nbudget struct {
 	tryPrivate atomic.Int32
 	maxBatch   atomic.Int32
-	_          [cacheLine - 8]byte
+	// sessionNS is a moving average of the class's combining sessions in
+	// nanoseconds (claim sweep through publish, delay excluded), kept
+	// only for classes with a CombineDelay: it caps the delay. Written
+	// by combiners, which hold the seqlock.
+	sessionNS atomic.Int64
+	_         [cacheLine - 16]byte
+}
+
+// observeSession folds one combining session's duration into the moving
+// average (weight 1/8; the first sample seeds it).
+func (b *nbudget) observeSession(ns int64) {
+	avg := b.sessionNS.Load()
+	if avg == 0 {
+		avg = ns
+	} else {
+		avg += (ns - avg) / 8
+	}
+	b.sessionNS.Store(avg)
 }
 
 // Metrics counts one handle's (or, merged, the framework's) activity.
@@ -608,8 +632,9 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 	// Group-commit delay: let concurrent owners announce before the
 	// claim sweep so they ride this batch's RunMulti (and share its
 	// per-batch cost) instead of forcing a session of their own.
-	for d := 0; d < pol.CombineDelay; d++ {
-		runtime.Gosched()
+	var start time.Time
+	if pol.CombineDelay > 0 {
+		start = h.commitDelay(pol.CombineDelay, time.Duration(b.sessionNS.Load()))
 	}
 
 	sc := &h.sc
@@ -688,7 +713,36 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 		}
 		sc.pend = append(keep, sc.pend[n:]...)
 	}
+	if pol.CombineDelay > 0 {
+		b.observeSession(time.Since(start).Nanoseconds())
+	}
 	return ownRes, true
+}
+
+// commitDelay yields up to maxYields times, stopping once the wait has
+// lasted budget (the cost of the session a joiner saves) or every other
+// registered handle has announced, and returns when it stopped: the
+// start of the timed session.
+func (h *Handle) commitDelay(maxYields int, budget time.Duration) time.Time {
+	t0 := time.Now()
+	now := t0
+	for d := 0; d < maxYields && now.Sub(t0) < budget && !h.fw.othersAnnounced(h.id); d++ {
+		runtime.Gosched()
+		now = time.Now()
+	}
+	return now
+}
+
+// othersAnnounced reports whether every registered slot but self is
+// announced, so no further owner can join the coming batch.
+func (f *Framework) othersAnnounced(self int32) bool {
+	used := f.used.Load()
+	for id := int32(0); id < used; id++ {
+		if id != self && f.slots[id].status.Load() != slotAnnounced {
+			return false
+		}
+	}
+	return true
 }
 
 // applyEach runs each remaining operation's own sequential code,
