@@ -171,7 +171,7 @@ func encodeJSONL[P any](header any, points []P) ([]byte, error) {
 // every further non-blank line is appended to points.
 func decodeJSONL[P any](data []byte, header any, points *[]P) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // rows grow the buffer as they need, up to 16 MiB
 	if !sc.Scan() {
 		return errors.New("harness: empty JSONL record")
 	}

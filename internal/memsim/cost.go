@@ -156,9 +156,12 @@ func newL1Cache(sets, ways int) *l1Cache {
 	}
 }
 
+// setOf returns the index of the first way of line's set.
+func (c *l1Cache) setOf(line uint32) int { return int(line) % c.sets * c.ways }
+
 // lookup reports whether line is cached with the given current version.
 func (c *l1Cache) lookup(line uint32, version uint64) bool {
-	base := int(line) % c.sets * c.ways
+	base := c.setOf(line)
 	for w := 0; w < c.ways; w++ {
 		if c.tag[base+w] == line+1 && c.ver[base+w] == version {
 			c.tick++
@@ -171,7 +174,7 @@ func (c *l1Cache) lookup(line uint32, version uint64) bool {
 
 // fill installs (line, version), evicting the LRU way of the set.
 func (c *l1Cache) fill(line uint32, version uint64) {
-	base := int(line) % c.sets * c.ways
+	base := c.setOf(line)
 	victim := base
 	for w := 0; w < c.ways; w++ {
 		i := base + w
@@ -197,4 +200,62 @@ func (c *l1Cache) reset() {
 		c.use[i] = 0
 	}
 	c.tick = 0
+}
+
+// l1Sets is a copy of some of an l1Cache's sets (see DetEnv.catchUp).
+type l1Sets struct {
+	tag []uint32
+	ver []uint64
+	use []uint64
+}
+
+// save copies the sets whose first ways are at bases into s.
+func (c *l1Cache) save(s *l1Sets, bases []int) {
+	s.tag, s.ver, s.use = s.tag[:0], s.ver[:0], s.use[:0]
+	for _, b := range bases {
+		s.tag = append(s.tag, c.tag[b:b+c.ways]...)
+		s.ver = append(s.ver, c.ver[b:b+c.ways]...)
+		s.use = append(s.use, c.use[b:b+c.ways]...)
+	}
+}
+
+// repeats reports whether the round of accesses that took the sets at
+// bases from s, saved at tick last, to their current state repeated the
+// round before it, which began at tick prev: the same tick delta, the same
+// tags and versions, and the same ways touched, each by exactly the tick
+// delta. Every use value is at most tick, so a way was touched in a round
+// exactly when its use exceeds the tick the round began at. Lookups and
+// fills compare only tags, versions and the order of use values within a
+// set, and a repeated round leaves that order as it found it, so the next
+// round repeats it again.
+func (c *l1Cache) repeats(s *l1Sets, bases []int, prev, last uint64) bool {
+	dt := c.tick - last
+	if dt != last-prev {
+		return false
+	}
+	j := 0
+	for _, b := range bases {
+		for i := b; i < b+c.ways; i, j = i+1, j+1 {
+			now, was := c.use[i] > last, s.use[j] > prev
+			if c.tag[i] != s.tag[j] || c.ver[i] != s.ver[j] || now != was || now && c.use[i]-s.use[j] != dt {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// advance applies m more rounds like the one that began at tick since to
+// the sets at bases: the ways that round touched and the tick move on by m
+// times its tick delta.
+func (c *l1Cache) advance(bases []int, since, m uint64) {
+	d := m * (c.tick - since)
+	for _, b := range bases {
+		for i := b; i < b+c.ways; i++ {
+			if c.use[i] > since {
+				c.use[i] += d
+			}
+		}
+	}
+	c.tick += d
 }

@@ -99,6 +99,10 @@ type DetEnv struct {
 	frontK  int64
 	frontID int32
 	cur     int32
+	// catchUp's scratch copy of a waiter's watched L1 sets, and the most
+	// steps one catch-up has run (tests check that it skips whole rounds).
+	snap     l1Sets
+	maxSteps int
 
 	// Schedule exploration (see explore.go). Both stay nil with a zero
 	// DetConfig.Explore, keeping the scheduler's fast paths untouched.
@@ -313,8 +317,8 @@ func (e *DetEnv) switchTo(t int) {
 // sleeps on its watched lines. A step only reads those lines and writes
 // the waiter's own clock, counters, L1 model and jitter state, so while the
 // lines are unchanged every skipped step would fail the same way and nobody
-// could observe it; wake replays them before the first write to a watched
-// line. Only a waiter whose key is past the frontier may sleep, so that
+// could observe it; wake catches the waiter up on them before the first
+// write to a watched line. Only a waiter whose key is past the frontier may sleep, so that
 // catching it up to the frontier never runs a step that the schedule
 // would not have run.
 func (e *DetEnv) dispatch() int32 {
@@ -392,8 +396,8 @@ func (e *DetEnv) markLine(line uint32, on bool) {
 }
 
 // wake runs just before line is written while some waiter is dormant.
-// Every dormant waiter watching line replays the steps it skipped, up to
-// the frontier, and rejoins the heap: it then sees the write at exactly the
+// Every dormant waiter watching line catches up on the steps it skipped,
+// up to the frontier (see catchUp), and rejoins the heap: it then sees the write at exactly the
 // step it would have without sleeping. The frontier is the largest key
 // selected to run so far: frontK/frontID record heap pops and an exploring
 // scheduler's keep-running points, and the running thread's current key
@@ -415,11 +419,7 @@ func (e *DetEnv) wake(line uint32) {
 			kept = append(kept, id)
 			continue
 		}
-		for !e.before(k, kid, id) {
-			if e.stepWait(int(id), w) == stepDone {
-				panic("memsim: dormant wait completed while its lines were unchanged")
-			}
-		}
+		e.catchUp(id, w, k, kid)
 		e.sched.push(id)
 		e.mark(w, false)
 	}
@@ -427,6 +427,75 @@ func (e *DetEnv) wake(line uint32) {
 	for _, id := range kept {
 		e.mark(&e.waits[id], true) // restore bits shared with a woken waiter
 	}
+}
+
+// catchUp runs dormant waiter id's deferred steps while its key is at or
+// before (k, kid). The steps form rounds, each ending with a failed
+// probe's yield. Without jitter a step's charges depend only on its phase,
+// the watched lines (unchanged while the waiter sleeps) and the waiter's
+// L1 sets for those lines, so once a round has repeated the round before
+// it — the same phase, clock, counter and L1 changes (see
+// l1Cache.repeats) — every later round repeats it too. catchUp then
+// applies, in one step, the m whole rounds that end at or before key k,
+// and steps the rest. Every skipped step would have run: a round ends with
+// a yield, which charges, so each of its steps starts before k.
+func (e *DetEnv) catchUp(id int32, w *detWait, k int64, kid int32) {
+	t := int(id)
+	c := e.caches[t]
+	var setBuf [2]int
+	sets := append(setBuf[:0], c.setOf(LineOf(w.addr)))
+	if b := c.setOf(LineOf(w.addr2)); w.kind == waitUntilEitherEq && b != sets[0] {
+		sets = append(sets, b)
+	}
+	// prev and last are the waiter at the ends of the last two rounds, and
+	// e.snap holds its watched sets at last. Dormancy begins at a round's
+	// end. Jittered charges never repeat, so a jittered waiter is only
+	// stepped, as is one that has already skipped.
+	var prev roundEnd
+	last, rounds, steps, seek := e.roundEnd(t, w), 0, 0, e.jitter == nil
+	for ; !e.before(k, kid, id); steps++ {
+		r := e.stepWait(t, w)
+		if r == stepDone {
+			panic("memsim: dormant wait completed while its lines were unchanged")
+		}
+		if r != stepBlocked || !seek {
+			continue
+		}
+		now := e.roundEnd(t, w)
+		if d := now.clock - last.clock; rounds > 0 && d > 0 && now.repeats(&last, &prev) &&
+			c.repeats(&e.snap, sets, prev.tick, last.tick) {
+			if m := (k - e.key(id)) / d; m > 0 {
+				e.clocks[t] += m * d
+				e.stats[t].addTimes(now.stats.sub(last.stats), uint64(m))
+				c.advance(sets, last.tick, uint64(m))
+				seek = false
+				continue
+			}
+		}
+		rounds++
+		prev, last = last, now
+		c.save(&e.snap, sets)
+	}
+	e.maxSteps = max(e.maxSteps, steps)
+}
+
+// roundEnd is a dormant waiter's state at the end of a catch-up round.
+type roundEnd struct {
+	phase uint8
+	clock int64
+	tick  uint64 // the waiter's L1 tick
+	stats ThreadStats
+}
+
+func (e *DetEnv) roundEnd(t int, w *detWait) roundEnd {
+	return roundEnd{w.phase, e.clocks[t], e.caches[t].tick, e.stats[t]}
+}
+
+// repeats reports whether the round from last to r ended in the same phase
+// and charged the same as the round from prev to last.
+func (r *roundEnd) repeats(last, prev *roundEnd) bool {
+	return r.phase == last.phase && r.clock-last.clock == last.clock-prev.clock &&
+		r.stats.sub(last.stats) == last.stats.sub(prev.stats)
 }
 
 // deadlock runs when no thread is runnable but some waiters sleep: no

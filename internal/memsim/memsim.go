@@ -326,6 +326,34 @@ func (s *ThreadStats) MissRate() float64 {
 	return float64(s.L1Misses) / float64(total)
 }
 
+// sub returns s's counters minus o's.
+func (s ThreadStats) sub(o ThreadStats) ThreadStats {
+	return ThreadStats{
+		Loads:           s.Loads - o.Loads,
+		Stores:          s.Stores - o.Stores,
+		L1Hits:          s.L1Hits - o.L1Hits,
+		L1Misses:        s.L1Misses - o.L1Misses,
+		CoherenceMisses: s.CoherenceMisses - o.CoherenceMisses,
+		RemoteMisses:    s.RemoteMisses - o.RemoteMisses,
+		Yields:          s.Yields - o.Yields,
+		WorkCycles:      s.WorkCycles - o.WorkCycles,
+		IdleCycles:      s.IdleCycles - o.IdleCycles,
+	}
+}
+
+// addTimes adds m times d's counters into s.
+func (s *ThreadStats) addTimes(d ThreadStats, m uint64) {
+	s.Loads += m * d.Loads
+	s.Stores += m * d.Stores
+	s.L1Hits += m * d.L1Hits
+	s.L1Misses += m * d.L1Misses
+	s.CoherenceMisses += m * d.CoherenceMisses
+	s.RemoteMisses += m * d.RemoteMisses
+	s.Yields += m * d.Yields
+	s.WorkCycles += int64(m) * d.WorkCycles
+	s.IdleCycles += int64(m) * d.IdleCycles
+}
+
 // Merge adds o's counters into s.
 func (s *ThreadStats) Merge(o *ThreadStats) {
 	s.Loads += o.Loads
