@@ -32,11 +32,12 @@ import (
 
 	"hcf/internal/core"
 	"hcf/internal/engine"
-	"hcf/internal/engines"
+	"hcf/internal/harness"
 	"hcf/internal/memsim"
 	"hcf/internal/route"
 	"hcf/internal/seq/avl"
 	"hcf/internal/seq/hashtable"
+	"hcf/internal/seq/setops"
 	"hcf/internal/shard"
 	"hcf/internal/trace"
 	"hcf/internal/witness"
@@ -181,42 +182,9 @@ func (mm *mapModel) Apply(op engine.Op) uint64 {
 	return 0
 }
 
-// setModel replays AVL set ops.
-type setModel struct{ m map[uint64]bool }
-
-func (sm *setModel) Apply(op engine.Op) uint64 {
-	switch o := op.(type) {
-	case avl.FindOp:
-		return engine.PackBool(sm.m[o.K])
-	case avl.InsertOp:
-		existed := sm.m[o.K]
-		sm.m[o.K] = true
-		return engine.PackBool(!existed)
-	case avl.RemoveOp:
-		existed := sm.m[o.K]
-		delete(sm.m, o.K)
-		return engine.PackBool(existed)
-	}
-	return 0
-}
-
 func insertsLast(op engine.Op) int {
 	if _, ok := op.(hashtable.InsertOp); ok {
 		return 1
-	}
-	return 0
-}
-
-// avlBatchOrder mirrors avl.CombineOps' in-batch application order — sorted
-// by (key, kind) — so the witness replay follows the combiner.
-func avlBatchOrder(op engine.Op) int {
-	switch o := op.(type) {
-	case avl.FindOp:
-		return int(o.K * 3)
-	case avl.InsertOp:
-		return int(o.K*3) + 1
-	case avl.RemoveOp:
-		return int(o.K*3) + 2
 	}
 	return 0
 }
@@ -245,29 +213,17 @@ func opString(op engine.Op) string {
 	return fmt.Sprintf("%T", op)
 }
 
-// fuzzScenario is one constructed workload over a fresh environment.
+// fuzzScenario is one constructed workload over a fresh environment: the
+// engine plumbing harness.BuildEngine takes, plus the witness model and
+// rank.
 type fuzzScenario struct {
-	policies []core.Policy
-	combine  engine.CombineFunc
-	nextOp   func(r *rand.Rand) engine.Op
-	model    witness.Model
-	rank     func(op engine.Op) int
-	// key extracts the routing key for both sharded variants.
-	key shard.KeyFunc
-	// shards/ring describe the sharded variant (HCF-S), which routes keys
-	// on ring; shards == 0 means the scenario has no sharding plan.
-	shards int
-	ring   *route.Ring
-	// The elastic variant (HCF-E): maxShards == 0 means no elastic plan.
+	inst  harness.Instance
+	model witness.Model
+	rank  func(op engine.Op) int
 	// reshard, when non-nil, is called from thread 0 before each of its
-	// operations so splits and merges land mid-schedule, racing the
-	// witnessed traffic.
-	maxShards int
-	initial   int
-	slots     int
-	bind      func(op engine.Op, si int) engine.Op
-	migrate   shard.MigrateFunc
-	reshard   func(th *memsim.Thread, e *shard.Elastic, i, perThread int)
+	// operations under HCF-E so splits and merges land mid-schedule,
+	// racing the witnessed traffic.
+	reshard func(th *memsim.Thread, e *shard.Elastic, i, perThread int)
 }
 
 func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, error) {
@@ -286,29 +242,33 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			ctx.Store(counter, v)
 		}
 		return &fuzzScenario{
-			policies: []core.Policy{{
-				TryPrivateTrials: 2, TryVisibleTrials: 2, TryCombiningTrials: 4,
-				RunMulti: combine,
-			}},
-			combine: combine,
-			nextOp:  func(r *rand.Rand) engine.Op { return incOp{addr: counter} },
-			model:   &counterModel{},
+			inst: harness.Instance{
+				Policies: []core.Policy{{
+					TryPrivateTrials: 2, TryVisibleTrials: 2, TryCombiningTrials: 4,
+					RunMulti: combine,
+				}},
+				Combine: combine,
+				NextOp:  func(r *rand.Rand) engine.Op { return incOp{addr: counter} },
+			},
+			model: &counterModel{},
 		}, nil
 	case "hashtable":
 		tbl := hashtable.New(env.Boot(), 32)
 		return &fuzzScenario{
-			policies: hashtable.Policies(),
-			combine:  hashtable.CombineMixed,
-			nextOp: func(r *rand.Rand) engine.Op {
-				key := r.Uint64N(48)
-				switch r.IntN(3) {
-				case 0:
-					return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
-				case 1:
-					return hashtable.FindOp{T: tbl, Key: key}
-				default:
-					return hashtable.RemoveOp{T: tbl, Key: key}
-				}
+			inst: harness.Instance{
+				Policies: hashtable.Policies(),
+				Combine:  hashtable.CombineMixed,
+				NextOp: func(r *rand.Rand) engine.Op {
+					key := r.Uint64N(48)
+					switch r.IntN(3) {
+					case 0:
+						return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
+					case 1:
+						return hashtable.FindOp{T: tbl, Key: key}
+					default:
+						return hashtable.RemoveOp{T: tbl, Key: key}
+					}
+				},
 			},
 			model: &mapModel{m: map[uint64]uint64{}},
 			rank:  insertsLast,
@@ -337,28 +297,28 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			}
 		}
 		return &fuzzScenario{
-			policies: hashtable.Policies(),
-			combine:  hashtable.CombineMixed,
-			nextOp: func(r *rand.Rand) engine.Op {
-				if r.Uint64N(100) < 4 {
-					return hashtable.SumAllOp{Tables: tables}
-				}
-				key := r.Uint64N(48)
-				tbl := tables[ring.Owner(key)]
-				switch r.IntN(4) {
-				case 0, 1:
-					return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
-				case 2:
-					return hashtable.FindOp{T: tbl, Key: key}
-				default:
-					return hashtable.RemoveOp{T: tbl, Key: key}
-				}
+			inst: harness.Instance{
+				Policies: hashtable.Policies(),
+				Combine:  hashtable.CombineMixed,
+				NextOp: func(r *rand.Rand) engine.Op {
+					if r.Uint64N(100) < 4 {
+						return hashtable.SumAllOp{Tables: tables}
+					}
+					key := r.Uint64N(48)
+					tbl := tables[ring.Owner(key)]
+					switch r.IntN(4) {
+					case 0, 1:
+						return hashtable.InsertOp{T: tbl, Key: key, Val: key ^ seed}
+					case 2:
+						return hashtable.FindOp{T: tbl, Key: key}
+					default:
+						return hashtable.RemoveOp{T: tbl, Key: key}
+					}
+				},
+				Sharding: &harness.Sharding{Shards: shards, Key: hashtable.RouteKey, Ring: ring},
 			},
-			model:  model,
-			rank:   insertsLast,
-			shards: shards,
-			ring:   ring,
-			key:    hashtable.RouteKey,
+			model: model,
+			rank:  insertsLast,
 		}, nil
 	case "elastic":
 		// The sharded workload over a LIVE topology: 4 provisioned tables
@@ -390,34 +350,38 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 			}
 		}
 		return &fuzzScenario{
-			policies: hashtable.Policies(),
-			combine:  hashtable.CombineMixed,
-			nextOp: func(r *rand.Rand) engine.Op {
-				if r.Uint64N(100) < 4 {
-					return hashtable.SumAllOp{Tables: tables}
-				}
-				key := r.Uint64N(48)
-				switch r.IntN(4) {
-				case 0, 1:
-					return hashtable.InsertOp{Key: key, Val: key ^ seed}
-				case 2:
-					return hashtable.FindOp{Key: key}
-				default:
-					return hashtable.RemoveOp{Key: key}
-				}
+			inst: harness.Instance{
+				Policies: hashtable.Policies(),
+				Combine:  hashtable.CombineMixed,
+				NextOp: func(r *rand.Rand) engine.Op {
+					if r.Uint64N(100) < 4 {
+						return hashtable.SumAllOp{Tables: tables}
+					}
+					key := r.Uint64N(48)
+					switch r.IntN(4) {
+					case 0, 1:
+						return hashtable.InsertOp{Key: key, Val: key ^ seed}
+					case 2:
+						return hashtable.FindOp{Key: key}
+					default:
+						return hashtable.RemoveOp{Key: key}
+					}
+				},
+				Elastic: &harness.ElasticPlan{
+					MaxShards: maxShards,
+					Initial:   initial,
+					Slots:     slots,
+					Key:       hashtable.RouteKey,
+					Bind: func(op engine.Op, si int) engine.Op {
+						return hashtable.BindTable(op, tables[si])
+					},
+					Migrate: func(ctx memsim.Ctx, from, to int, old, next *route.Ring) int {
+						return hashtable.MigrateTables(ctx, tables, from, next)
+					},
+				},
 			},
-			model:     model,
-			rank:      insertsLast,
-			maxShards: maxShards,
-			initial:   initial,
-			slots:     slots,
-			key:       hashtable.RouteKey,
-			bind: func(op engine.Op, si int) engine.Op {
-				return hashtable.BindTable(op, tables[si])
-			},
-			migrate: func(ctx memsim.Ctx, from, to int, old, next *route.Ring) int {
-				return hashtable.MigrateTables(ctx, tables, from, next)
-			},
+			model: model,
+			rank:  insertsLast,
 			reshard: func(th *memsim.Thread, e *shard.Elastic, i, perThread int) {
 				switch i {
 				case perThread / 3:
@@ -439,29 +403,31 @@ func buildScenario(name string, env memsim.Env, seed uint64) (*fuzzScenario, err
 	case "avl":
 		boot := env.Boot()
 		tree := avl.New(boot)
-		model := &setModel{m: map[uint64]bool{}}
+		model := setops.Model{}
 		pre := rand.New(rand.NewPCG(seed, 0xAB1))
 		for i := 0; i < 24; i++ {
 			k := pre.Uint64N(48)
 			tree.Insert(boot, k)
-			model.m[k] = true
+			model[k] = true
 		}
 		return &fuzzScenario{
-			policies: avl.Policies(1),
-			combine:  avl.CombineOps,
-			nextOp: func(r *rand.Rand) engine.Op {
-				key := r.Uint64N(48)
-				switch r.IntN(3) {
-				case 0:
-					return avl.InsertOp{T: tree, K: key}
-				case 1:
-					return avl.FindOp{T: tree, K: key}
-				default:
-					return avl.RemoveOp{T: tree, K: key}
-				}
+			inst: harness.Instance{
+				Policies: avl.Policies(1),
+				Combine:  avl.CombineOps,
+				NextOp: func(r *rand.Rand) engine.Op {
+					key := r.Uint64N(48)
+					switch r.IntN(3) {
+					case 0:
+						return avl.InsertOp{T: tree, K: key}
+					case 1:
+						return avl.FindOp{T: tree, K: key}
+					default:
+						return avl.RemoveOp{T: tree, K: key}
+					}
+				},
 			},
 			model: model,
-			rank:  avlBatchOrder,
+			rank:  setops.Rank,
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown scenario %q", name)
@@ -534,61 +500,13 @@ func fuzzOne(cfg fuzzCfg, engineName, scenario string, seed uint64) (string, err
 		return "", err
 	}
 
-	var eng engine.Engine
-	var elastic *shard.Elastic
-	opts := engines.Options{Combine: sc.combine}
-	switch engineName {
-	case "Lock":
-		eng = engines.NewLock(env, opts)
-	case "TLE":
-		eng = engines.NewTLE(env, opts)
-	case "FC":
-		eng = engines.NewFC(env, opts)
-	case "SCM":
-		eng = engines.NewSCM(env, opts)
-	case "TLE+FC":
-		eng = engines.NewTLEFC(env, opts)
-	case "HCF":
-		fw, err := core.New(env, core.Config{Policies: sc.policies})
-		if err != nil {
-			return "", err
-		}
-		eng = fw
-	case "HCF-S":
-		if sc.shards == 0 {
-			return "", fmt.Errorf("engine HCF-S needs a sharded scenario (use -scenario sharded)")
-		}
-		se, err := shard.New(env, shard.Config{
-			Shards:   sc.shards,
-			Key:      sc.key,
-			Ring:     sc.ring,
-			Policies: sc.policies,
-		})
-		if err != nil {
-			return "", err
-		}
-		eng = se
-	case "HCF-E":
-		if sc.maxShards == 0 {
-			return "", fmt.Errorf("engine HCF-E needs an elastic scenario (use -scenario elastic)")
-		}
-		ee, err := shard.NewElastic(env, shard.ElasticConfig{
-			MaxShards: sc.maxShards,
-			Initial:   sc.initial,
-			Slots:     sc.slots,
-			Key:       sc.key,
-			Bind:      sc.bind,
-			Migrate:   sc.migrate,
-			Policies:  sc.policies,
-		})
-		if err != nil {
-			return "", err
-		}
-		elastic = ee
-		eng = ee
-	default:
-		return "", fmt.Errorf("unknown engine %q", engineName)
+	// A zero Config, deliberately not normalized (normalizing turns on
+	// HTM noise): no noise and the engines' default budgets.
+	eng, err := harness.BuildEngine(engineName, env, sc.inst, harness.Config{})
+	if err != nil {
+		return "", err
 	}
+	elastic, _ := eng.(*shard.Elastic)
 	we, ok := eng.(engine.WitnessedEngine)
 	if !ok {
 		return "", fmt.Errorf("engine %s is not witnessable", engineName)
@@ -611,7 +529,7 @@ func fuzzOne(cfg fuzzCfg, engineName, scenario string, seed uint64) (string, err
 			if th.ID() == 0 && elastic != nil && sc.reshard != nil {
 				sc.reshard(th, elastic, i, cfg.perThread)
 			}
-			eng.Execute(th, sc.nextOp(rng))
+			eng.Execute(th, sc.inst.NextOp(rng))
 		}
 	})
 	var fr witness.FlightSource

@@ -11,7 +11,6 @@
 //	hcfmetrics -scenario hashtable -engine HCF -format csv > run.csv
 //	hcfmetrics -scenario hashtable -engine HCF -format prom
 //	hcfmetrics -scenario sharded -shards 4 -engine HCF-S -threads 36
-//	hcfmetrics -tune -threads 36 -format prom   # autotuner decision journal
 //
 // Formats: text (default, human tables), json (one indented object), csv
 // (two tables: intervals, then latencies), prom (Prometheus text
@@ -19,14 +18,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
 
-	"hcf/internal/adaptive"
 	"hcf/internal/harness"
 	"hcf/internal/metrics"
 	"hcf/internal/trace"
@@ -55,15 +52,11 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		interval = fs.Int64("interval", 10_000, "sampling interval (virtual cycles)")
 		format   = fs.String("format", "text", "text | json | csv | prom")
-		tuneFlg  = fs.Bool("tune", false, "run the policy autotuner on the drifting priority-queue workload and export its decision journal instead of a metered point")
 		traceLim = fs.Int("trace-limit", 0, "attach a flight recorder retaining this many events per thread (0 = off); trace health lands in the report, hot lines on the -serve endpoints")
 		serveAt  = fs.String("serve", "", "after the run, serve the report on host:port (/debug endpoints, including Prometheus via ?format=prom) until interrupted")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *tuneFlg {
-		return runTune(*threads, *horizon, *seed, *format)
 	}
 	var sc harness.Scenario
 	switch *scenario {
@@ -145,33 +138,5 @@ func serveReport(addr string, report *metrics.Report, col *trace.Collector) erro
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	return nil
-}
-
-// runTune runs the autotuner comparison and exports the decision journal in
-// the requested exposition format (csv has no journal mapping).
-func runTune(threads int, horizon int64, seed uint64, format string) error {
-	rep, err := harness.RunAutotune(threads, harness.Config{Horizon: horizon, Seed: seed})
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "text":
-		fmt.Print(rep.Text())
-		fmt.Printf("\ndecision journal (%d entries):\n%s", rep.Journal.Len(), rep.Journal.Text())
-	case "json":
-		out, err := json.MarshalIndent(struct {
-			*harness.AutotuneReport
-			Journal []adaptive.Decision `json:"journal"`
-		}{rep, rep.Journal.Entries()}, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s\n", out)
-	case "prom":
-		fmt.Print(rep.Journal.Prometheus(rep.Scenario, "HCF-tuned"))
-	default:
-		return fmt.Errorf("format %q does not support -tune (want text, json or prom)", format)
-	}
 	return nil
 }

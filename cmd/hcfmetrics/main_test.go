@@ -136,3 +136,12 @@ func TestErrors(t *testing.T) {
 		t.Error("unknown format accepted")
 	}
 }
+
+// TestTuneFlagRemoved pins that the autotuner journal export lives only in
+// hcftune: -tune is no longer a flag here.
+func TestTuneFlagRemoved(t *testing.T) {
+	err := run([]string{"-tune", "-format", "prom"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -tune") {
+		t.Errorf("-tune still parses: %v", err)
+	}
+}

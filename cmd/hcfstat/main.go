@@ -10,7 +10,6 @@
 //	hcfstat -scenario avl -find 0 -theta 0.9 -engine TLE -threads 36
 //	hcfstat -scenario pqueue|stack|deque -engine FC -threads 8
 //	hcfstat -scenario hashtable -engine HCF -json   # machine-readable output
-//	hcfstat -tune -threads 36                       # autotuner report + journal
 //	hcfstat -scenario elastic -hot 90 -threads 36 -decisions 5
 //
 // The elastic scenario always runs the HCF-E engine with its rebalancer
@@ -53,28 +52,10 @@ func run(args []string) error {
 		horizon  = fs.Int64("horizon", 200_000, "virtual cycles")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		jsonFlg  = fs.Bool("json", false, "emit one machine-readable JSON object instead of the text report")
-		tuneFlg  = fs.Bool("tune", false, "run the policy-autotuner comparison on the drifting priority-queue workload and print its report and decision journal")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *tuneFlg {
-		rep, err := harness.RunAutotune(*threads, harness.Config{Horizon: *horizon, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		if *jsonFlg {
-			out, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s\n", out)
-			return nil
-		}
-		fmt.Print(rep.Text())
-		fmt.Printf("\ndecision journal (%d entries):\n%s", rep.Journal.Len(), rep.Journal.Text())
-		return nil
 	}
 	if *scenario == "elastic" {
 		// The elastic report has its own runner (open-loop point with the

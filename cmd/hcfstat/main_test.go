@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -93,5 +94,14 @@ func TestRunElastic(t *testing.T) {
 	}
 	if rec["engine"] != "HCF-E" {
 		t.Errorf("identity fields wrong: %v", rec["engine"])
+	}
+}
+
+// TestTuneFlagRemoved pins that the autotuner report lives only in
+// hcftune: -tune is no longer a flag here.
+func TestTuneFlagRemoved(t *testing.T) {
+	err := run([]string{"-tune"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -tune") {
+		t.Errorf("-tune still parses: %v", err)
 	}
 }

@@ -85,9 +85,11 @@ func HelpNone(ctx memsim.Ctx, mine, other Op) bool { return false }
 // WitnessFunc observes completed operation applications for
 // linearizability checking. stamp is a serialization stamp: applications
 // are legally ordered by (stamp, intra), where intra orders operations that
-// were applied atomically in the same combined batch (in the batch's
-// application order — order-preserving combiners only). Engines call the
-// witness exactly once per operation, from the thread that applied it.
+// were applied atomically in the same combined batch (the batch index,
+// which is the application order for order-preserving combiners; a
+// key-sorting combiner's checker passes its order as a rank, e.g.
+// setops.Rank). Engines call the witness exactly once per operation, from
+// the thread that applied it.
 type WitnessFunc func(stamp uint64, intra int, op Op, result uint64)
 
 // WitnessedEngine is implemented by engines that can report a

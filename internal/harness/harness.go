@@ -218,7 +218,7 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 		})
 	case ShardedEngineName:
 		if inst.Sharding == nil {
-			return nil, fmt.Errorf("harness: engine %q needs a scenario with a sharding plan (Instance.Sharding is nil)", name)
+			return nil, fmt.Errorf("harness: engine %q needs a sharded scenario, one with a sharding plan (Instance.Sharding is nil)", name)
 		}
 		return shard.New(env, shard.Config{
 			Shards:            inst.Sharding.Shards,
@@ -230,7 +230,7 @@ func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine
 		})
 	case ElasticEngineName:
 		if inst.Elastic == nil {
-			return nil, fmt.Errorf("harness: engine %q needs a scenario with an elastic sharding plan (Instance.Elastic is nil)", name)
+			return nil, fmt.Errorf("harness: engine %q needs an elastic scenario, one with an elastic sharding plan (Instance.Elastic is nil)", name)
 		}
 		return shard.NewElastic(env, shard.ElasticConfig{
 			MaxShards:         inst.Elastic.MaxShards,

@@ -1,28 +1,17 @@
 package avl
 
 import (
-	"sort"
-
 	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
-)
-
-// Operation kinds within a publication array.
-const (
-	kindFind = iota
-	kindInsert
-	kindRemove
-	numKinds
+	"hcf/internal/seq/setops"
 )
 
 // Op is the common interface of AVL operations; combiners use Key for
 // sorting and subtree selection.
 type Op interface {
-	engine.Op
-	Key() uint64
+	setops.Op
 	Tree() *Tree
-	kind() int
 }
 
 // FindOp tests membership. Result: PackBool(present). Arr selects the
@@ -71,13 +60,13 @@ func (o RemoveOp) Apply(ctx memsim.Ctx) uint64 {
 }
 
 // Class implements engine.Op.
-func (o FindOp) Class() int { return o.Arr*numKinds + kindFind }
+func (o FindOp) Class() int { return o.Arr*setops.NumKinds + int(setops.Contains) }
 
 // Class implements engine.Op.
-func (o InsertOp) Class() int { return o.Arr*numKinds + kindInsert }
+func (o InsertOp) Class() int { return o.Arr*setops.NumKinds + int(setops.Insert) }
 
 // Class implements engine.Op.
-func (o RemoveOp) Class() int { return o.Arr*numKinds + kindRemove }
+func (o RemoveOp) Class() int { return o.Arr*setops.NumKinds + int(setops.Remove) }
 
 // Key implements Op.
 func (o FindOp) Key() uint64 { return o.K }
@@ -97,9 +86,14 @@ func (o InsertOp) Tree() *Tree { return o.T }
 // Tree implements Op.
 func (o RemoveOp) Tree() *Tree { return o.T }
 
-func (o FindOp) kind() int   { return kindFind }
-func (o InsertOp) kind() int { return kindInsert }
-func (o RemoveOp) kind() int { return kindRemove }
+// Kind implements setops.Op.
+func (o FindOp) Kind() setops.Kind { return setops.Contains }
+
+// Kind implements setops.Op.
+func (o InsertOp) Kind() setops.Kind { return setops.Insert }
+
+// Kind implements setops.Op.
+func (o RemoveOp) Kind() setops.Kind { return setops.Remove }
 
 // SameSubtree is the paper's shouldHelp for the AVL set (§3.4): a combiner
 // selects only operations on keys that fall in the same (left or right)
@@ -127,75 +121,10 @@ func SameSubtree(ctx memsim.Ctx, mine, other engine.Op) bool {
 	return side(m.Key()) == side(o.Key())
 }
 
-// CombineOps is the paper's runMulti for the AVL set: the selected
-// operations are sorted by key and operation type, operations on the same
-// key are combined and eliminated according to set semantics (e.g. of two
-// Inserts of an absent key, only the first takes effect on the tree; the
-// rest just return "already present"), and at most one physical tree
-// update per key is applied.
+// CombineOps is the paper's runMulti for the AVL set (§3.4): see
+// setops.Combine.
 func CombineOps(ctx memsim.Ctx, ops []engine.Op, res []uint64, done []bool) {
-	type item struct {
-		key  uint64
-		kind int
-		idx  int
-	}
-	items := make([]item, 0, len(ops))
-	var tree *Tree
-	for i, op := range ops {
-		if done[i] {
-			continue
-		}
-		ao, ok := op.(Op)
-		if !ok {
-			res[i] = op.Apply(ctx)
-			done[i] = true
-			continue
-		}
-		tree = ao.Tree()
-		items = append(items, item{key: ao.Key(), kind: ao.kind(), idx: i})
-	}
-	if tree == nil {
-		return
-	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].key != items[b].key {
-			return items[a].key < items[b].key
-		}
-		if items[a].kind != items[b].kind {
-			return items[a].kind < items[b].kind
-		}
-		return items[a].idx < items[b].idx
-	})
-	for g := 0; g < len(items); {
-		h := g
-		for h < len(items) && items[h].key == items[g].key {
-			h++
-		}
-		key := items[g].key
-		initial := tree.Contains(ctx, key)
-		cur := initial
-		for _, it := range items[g:h] {
-			switch it.kind {
-			case kindFind:
-				res[it.idx] = engine.PackBool(cur)
-			case kindInsert:
-				res[it.idx] = engine.PackBool(!cur)
-				cur = true
-			case kindRemove:
-				res[it.idx] = engine.PackBool(cur)
-				cur = false
-			}
-			done[it.idx] = true
-		}
-		// At most one physical update per key.
-		switch {
-		case cur && !initial:
-			tree.Insert(ctx, key)
-		case !cur && initial:
-			tree.Remove(ctx, key)
-		}
-		g = h
-	}
+	setops.Combine(ctx, ops, res, done, func(o setops.Op) setops.Target { return setops.Tree(o.(Op).Tree()) })
 }
 
 // Policies returns the paper's HCF configuration for the AVL set (§3.4):
@@ -206,9 +135,9 @@ func Policies(numArrays int) []core.Policy {
 	if numArrays < 1 {
 		numArrays = 1
 	}
-	out := make([]core.Policy, 0, numArrays*numKinds)
+	out := make([]core.Policy, 0, numArrays*setops.NumKinds)
 	for a := 0; a < numArrays; a++ {
-		for k := 0; k < numKinds; k++ {
+		for k := 0; k < setops.NumKinds; k++ {
 			name := [...]string{"find", "insert", "remove"}[k]
 			out = append(out, core.Policy{
 				Name:               name,

@@ -1,26 +1,16 @@
 package btree
 
 import (
-	"sort"
-
 	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
-)
-
-// Operation kinds.
-const (
-	kindContains = iota
-	kindInsert
-	kindRemove
+	"hcf/internal/seq/setops"
 )
 
 // Op is the common interface of B-tree operations.
 type Op interface {
-	engine.Op
-	Key() uint64
+	setops.Op
 	Tree() *Tree
-	kind() int
 }
 
 // ContainsOp tests membership. Result: PackBool(present).
@@ -89,75 +79,19 @@ func (o InsertOp) Tree() *Tree { return o.T }
 // Tree implements Op.
 func (o RemoveOp) Tree() *Tree { return o.T }
 
-func (o ContainsOp) kind() int { return kindContains }
-func (o InsertOp) kind() int   { return kindInsert }
-func (o RemoveOp) kind() int   { return kindRemove }
+// Kind implements setops.Op.
+func (o ContainsOp) Kind() setops.Kind { return setops.Contains }
 
-// CombineOps sorts the batch by key and type, eliminates same-key groups
-// under set semantics and applies at most one physical update per key —
-// the §3.4 runMulti discipline applied to the B-tree.
+// Kind implements setops.Op.
+func (o InsertOp) Kind() setops.Kind { return setops.Insert }
+
+// Kind implements setops.Op.
+func (o RemoveOp) Kind() setops.Kind { return setops.Remove }
+
+// CombineOps applies the §3.4 runMulti discipline to the B-tree: see
+// setops.Combine.
 func CombineOps(ctx memsim.Ctx, ops []engine.Op, res []uint64, done []bool) {
-	type item struct {
-		key  uint64
-		kind int
-		idx  int
-	}
-	items := make([]item, 0, len(ops))
-	var tree *Tree
-	for i, op := range ops {
-		if done[i] {
-			continue
-		}
-		bo, ok := op.(Op)
-		if !ok {
-			res[i] = op.Apply(ctx)
-			done[i] = true
-			continue
-		}
-		tree = bo.Tree()
-		items = append(items, item{key: bo.Key(), kind: bo.kind(), idx: i})
-	}
-	if tree == nil {
-		return
-	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].key != items[b].key {
-			return items[a].key < items[b].key
-		}
-		if items[a].kind != items[b].kind {
-			return items[a].kind < items[b].kind
-		}
-		return items[a].idx < items[b].idx
-	})
-	for g := 0; g < len(items); {
-		h := g
-		for h < len(items) && items[h].key == items[g].key {
-			h++
-		}
-		key := items[g].key
-		initial := tree.Contains(ctx, key)
-		cur := initial
-		for _, it := range items[g:h] {
-			switch it.kind {
-			case kindContains:
-				res[it.idx] = engine.PackBool(cur)
-			case kindInsert:
-				res[it.idx] = engine.PackBool(!cur)
-				cur = true
-			case kindRemove:
-				res[it.idx] = engine.PackBool(cur)
-				cur = false
-			}
-			done[it.idx] = true
-		}
-		switch {
-		case cur && !initial:
-			tree.Insert(ctx, key)
-		case !cur && initial:
-			tree.Remove(ctx, key)
-		}
-		g = h
-	}
+	setops.Combine(ctx, ops, res, done, func(o setops.Op) setops.Target { return setops.Tree(o.(Op).Tree()) })
 }
 
 // Policies returns the B-tree HCF configuration: one publication array,

@@ -1,26 +1,16 @@
 package skipset
 
 import (
-	"sort"
-
 	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
-)
-
-// Operation kinds.
-const (
-	kindContains = iota
-	kindInsert
-	kindRemove
+	"hcf/internal/seq/setops"
 )
 
 // Op is the common interface of skip-set operations.
 type Op interface {
-	engine.Op
-	Key() uint64
+	setops.Op
 	Set() *Set
-	kind() int
 }
 
 // ContainsOp tests membership. Result: PackBool(present).
@@ -90,84 +80,30 @@ func (o InsertOp) Set() *Set { return o.S }
 // Set implements Op.
 func (o RemoveOp) Set() *Set { return o.S }
 
-func (o ContainsOp) kind() int { return kindContains }
-func (o InsertOp) kind() int   { return kindInsert }
-func (o RemoveOp) kind() int   { return kindRemove }
+// Kind implements setops.Op.
+func (o ContainsOp) Kind() setops.Kind { return setops.Contains }
 
-// CombineOps sorts selected operations by key and type, eliminates
-// same-key groups under set semantics, and applies at most one physical
-// update per key — the same runMulti discipline as the AVL set (§3.4).
+// Kind implements setops.Op.
+func (o InsertOp) Kind() setops.Kind { return setops.Insert }
+
+// Kind implements setops.Op.
+func (o RemoveOp) Kind() setops.Kind { return setops.Remove }
+
+// CombineOps applies the AVL set's runMulti discipline (§3.4) to the skip
+// set: see setops.Combine.
 func CombineOps(ctx memsim.Ctx, ops []engine.Op, res []uint64, done []bool) {
-	type item struct {
-		key   uint64
-		kind  int
-		level int
-		idx   int
-	}
-	items := make([]item, 0, len(ops))
-	var set *Set
-	for i, op := range ops {
-		if done[i] {
-			continue
-		}
-		so, ok := op.(Op)
-		if !ok {
-			res[i] = op.Apply(ctx)
-			done[i] = true
-			continue
-		}
-		set = so.Set()
-		it := item{key: so.Key(), kind: so.kind(), idx: i}
-		if ins, ok := op.(InsertOp); ok {
-			it.level = ins.Level
-		}
-		items = append(items, it)
-	}
-	if set == nil {
-		return
-	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].key != items[b].key {
-			return items[a].key < items[b].key
-		}
-		if items[a].kind != items[b].kind {
-			return items[a].kind < items[b].kind
-		}
-		return items[a].idx < items[b].idx
-	})
-	for g := 0; g < len(items); {
-		h := g
-		for h < len(items) && items[h].key == items[g].key {
-			h++
-		}
-		key := items[g].key
-		initial := set.Contains(ctx, key)
-		cur := initial
-		level := 1
-		for _, it := range items[g:h] {
-			switch it.kind {
-			case kindContains:
-				res[it.idx] = engine.PackBool(cur)
-			case kindInsert:
-				res[it.idx] = engine.PackBool(!cur)
-				if !cur {
-					level = it.level // the winning insert's level
-				}
-				cur = true
-			case kindRemove:
-				res[it.idx] = engine.PackBool(cur)
-				cur = false
-			}
-			done[it.idx] = true
-		}
-		switch {
-		case cur && !initial:
-			set.Insert(ctx, key, level)
-		case !cur && initial:
-			set.Remove(ctx, key)
-		}
-		g = h
-	}
+	setops.Combine(ctx, ops, res, done, func(o setops.Op) setops.Target { return target{o.(Op).Set()} })
+}
+
+// target applies a key's net effect to the skip set; an insert that takes
+// effect uses the winning InsertOp's pre-drawn level.
+type target struct{ s *Set }
+
+func (t target) Lookup(ctx memsim.Ctx, key uint64) bool { return t.s.Contains(ctx, key) }
+func (t target) Remove(ctx memsim.Ctx, key uint64)      { t.s.Remove(ctx, key) }
+func (t target) Insert(ctx memsim.Ctx, key uint64, winner setops.Op) {
+	ins, _ := winner.(InsertOp)
+	t.s.Insert(ctx, key, ins.Level)
 }
 
 // Policies returns the skip-set HCF configuration: one publication array,

@@ -1,26 +1,16 @@
 package sortedlist
 
 import (
-	"sort"
-
 	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
-)
-
-// Operation kinds.
-const (
-	kindContains = iota
-	kindInsert
-	kindRemove
+	"hcf/internal/seq/setops"
 )
 
 // Op is the common interface of sorted-list operations.
 type Op interface {
-	engine.Op
-	Key() uint64
+	setops.Op
 	List() *List
-	kind() int
 }
 
 // ContainsOp tests membership. Result: PackBool(present).
@@ -89,84 +79,21 @@ func (o InsertOp) List() *List { return o.L }
 // List implements Op.
 func (o RemoveOp) List() *List { return o.L }
 
-func (o ContainsOp) kind() int { return kindContains }
-func (o InsertOp) kind() int   { return kindInsert }
-func (o RemoveOp) kind() int   { return kindRemove }
+// Kind implements setops.Op.
+func (o ContainsOp) Kind() setops.Kind { return setops.Contains }
 
-// CombineOps applies a whole batch in a single merge pass: operations are
-// sorted by key, same-key groups are combined and eliminated under set
-// semantics, and the list is walked exactly once — k operations for one
-// O(length) traversal instead of k traversals.
+// Kind implements setops.Op.
+func (o InsertOp) Kind() setops.Kind { return setops.Insert }
+
+// Kind implements setops.Op.
+func (o RemoveOp) Kind() setops.Kind { return setops.Remove }
+
+// CombineOps applies a whole batch in a single merge pass: setops.Combine
+// looks the batch's keys up in ascending order and each lookup resumes the
+// walk where the previous one stopped, so k operations cost one O(length)
+// traversal instead of k.
 func CombineOps(ctx memsim.Ctx, ops []engine.Op, res []uint64, done []bool) {
-	type item struct {
-		key  uint64
-		kind int
-		idx  int
-	}
-	items := make([]item, 0, len(ops))
-	var list *List
-	for i, op := range ops {
-		if done[i] {
-			continue
-		}
-		lo, ok := op.(Op)
-		if !ok {
-			res[i] = op.Apply(ctx)
-			done[i] = true
-			continue
-		}
-		list = lo.List()
-		items = append(items, item{key: lo.Key(), kind: lo.kind(), idx: i})
-	}
-	if list == nil {
-		return
-	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].key != items[b].key {
-			return items[a].key < items[b].key
-		}
-		if items[a].kind != items[b].kind {
-			return items[a].kind < items[b].kind
-		}
-		return items[a].idx < items[b].idx
-	})
-	cell := list.head
-	for g := 0; g < len(items); {
-		h := g
-		for h < len(items) && items[h].key == items[g].key {
-			h++
-		}
-		key := items[g].key
-		var node memsim.Addr
-		cell, node = list.locate(ctx, cell, key)
-		initial := node != 0 && ctx.Load(node+offKey) == key
-		cur := initial
-		for _, it := range items[g:h] {
-			switch it.kind {
-			case kindContains:
-				res[it.idx] = engine.PackBool(cur)
-			case kindInsert:
-				res[it.idx] = engine.PackBool(!cur)
-				cur = true
-			case kindRemove:
-				res[it.idx] = engine.PackBool(cur)
-				cur = false
-			}
-			done[it.idx] = true
-		}
-		switch {
-		case cur && !initial:
-			n := ctx.Alloc(nodeWords)
-			ctx.Store(n+offKey, key)
-			ctx.Store(n+offNext, uint64(node))
-			ctx.Store(cell, uint64(n))
-			cell = n + offNext // continue the walk after the new node
-		case !cur && initial:
-			ctx.Store(cell, ctx.Load(node+offNext))
-			ctx.Free(node, nodeWords)
-		}
-		g = h
-	}
+	setops.Combine(ctx, ops, res, done, func(o setops.Op) setops.Target { return o.(Op).List().cursor() })
 }
 
 // Policies returns the sorted-list HCF configuration: long scans make

@@ -7,7 +7,10 @@
 // ([8] in the paper) targets exactly this structure.
 package sortedlist
 
-import "hcf/internal/memsim"
+import (
+	"hcf/internal/memsim"
+	"hcf/internal/seq/setops"
+)
 
 // Node layout: word 0 key, word 1 next. Padded to a line.
 const (
@@ -28,47 +31,65 @@ func New(ctx memsim.Ctx) *List {
 	return l
 }
 
-// locate returns the cell whose successor is the first node with
-// key >= k, plus that node (0 if none), starting from a given position —
-// the primitive both single operations and the merge pass use.
-func (l *List) locate(ctx memsim.Ctx, fromCell memsim.Addr, k uint64) (cell, node memsim.Addr) {
-	cell = fromCell
+// cursor is a position in the list: cell is the pointer cell whose
+// successor node is the first with key >= the last key looked up. Single
+// operations start a cursor at the head; the combiner's merge pass keeps
+// one cursor for the whole sorted batch.
+type cursor struct {
+	cell, node memsim.Addr
+}
+
+func (l *List) cursor() *cursor { return &cursor{cell: l.head} }
+
+// Lookup advances the cursor to key and reports whether key is present.
+func (c *cursor) Lookup(ctx memsim.Ctx, key uint64) bool {
 	for {
-		node = memsim.Addr(ctx.Load(cell))
-		if node == 0 || ctx.Load(node+offKey) >= k {
-			return cell, node
+		c.node = memsim.Addr(ctx.Load(c.cell))
+		if c.node == 0 || ctx.Load(c.node+offKey) >= key {
+			return c.node != 0 && ctx.Load(c.node+offKey) == key
 		}
-		cell = node + offNext
+		c.cell = c.node + offNext
 	}
+}
+
+// Insert links a new node for key in front of the cursor's node (which
+// Lookup found absent) and moves the cursor past it.
+func (c *cursor) Insert(ctx memsim.Ctx, key uint64, _ setops.Op) {
+	n := ctx.Alloc(nodeWords)
+	ctx.Store(n+offKey, key)
+	ctx.Store(n+offNext, uint64(c.node))
+	ctx.Store(c.cell, uint64(n))
+	c.cell = n + offNext
+}
+
+// Remove unlinks and frees the cursor's node (which Lookup found present).
+func (c *cursor) Remove(ctx memsim.Ctx, key uint64) {
+	ctx.Store(c.cell, ctx.Load(c.node+offNext))
+	ctx.Free(c.node, nodeWords)
 }
 
 // Contains reports whether key is in the set.
 func (l *List) Contains(ctx memsim.Ctx, key uint64) bool {
-	_, node := l.locate(ctx, l.head, key)
-	return node != 0 && ctx.Load(node+offKey) == key
+	return l.cursor().Lookup(ctx, key)
 }
 
 // Insert adds key, returning true if it was absent.
 func (l *List) Insert(ctx memsim.Ctx, key uint64) bool {
-	cell, node := l.locate(ctx, l.head, key)
-	if node != 0 && ctx.Load(node+offKey) == key {
+	c := l.cursor()
+	if c.Lookup(ctx, key) {
 		return false
 	}
-	n := ctx.Alloc(nodeWords)
-	ctx.Store(n+offKey, key)
-	ctx.Store(n+offNext, uint64(node))
-	ctx.Store(cell, uint64(n))
+	c.Insert(ctx, key, nil)
 	return true
 }
 
 // Remove deletes key, returning true if it was present.
 func (l *List) Remove(ctx memsim.Ctx, key uint64) bool {
-	cell, node := l.locate(ctx, l.head, key)
-	if node == 0 || ctx.Load(node+offKey) != key {
+	c := l.cursor()
+	if !c.Lookup(ctx, key) {
 		return false
 	}
-	ctx.Store(cell, ctx.Load(node+offNext))
-	ctx.Free(node, nodeWords)
+	c.Remove(ctx, key)
 	return true
 }
 

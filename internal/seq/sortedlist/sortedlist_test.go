@@ -9,6 +9,7 @@ import (
 	"hcf/internal/engine"
 	"hcf/internal/engines"
 	"hcf/internal/memsim"
+	"hcf/internal/seq/setops"
 )
 
 func newEnvList() (*memsim.DetEnv, *List) {
@@ -92,17 +93,17 @@ func TestCombineOpsMatchesCanonicalSequential(t *testing.T) {
 		n := 1 + rng.IntN(10)
 		type item struct {
 			key  uint64
-			kind int
+			kind setops.Kind
 			idx  int
 		}
 		items := make([]item, n)
 		ops := make([]engine.Op, n)
 		for i := 0; i < n; i++ {
-			items[i] = item{key: rng.Uint64N(24), kind: rng.IntN(3), idx: i}
+			items[i] = item{key: rng.Uint64N(24), kind: setops.Kind(rng.IntN(setops.NumKinds)), idx: i}
 			switch items[i].kind {
-			case kindContains:
+			case setops.Contains:
 				ops[i] = ContainsOp{L: lc, K: items[i].key}
-			case kindInsert:
+			case setops.Insert:
 				ops[i] = InsertOp{L: lc, K: items[i].key}
 			default:
 				ops[i] = RemoveOp{L: lc, K: items[i].key}
@@ -124,9 +125,9 @@ func TestCombineOpsMatchesCanonicalSequential(t *testing.T) {
 		for _, it := range items {
 			var want bool
 			switch it.kind {
-			case kindContains:
+			case setops.Contains:
 				want = ls.Contains(bootS, it.key)
-			case kindInsert:
+			case setops.Insert:
 				want = ls.Insert(bootS, it.key)
 			default:
 				want = ls.Remove(bootS, it.key)

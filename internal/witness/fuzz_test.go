@@ -3,10 +3,14 @@ package witness
 import (
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
+	"hcf/internal/engine"
 	"hcf/internal/memsim"
+	"hcf/internal/seq/avl"
 	"hcf/internal/seq/hashtable"
+	"hcf/internal/seq/setops"
 )
 
 // TestScheduleFuzzHashTable explores many distinct interleavings by
@@ -74,4 +78,97 @@ func TestScheduleFuzzCounter(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fuzzHistory decodes bytes into a witnessed history of set operations.
+// Each byte b is one operation of kind b&3 on key (b>>2)&15; kind 3 ends
+// the current batch instead. Each batch's results come from applying it to
+// a setops.Model in setops.Rank order, as a combiner would; its entries
+// share one stamp and carry their batch index as intra. The entries are
+// returned in an arrival order that the bytes also choose.
+func fuzzHistory(data []byte) []Entry {
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	model := setops.Model{}
+	var out []Entry
+	var batch []engine.Op
+	flush := func() {
+		order := make([]int, len(batch))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return setops.Rank(batch[order[a]]) < setops.Rank(batch[order[b]])
+		})
+		stamp := uint64(len(out) + 1)
+		res := make([]uint64, len(batch))
+		for _, i := range order {
+			res[i] = model.Apply(batch[i])
+		}
+		for i, op := range batch {
+			out = append(out, Entry{Stamp: stamp, Intra: i, Op: op, Result: res[i]})
+		}
+		batch = batch[:0]
+	}
+	for _, b := range data {
+		k := uint64(b>>2) & 15
+		switch b & 3 {
+		case 0:
+			batch = append(batch, avl.FindOp{K: k})
+		case 1:
+			batch = append(batch, avl.InsertOp{K: k})
+		case 2:
+			batch = append(batch, avl.RemoveOp{K: k})
+		default:
+			flush()
+		}
+	}
+	flush()
+	for i := len(out) - 1; i > 0; i-- {
+		j := int(data[i%len(data)]) % (i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
+}
+
+// record feeds entries to a fresh Recorder in order.
+func record(entries []Entry) *Recorder {
+	rec := &Recorder{}
+	fn := rec.Func()
+	for _, e := range entries {
+		fn(e.Stamp, e.Intra, e.Op, e.Result)
+	}
+	return rec
+}
+
+// FuzzWitnessCheck requires Check to accept every history a key-sorting
+// set combiner could produce, arrival order notwithstanding, and to reject
+// it once one result is flipped or one entry is dropped.
+func FuzzWitnessCheck(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1 | 5<<2})
+	f.Add([]byte{1 | 3<<2, 0 | 3<<2, 1 | 3<<2, 2 | 3<<2, 2 | 3<<2, 0 | 3<<2})
+	f.Add([]byte{1 | 1<<2, 1 | 2<<2, 3, 0 | 1<<2, 2 | 2<<2, 1 | 2<<2, 3, 2 | 1<<2, 0 | 2<<2, 3, 0 | 1<<2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries := fuzzHistory(data)
+		n := len(entries)
+		if err := Check(record(entries), setops.Model{}, n, setops.Rank); err != nil {
+			t.Fatalf("valid history rejected: %v", err)
+		}
+		if n == 0 {
+			return
+		}
+		flipped := append([]Entry(nil), entries...)
+		fl := int(data[0]) % n
+		flipped[fl].Result = engine.PackBool(!engine.UnpackBool(flipped[fl].Result))
+		if Check(record(flipped), setops.Model{}, n, setops.Rank) == nil {
+			t.Fatalf("history with entry %d's result flipped accepted", fl)
+		}
+		d := int(data[len(data)-1]) % n
+		dropped := append(append([]Entry(nil), entries[:d]...), entries[d+1:]...)
+		if Check(record(dropped), setops.Model{}, n, setops.Rank) == nil {
+			t.Fatalf("history with entry %d dropped accepted", d)
+		}
+	})
 }

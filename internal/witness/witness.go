@@ -11,9 +11,10 @@
 // engine applied each operation exactly once, atomically, and in an order
 // consistent with real-time.
 //
-// The intra-batch index assumes order-preserving combiners (every
-// CombineFunc in this repository except the AVL key-sorting one), which
-// assign results consistent with applying the batch in the given order.
+// The intra-batch index assumes an order-preserving combiner, one that
+// assigns results consistent with applying the batch in the given order.
+// A combiner that reorders its batch passes a rank to Check: the four
+// ordered sets' key-sorting combiner (setops.Combine) passes setops.Rank.
 package witness
 
 import (

@@ -4,11 +4,15 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"hcf/internal/core"
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
+	"hcf/internal/seq/avl"
 	"hcf/internal/seq/btree"
 	"hcf/internal/seq/queue"
+	"hcf/internal/seq/setops"
 	"hcf/internal/seq/skipset"
+	"hcf/internal/seq/sortedlist"
 )
 
 // fifoModel replays queue operations.
@@ -26,25 +30,6 @@ func (m *fifoModel) Apply(op engine.Op) uint64 {
 		v := m.vals[0]
 		m.vals = m.vals[1:]
 		return engine.Pack(v, true)
-	}
-	return 0
-}
-
-// setModel replays skip-set operations.
-type setModel struct{ m map[uint64]bool }
-
-func (sm *setModel) Apply(op engine.Op) uint64 {
-	switch o := op.(type) {
-	case skipset.ContainsOp:
-		return engine.PackBool(sm.m[o.K])
-	case skipset.InsertOp:
-		had := sm.m[o.K]
-		sm.m[o.K] = true
-		return engine.PackBool(!had)
-	case skipset.RemoveOp:
-		had := sm.m[o.K]
-		delete(sm.m, o.K)
-		return engine.PackBool(had)
 	}
 	return 0
 }
@@ -83,10 +68,9 @@ func TestQueueLinearizableAllEngines(t *testing.T) {
 	}
 }
 
-// The skip-set's CombineOps sorts its batch by key, so intra-batch replay
-// order is not the announcement order: only the engines that never batch
-// (Lock, TLE, SCM) are witness-checkable; the batching engines are covered
-// by the skipset package's conservation tests.
+// The skip set under the engines that never batch (Lock, TLE, SCM), where
+// no in-batch rank is needed; TestOrderedSetsLinearizableAllEngines covers
+// every engine with setops.Rank.
 func TestSkipSetLinearizableNonBatchingEngines(t *testing.T) {
 	const threads, perThread = 8, 50
 	for _, name := range []string{"Lock", "TLE", "SCM"} {
@@ -109,34 +93,15 @@ func TestSkipSetLinearizableNonBatchingEngines(t *testing.T) {
 					}
 				}
 			})
-			if err := Check(rec, &setModel{m: map[uint64]bool{}}, threads*perThread, nil); err != nil {
+			if err := Check(rec, setops.Model{}, threads*perThread, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// btreeModel replays B-tree set operations.
-type btreeModel struct{ m map[uint64]bool }
-
-func (bm *btreeModel) Apply(op engine.Op) uint64 {
-	switch o := op.(type) {
-	case btree.ContainsOp:
-		return engine.PackBool(bm.m[o.K])
-	case btree.InsertOp:
-		had := bm.m[o.K]
-		bm.m[o.K] = true
-		return engine.PackBool(!had)
-	case btree.RemoveOp:
-		had := bm.m[o.K]
-		delete(bm.m, o.K)
-		return engine.PackBool(had)
-	}
-	return 0
-}
-
-// The B-tree's CombineOps sorts batches by key, so only non-batching
-// engines are witness-checkable (same situation as the skip set).
+// The B-tree under the engines that never batch (same situation as the
+// skip set).
 func TestBTreeLinearizableNonBatchingEngines(t *testing.T) {
 	const threads, perThread = 8, 50
 	for _, name := range []string{"Lock", "TLE", "SCM"} {
@@ -159,12 +124,84 @@ func TestBTreeLinearizableNonBatchingEngines(t *testing.T) {
 					}
 				}
 			})
-			if err := Check(rec, &btreeModel{m: map[uint64]bool{}}, threads*perThread, nil); err != nil {
+			if err := Check(rec, setops.Model{}, threads*perThread, nil); err != nil {
 				t.Fatal(err)
 			}
 			if msg := tr.CheckInvariants(env.Boot()); msg != "" {
 				t.Fatal(msg)
 			}
 		})
+	}
+}
+
+// orderedSet is one of the four ordered sets that combine through
+// setops.Combine: build makes an empty set in ctx and returns an operation
+// constructor plus its invariant check.
+type orderedSet struct {
+	name     string
+	policies []core.Policy
+	combine  engine.CombineFunc
+	build    func(ctx memsim.Ctx) (op func(kind setops.Kind, k uint64, r *rand.Rand) engine.Op, check func(memsim.Ctx) string)
+}
+
+var orderedSets = []orderedSet{
+	{"avl", avl.Policies(1), avl.CombineOps, func(ctx memsim.Ctx) (func(setops.Kind, uint64, *rand.Rand) engine.Op, func(memsim.Ctx) string) {
+		tr := avl.New(ctx)
+		return func(kind setops.Kind, k uint64, _ *rand.Rand) engine.Op {
+			return [...]engine.Op{avl.FindOp{T: tr, K: k}, avl.InsertOp{T: tr, K: k}, avl.RemoveOp{T: tr, K: k}}[kind]
+		}, tr.CheckInvariants
+	}},
+	{"btree", btree.Policies(), btree.CombineOps, func(ctx memsim.Ctx) (func(setops.Kind, uint64, *rand.Rand) engine.Op, func(memsim.Ctx) string) {
+		tr := btree.New(ctx)
+		return func(kind setops.Kind, k uint64, _ *rand.Rand) engine.Op {
+			return [...]engine.Op{btree.ContainsOp{T: tr, K: k}, btree.InsertOp{T: tr, K: k}, btree.RemoveOp{T: tr, K: k}}[kind]
+		}, tr.CheckInvariants
+	}},
+	{"skipset", skipset.Policies(), skipset.CombineOps, func(ctx memsim.Ctx) (func(setops.Kind, uint64, *rand.Rand) engine.Op, func(memsim.Ctx) string) {
+		s := skipset.New(ctx)
+		return func(kind setops.Kind, k uint64, r *rand.Rand) engine.Op {
+			switch kind {
+			case setops.Contains:
+				return skipset.ContainsOp{S: s, K: k}
+			case setops.Insert:
+				return skipset.InsertOp{S: s, K: k, Level: skipset.RandomLevel(r)}
+			}
+			return skipset.RemoveOp{S: s, K: k}
+		}, s.CheckInvariants
+	}},
+	{"sortedlist", sortedlist.Policies(), sortedlist.CombineOps, func(ctx memsim.Ctx) (func(setops.Kind, uint64, *rand.Rand) engine.Op, func(memsim.Ctx) string) {
+		l := sortedlist.New(ctx)
+		return func(kind setops.Kind, k uint64, _ *rand.Rand) engine.Op {
+			return [...]engine.Op{sortedlist.ContainsOp{L: l, K: k}, sortedlist.InsertOp{L: l, K: k}, sortedlist.RemoveOp{L: l, K: k}}[kind]
+		}, l.CheckInvariants
+	}},
+}
+
+// TestOrderedSetsLinearizableAllEngines witness-checks every ordered set
+// under every engine, batching ones included: setops.Rank makes the replay
+// follow the combiner's (key, kind, index) order within a batch.
+func TestOrderedSetsLinearizableAllEngines(t *testing.T) {
+	const threads, perThread = 8, 40
+	for _, set := range orderedSets {
+		for _, name := range []string{"Lock", "TLE", "FC", "SCM", "TLE+FC", "HCF"} {
+			t.Run(set.name+"/"+name, func(t *testing.T) {
+				env := memsim.NewDet(memsim.DetConfig{Threads: threads})
+				op, check := set.build(env.Boot())
+				rec := &Recorder{}
+				eng := witnessedEngines(t, env, set.policies, set.combine, rec)[name]
+				env.Run(func(th *memsim.Thread) {
+					rng := rand.New(rand.NewPCG(uint64(th.ID()), 11))
+					for i := 0; i < perThread; i++ {
+						eng.Execute(th, op(setops.Kind(rng.IntN(setops.NumKinds)), rng.Uint64N(48), rng))
+					}
+				})
+				if err := Check(rec, setops.Model{}, threads*perThread, setops.Rank); err != nil {
+					t.Fatal(err)
+				}
+				if msg := check(env.Boot()); msg != "" {
+					t.Fatal(msg)
+				}
+			})
+		}
 	}
 }
