@@ -21,7 +21,7 @@ type Lock interface {
 	//
 	//	for l.Locked(th) { th.Yield() }
 	//
-	// but lets the deterministic backend park the waiting goroutine
+	// but lets the deterministic backend park the waiting thread
 	// passively instead of context-switching through every futile probe.
 	WaitUnlocked(th *memsim.Thread)
 }

@@ -27,8 +27,8 @@ func TestAccessFastPathZeroAllocs(t *testing.T) {
 }
 
 // TestRunSteadyStateAllocs bounds the per-Run setup cost: the scheduler
-// itself (heap, handoff channels, passive waits) must not allocate per
-// scheduling point — only the goroutine spawns at the start of Run may.
+// itself (heap, coroutine switches, passive waits) must not allocate per
+// scheduling point — only the per-thread body setup at the start of Run may.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	env := NewDet(DetConfig{Threads: 2})
 	flag := env.Alloc(1)
@@ -50,8 +50,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		env.ResetStats()
 		env.Run(body)
 	})
-	// Each Run spawns NumThreads goroutines; allow a small constant per
-	// spawn but nothing proportional to the tens of scheduling points.
+	// Each Run hands its body to NumThreads pooled coroutines; allow a
+	// small constant per thread but nothing proportional to the tens of
+	// scheduling points.
 	if avg > 8 {
 		t.Errorf("Run allocates %.1f objects per invocation, want only per-goroutine setup", avg)
 	}

@@ -2,9 +2,10 @@ package memsim
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 	"strings"
+	"sync"
 )
 
 const (
@@ -53,7 +54,7 @@ type DetConfig struct {
 }
 
 // DetEnv is the deterministic multicore simulator backend. Virtual threads
-// are goroutines that run one at a time under a min-virtual-time scheduler;
+// are coroutines that run one at a time under a min-virtual-time scheduler;
 // each memory access advances the accessing thread's cycle clock by a cost
 // from the coherence model. Runs are fully deterministic for a given
 // configuration and workload seed.
@@ -61,11 +62,11 @@ type DetConfig struct {
 // Scheduling is run-until-preempted: after charging an access, the current
 // thread keeps running as long as it is still the minimum-(clock, id)
 // runnable thread (a heap peek, no synchronization), and when another thread
-// becomes the minimum the CPU is handed to it directly — one channel
-// rendezvous per switch instead of a park/resume round-trip through a
-// central scheduler loop. A passive spin-waiter whose last probe failed
-// leaves the run heap until a line it watches is about to be written (see
-// dispatch and wake). The thread selected at every scheduling point is
+// becomes the minimum the thread suspends and Run's loop resumes the thread
+// it named — two coroutine switches, with no trip through the Go
+// scheduler. A passive spin-waiter whose last probe failed leaves the run
+// heap until a line it watches is about to be written (see dispatch and
+// wake). The thread selected at every scheduling point is
 // identical to the classic pop-min design, so simulated results are
 // bit-for-bit unchanged; only host time is saved.
 type DetEnv struct {
@@ -78,14 +79,14 @@ type DetEnv struct {
 	clock    uint64
 
 	threads []*Thread
-	resume  []chan struct{} // per worker thread wake-up rendezvous
+	workers []*worker // each worker thread's coroutine during Run
 	caches  []*l1Cache
 	stats   []ThreadStats
 	clocks  []int64
 	jitter  []uint64 // per-thread splitmix states (0 slice = disabled)
 
 	running bool
-	done    chan struct{}
+	handoff int32 // the thread a suspending thread hands the CPU to
 	sched   detHeap
 	waits   []detWait
 	panicV  any
@@ -111,11 +112,11 @@ type DetEnv struct {
 }
 
 // detWait is a worker thread's declarative wait state. While passive, the
-// thread's goroutine stays parked and its spin-loop events (access charges,
+// thread's coroutine stays suspended and its spin-loop events (access charges,
 // seqlock reads, yield charges) are executed inline — one step per
-// scheduling quantum — by whichever goroutine is driving the scheduler at
-// that moment. The step stream is bit-identical to the open-coded spin loop
-// the primitive replaces; only the host context switches are elided.
+// scheduling quantum — by whichever thread or loop is driving the scheduler
+// at that moment. The step stream is bit-identical to the open-coded spin
+// loop the primitive replaces; only the host context switches are elided.
 type detWait struct {
 	passive bool
 	kind    uint8
@@ -162,7 +163,6 @@ func NewDet(cfg DetConfig) *DetEnv {
 		cost:     cfg.Cost,
 		nextFree: WordsPerLine, // reserve line 0 so Addr 0 stays nil
 		freelist: make([][]Addr, 64),
-		done:     make(chan struct{}),
 		dormant:  make([]int32, 0, cfg.Threads),
 	}
 	if cfg.CapacityHint > 0 {
@@ -174,7 +174,7 @@ func NewDet(cfg DetConfig) *DetEnv {
 	}
 	total := cfg.Threads + 1 // + bootstrap
 	e.threads = make([]*Thread, total)
-	e.resume = make([]chan struct{}, cfg.Threads)
+	e.workers = make([]*worker, cfg.Threads)
 	e.waits = make([]detWait, cfg.Threads)
 	e.caches = make([]*l1Cache, total)
 	e.stats = make([]ThreadStats, total)
@@ -182,9 +182,6 @@ func NewDet(cfg DetConfig) *DetEnv {
 	for i := 0; i < total; i++ {
 		e.threads[i] = NewThread(e, i)
 		e.caches[i] = newL1Cache(cfg.Cost.L1Sets, cfg.Cost.L1Ways)
-	}
-	for i := 0; i < cfg.Threads; i++ {
-		e.resume[i] = make(chan struct{})
 	}
 	if cfg.Cost.JitterPct > 0 {
 		e.jitter = make([]uint64, total)
@@ -218,9 +215,11 @@ func (e *DetEnv) Boot() *Thread { return e.threads[e.n] }
 // concurrently with itself. A panic in any body is re-raised from Run after
 // the remaining threads have finished.
 //
-// Run only seeds the schedule (resuming the minimum-clock thread) and waits
-// for completion; thereafter the virtual CPU moves between threads by direct
-// handoff at scheduling points, never returning to this goroutine.
+// Each body runs on a pooled coroutine, resumed only by Run's loop: the
+// loop resumes the thread dispatch selects, and when that thread suspends
+// at a scheduling point it resumes the thread the suspending one named.
+// A wait that deadlock ends unwinds its body with a package-private panic,
+// so a body that recovers must re-panic values it does not own.
 func (e *DetEnv) Run(body func(th *Thread)) {
 	if e.running {
 		panic("memsim: DetEnv.Run called reentrantly")
@@ -232,47 +231,94 @@ func (e *DetEnv) Run(body func(th *Thread)) {
 	}
 	clear(e.watch)
 	e.frontK, e.frontID = math.MinInt64, -1
-	for i := 0; i < e.n; i++ {
-		go func(id int) {
-			<-e.resume[id]
-			defer func() {
-				if r := recover(); r != nil && e.panicV == nil {
-					// Record before handing off: Run reads panicV after
-					// the last thread signals done.
-					e.panicV = r
-				}
-				e.finish()
-			}()
-			body(e.threads[id])
-		}(i)
+	for i, th := range e.threads[:e.n] {
+		w := getWorker()
+		w.run = func() {
+			defer e.recoverBody()
+			body(th)
+		}
+		e.workers[i] = w
 	}
 	if e.exp != nil {
 		e.resetExplore() // draw initial priorities before the heap is built
 	}
 	e.sched.reset(e.n)
-	e.resume[e.dispatch()] <- struct{}{}
-	<-e.done
+	for cur := e.dispatch(); cur >= 0; {
+		w := e.workers[cur]
+		w.next()
+		if w.run != nil {
+			cur = e.handoff // suspended in switchTo
+		} else {
+			cur = e.dispatch() // the body returned
+		}
+	}
+	workerPool.Lock()
+	workerPool.free = append(workerPool.free, e.workers...)
+	workerPool.Unlock()
 	e.running = false
 	if e.panicV != nil {
 		panic(e.panicV)
 	}
 }
 
-// finish retires the calling virtual thread: it hands the CPU to the next
-// runnable thread, or signals Run when it was the last one.
-func (e *DetEnv) finish() {
-	if next := e.dispatch(); next >= 0 {
-		e.resume[next] <- struct{}{}
-	} else {
-		e.done <- struct{}{}
+// recoverBody records the first panic of a body, except the unwinding of
+// a wait that deadlock ended (see park).
+func (e *DetEnv) recoverBody() {
+	if r := recover(); r != nil && r != any(parkedExit{}) && e.panicV == nil {
+		e.panicV = r
 	}
+}
+
+// parkedExit is the panic value that unwinds a body whose wait deadlock
+// ended.
+type parkedExit struct{}
+
+// worker is one virtual thread's coroutine. It runs run, clears it and
+// suspends, over and over, so a worker outlives its Run and is reused by
+// later ones, of any DetEnv.
+type worker struct {
+	next  func() (struct{}, bool) // resumes the coroutine
+	yield func(struct{}) bool     // suspends it, from inside
+	run   func()                  // the current Run's body; nil when idle
+}
+
+// workerPool holds the idle workers. Idle workers hold no body, so the
+// pool keeps no DetEnv alive; it grows only to the most virtual threads
+// running at once. It is not a sync.Pool: a worker the collector dropped
+// would leave its goroutine suspended forever.
+var workerPool struct {
+	sync.Mutex
+	free []*worker
+}
+
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.run()
+		w.run = nil
+		yield(struct{}{})
+	}
+}
+
+// getWorker takes an idle worker from the pool, or starts a new one.
+func getWorker() *worker {
+	workerPool.Lock()
+	defer workerPool.Unlock()
+	if n := len(workerPool.free); n > 0 {
+		w := workerPool.free[n-1]
+		workerPool.free = workerPool.free[:n-1]
+		return w
+	}
+	w := &worker{}
+	w.next, _ = iter.Pull(w.loop) // never stopped: it lives on in the pool
+	return w
 }
 
 // schedPoint preempts the calling virtual thread if it is no longer the
 // minimum-(clock, id) runnable thread. The common case — still minimum —
 // is a heap peek with no synchronization at all (and this function is small
-// enough to inline into Access/Work/Yield); a switch is one direct channel
-// handoff to the new minimum thread.
+// enough to inline into Access/Work/Yield); a switch suspends the thread's
+// coroutine and hands the CPU to the new minimum thread through Run's loop.
 func (e *DetEnv) schedPoint(t int) {
 	if !e.running || t >= e.n {
 		return
@@ -295,22 +341,22 @@ func (e *DetEnv) schedPoint(t int) {
 // switchTo re-enters the scheduler from thread t. If the next thread due to
 // run is t itself (possible when the threads ahead of it are all passive
 // waiters whose steps dispatch executes inline), t simply keeps the CPU;
-// otherwise the CPU is handed over with a single channel rendezvous and t
-// parks until it is scheduled — or, if t is a passive waiter, until its wait
-// completes.
+// otherwise t names the next thread in handoff and suspends, and Run's loop
+// resumes that one. t stays suspended until it is scheduled — or, if t is a
+// passive waiter, until its wait completes.
 func (e *DetEnv) switchTo(t int) {
 	e.sched.push(int32(t))
 	next := e.dispatch()
 	if int(next) == t {
 		return
 	}
-	e.resume[next] <- struct{}{}
-	<-e.resume[t]
+	e.handoff = next
+	e.workers[t].yield(struct{}{})
 }
 
 // dispatch drives the schedule until an active (non-waiting) thread is the
 // minimum-(clock, id) runnable thread and pops it, executing passive
-// waiters' spin-loop steps inline on the calling goroutine along the way.
+// waiters' spin-loop steps inline on the caller's stack along the way.
 // Returns -1 when no runnable thread remains.
 //
 // A waiter whose step fails a check goes dormant: it leaves the heap and
@@ -500,8 +546,8 @@ func (r *roundEnd) repeats(last, prev *roundEnd) bool {
 
 // deadlock runs when no thread is runnable but some waiters sleep: no
 // thread is left to write the lines they watch. It records the report Run
-// raises and hands the CPU to one sleeper, whose wait call then exits its
-// goroutine (see park); each sleeper retires the same way in turn.
+// raises and hands the CPU to one sleeper, whose wait call then unwinds
+// its body (see park); each sleeper retires the same way in turn.
 func (e *DetEnv) deadlock() int32 {
 	if e.panicV == nil {
 		var b strings.Builder
@@ -537,7 +583,7 @@ func (e *DetEnv) written(line uint32) {
 // step yielded after a probe that, like every probe of the next round, must
 // fail again while the watched lines stay unchanged), or is satisfied. The
 // event stream is bit-identical to Thread.Load/Thread.Yield executing the
-// same loop; only the goroutine switches between quanta are elided.
+// same loop; only the coroutine switches between quanta are elided.
 func (e *DetEnv) stepWait(t int, w *detWait) uint8 {
 	switch w.phase {
 	case phAccess1: // Thread.Load(addr) charges its access first
@@ -601,7 +647,7 @@ func (e *DetEnv) stepWait(t int, w *detWait) uint8 {
 //
 //	for th.Load(a) != want { th.Yield() }
 //
-// The first access is charged here, on the calling goroutine, exactly where
+// The first access is charged here, on the calling thread, exactly where
 // Thread.Load would charge it — before the scheduler is consulted — so
 // equal-clock ties resolve identically.
 func (e *DetEnv) spinUntilEq(t int, a Addr, want uint64) {
@@ -625,12 +671,12 @@ func (e *DetEnv) spinUntilEitherEq(t int, a1 Addr, want1 uint64, a2 Addr, want2 
 
 // park hands the CPU on until worker t's passive wait completes. A wait
 // still pending when t gets the CPU back was ended by deadlock: t's body
-// must not go on, so its goroutine exits (running its deferred calls, which
-// retire the thread), and Run raises the deadlock report.
+// must not go on, so it unwinds with a parkedExit panic (running its
+// deferred calls), the thread retires, and Run raises the deadlock report.
 func (e *DetEnv) park(t int) {
 	e.switchTo(t)
 	if e.waits[t].passive {
-		runtime.Goexit()
+		panic(parkedExit{})
 	}
 }
 

@@ -244,8 +244,8 @@ func (t *Thread) Yield() { t.env.Yield(t.id) }
 //		t.Yield()
 //	}
 //
-// On the deterministic backend the waiting goroutine parks and the
-// scheduler replays the loop's events inline on whichever goroutine holds
+// On the deterministic backend the waiting thread suspends and the
+// scheduler replays the loop's events inline on whichever thread holds
 // the host CPU, so futile spin iterations cost no host context switches;
 // after a failed probe they are deferred altogether until a probed line is
 // about to be written. A wait nothing can ever satisfy makes Run panic with
