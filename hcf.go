@@ -262,7 +262,8 @@ type (
 	// handle and value limits, read speculation, DisableSync, and
 	// CommitDelay, the upper bound in yields on each group commit's
 	// wait for more writers (cut short when nobody else can join or
-	// the wait has cost as much as the flush it would share).
+	// the wait has cost the batch time that joining writers are
+	// expected to save, which is zero while batches take in none).
 	KVConfig = kvstore.Config
 	// KVStats snapshots a KV's group-commit and occupancy metrics.
 	KVStats = kvstore.Stats

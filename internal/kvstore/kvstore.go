@@ -17,15 +17,17 @@
 // Consistency model: an operation is acknowledged (its Execute returns)
 // only after the batch containing it has been flushed, so every
 // acknowledged write is durable. Index updates happen inside the same
-// seqlock critical section after the log append's write syscall, so a
-// concurrent reader that observes a new offset can always read those
-// bytes back (the write is sequenced before the index store, and the
-// reader's validated load orders after it); such a reader may observe a
-// write that is on its way to disk but not yet fsync'd — standard group
-// commit visibility. Crash recovery replays each shard log in order,
-// truncating a torn tail at the first CRC failure, and rebuilds an
-// index state-identical to the pre-crash one (IndexDump verifies this
-// bit-for-bit in the tests and the harness figure).
+// seqlock critical section after the log append's write syscall and its
+// fsync, so a concurrent reader that observes a new offset can always
+// read those bytes back (the write is sequenced before the index store,
+// and the reader's validated load orders after it), and it only ever
+// observes writes that are already on disk — the same writes that are,
+// or are about to be, acknowledged. With DisableSync there is no fsync,
+// and a reader may observe a write that only the page cache holds.
+// Crash recovery replays each shard log in order, truncating a torn tail
+// at the first CRC failure, and rebuilds an index state-identical to the
+// pre-crash one (IndexDump verifies this bit-for-bit in the tests and the
+// harness figure).
 package kvstore
 
 import (
@@ -77,12 +79,14 @@ type Config struct {
 	// put- or delete-led combiner yields up to this many times before
 	// its claim sweep so concurrent writers can announce and share its
 	// flush. The wait stops early once every other handle on the shard
-	// has announced, or once it has cost as much as the shard's recent
-	// write batches (a moving average; see native.Policy.CombineDelay):
-	// a batch that fsyncs (~100µs) keeps the whole window, while a lone
-	// writer or a cheap flush (DisableSync, ~1µs) stops waiting for
-	// batching that cannot pay. 0 defaults to 16; set negative to
-	// disable.
+	// has announced, or once it has cost its expected saving: the
+	// shard's recent write-batch time (a moving average) times the
+	// number of puts and deletes from other handles that recent batches
+	// took in, capped at one batch (see native.Policy.CombineDelay).
+	// Writers that pile up behind fsyncing batches (~100µs) keep the
+	// window open; a lone writer, or a flush so cheap (DisableSync,
+	// ~1µs) that batches seldom take in another writer, waits for
+	// nothing. 0 defaults to 16; set negative to disable.
 	CommitDelay int
 	// DisableSync skips the fsync at each group-commit boundary. Only
 	// for tests and benchmarks that measure the batching machinery
@@ -230,8 +234,9 @@ func openShard(path string, cfg Config) (*shard, error) {
 		// seqlock across a solo fsync; announcing instead routes every
 		// write through the combiner's group commit. CombineDelay is
 		// the commit delay — a write-led combiner waits a few yields,
-		// never longer than a batch costs, so concurrent writers
-		// announce and share its flush.
+		// never longer than the batch time other writers' joining is
+		// expected to save, so concurrent writers announce and share
+		// its flush.
 		Name: "Put", TryPrivate: 0, MaxBatch: cfg.MaxHandles,
 		CombineDelay: cfg.CommitDelay,
 		Run:          sh.applyOne,
@@ -342,6 +347,8 @@ func (sh *shard) applyOne(op native.Op) uint64 {
 type Handle struct {
 	s  *Store
 	hs []*native.Handle
+	// head is Get's read-ahead buffer: one pread fetches most records.
+	head [readAhead]byte
 }
 
 // Handle registers a participant. Release it when the goroutine is done.
@@ -405,7 +412,7 @@ func (h *Handle) Get(key uint64) (val []byte, ok bool, err error) {
 	if !ok {
 		return nil, false, nil
 	}
-	kind, k, v, err := readRecordAt(sh.f, int64(off))
+	kind, k, v, err := readRecordAt(sh.f, int64(off), sh.size.Load(), &h.head)
 	if err != nil {
 		return nil, false, err
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -97,23 +98,44 @@ func replayLog(f *os.File, apply func(kind byte, key uint64, off int64, val []by
 	return off, nil
 }
 
-// readRecordAt reads and validates the record starting at off, returning
-// its kind, key and a freshly allocated copy of the value.
-func readRecordAt(f *os.File, off int64) (kind byte, key uint64, val []byte, err error) {
-	var hdr [recHeaderLen]byte
-	if _, err = f.ReadAt(hdr[:], off); err != nil {
+// readAhead is how many bytes readRecordAt asks for in its first read:
+// enough for a whole record with a value of up to readAhead-17 bytes, so
+// a typical Get costs one pread. Longer records take a second read.
+const readAhead = 512
+
+// readRecordAt reads and validates the record starting at off in a log of
+// size bytes, returning its kind, key and a freshly allocated copy of the
+// value. head is the caller's read-ahead buffer. The first read may stop
+// short at the end of the file; that is fine when the whole record is
+// inside it. A header whose length runs past size is rejected before
+// anything is allocated for the value.
+func readRecordAt(f *os.File, off, size int64, head *[readAhead]byte) (kind byte, key uint64, val []byte, err error) {
+	n, err := f.ReadAt(head[:], off)
+	if err == io.EOF && n < recHeaderLen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil && err != io.EOF {
 		return 0, 0, nil, fmt.Errorf("kvstore: record header at %d: %w", off, err)
 	}
-	vlen := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	rest := make([]byte, vlen+recTrailerLen)
-	if _, err = f.ReadAt(rest, off+recHeaderLen); err != nil {
-		return 0, 0, nil, fmt.Errorf("kvstore: record body at %d: %w", off, err)
+	vlen := int64(binary.LittleEndian.Uint32(head[9:13]))
+	total := recordLen(0) + vlen
+	if off+total > size {
+		return 0, 0, nil, fmt.Errorf("kvstore: record at %d claims %d bytes, past the log end at %d", off, total, size)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(rest[:vlen])
-	if crc.Sum32() != binary.LittleEndian.Uint32(rest[vlen:]) {
+	var rec []byte
+	if total <= int64(n) {
+		rec = head[:total]
+		val = make([]byte, vlen)
+		copy(val, rec[recHeaderLen:])
+	} else {
+		rec = make([]byte, total)
+		if _, err := f.ReadAt(rec, off); err != nil {
+			return 0, 0, nil, fmt.Errorf("kvstore: record body at %d: %w", off, err)
+		}
+		val = rec[recHeaderLen : recHeaderLen+vlen : recHeaderLen+vlen]
+	}
+	if crc32.ChecksumIEEE(rec[:recHeaderLen+vlen]) != binary.LittleEndian.Uint32(rec[recHeaderLen+vlen:]) {
 		return 0, 0, nil, fmt.Errorf("kvstore: CRC mismatch at offset %d", off)
 	}
-	return hdr[0], binary.LittleEndian.Uint64(hdr[1:9]), rest[:vlen:vlen], nil
+	return rec[0], binary.LittleEndian.Uint64(rec[1:9]), val, nil
 }

@@ -185,3 +185,118 @@ func TestCommitDelayOffSkipsTiming(t *testing.T) {
 		t.Errorf("CombineDelay 1 class session average = %d, want > 0", got)
 	}
 }
+
+// TestCommitDelayZeroBudgetBesideIdleHandle: an idle second handle keeps
+// the "nobody left" rule from firing, and the session average is an
+// hour, but no session has claimed a joiner, so the expected saving is
+// zero and the delay never starts.
+func TestCommitDelayZeroBudgetBesideIdleHandle(t *testing.T) {
+	c := &batchCounter{}
+	f, err := New(Config{Policies: []Policy{c.policy(1 << 30)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.budgets[0].sessionNS.Store(int64(time.Hour))
+	h := f.MustHandle()
+	defer h.Release()
+	idle := f.MustHandle()
+	defer idle.Release()
+	const ops = 1000
+	elapsed := within(t, 5*time.Second, "ops beside an idle handle", func() {
+		for i := 0; i < ops; i++ {
+			h.Execute(Op{A: 1})
+		}
+	})
+	if elapsed > time.Second/2 {
+		t.Errorf("%d ops took %v, want well under a second", ops, elapsed)
+	}
+	if got := c.w.v.Load(); got != ops {
+		t.Fatalf("counter = %d, want %d", got, ops)
+	}
+	if got := f.budgets[0].joined.Load(); got != 0 {
+		t.Errorf("joined = %d after solo sessions, want 0", got)
+	}
+}
+
+// TestCommitDelayJoinedCountsDelayClasses: a put-led session that claims
+// another owner's read adds nothing to the joiner average, since a read
+// shares no flush; one that claims another owner's put does. The owner is
+// announced while the test holds the seqlock, and the test then runs the
+// combining session itself.
+func TestCommitDelayJoinedCountsDelayClasses(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		class  int
+		joined bool
+	}{{"read joiner", 1, false}, {"put joiner", 0, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			put, get := &batchCounter{}, &batchCounter{}
+			f, err := New(Config{Policies: []Policy{put.policy(1 << 30), get.policy(0)}, MaxHandles: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			combiner, other := f.MustHandle(), f.MustHandle()
+			v := f.seq.Load()
+			if !f.seq.CompareAndSwap(v, v+1) {
+				t.Fatal("could not take the idle seqlock")
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				other.Execute(Op{Class: c.class, A: 1})
+			}()
+			for f.slots[other.id].status.Load() != slotAnnounced {
+				time.Sleep(10 * time.Microsecond)
+			}
+			own := &f.slots[combiner.id]
+			own.op = Op{Class: 0, A: 1}
+			own.status.Store(slotAnnounced)
+			if _, ok := combiner.runCombiner(&f.policies[0], &f.budgets[0], v+1, &f.metrics[combiner.id].m); !ok {
+				t.Fatal("combiner found its own operation already done")
+			}
+			f.seq.Store(v + 2)
+			within(t, 5*time.Second, "claimed owner", func() { <-done })
+			if len(put.batches) != 1 || put.batches[0] != 2 {
+				t.Fatalf("put batches %v, want one batch of 2", put.batches)
+			}
+			if got := f.budgets[0].joined.Load(); (got > 0) != c.joined {
+				t.Errorf("joined = %d, want > 0: %v", got, c.joined)
+			}
+		})
+	}
+}
+
+// TestCommitDelayWaitsForExpectedJoiner: once sessions have been taking
+// joiners, the delay is live again. A combiner that holds the seqlock
+// with an hour-long budget keeps waiting for the one idle handle and
+// claims its operation when it announces inside the window.
+func TestCommitDelayWaitsForExpectedJoiner(t *testing.T) {
+	c := &batchCounter{}
+	f, err := New(Config{Policies: []Policy{c.policy(1 << 30)}, MaxHandles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.budgets[0].sessionNS.Store(int64(time.Hour))
+	f.budgets[0].joined.Store(joinedOne)
+	first, late := f.MustHandle(), f.MustHandle()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		first.Execute(Op{A: 1})
+	}()
+	// Only first's combiner can make the seqlock odd, and it keeps it odd
+	// until late's operation has joined its batch.
+	within(t, 5*time.Second, "late joiner", func() {
+		for f.seq.Load()&1 == 0 {
+			time.Sleep(10 * time.Microsecond)
+		}
+		late.Execute(Op{A: 1})
+		<-done
+	})
+	if len(c.batches) != 1 || c.batches[0] != 2 {
+		t.Fatalf("batches %v, want one batch of 2", c.batches)
+	}
+	if got := c.w.v.Load(); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
+	}
+}

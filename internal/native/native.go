@@ -154,16 +154,21 @@ type Policy struct {
 	// concurrent owners a window to announce and join the batch — the
 	// flat-combining analogue of a group-commit delay. The wait ends
 	// early when every other registered handle has already announced
-	// (nobody is left to wait for), or once it has lasted as long as a
-	// moving average of this class's recent combining sessions: waiting
-	// longer than the session a joiner would otherwise run itself cannot
-	// pay (the ski-rental rule, so the delay costs at most one session).
-	// Worth setting only when RunMulti amortizes an expensive per-batch
-	// cost (e.g. an fsync); leave 0 for cheap in-memory batches, which
-	// then skip the session timing too. It matters most when GOMAXPROCS
-	// is low: a combiner blocked in a syscall does not free its P
-	// promptly, so without the yield window announcements never overlap
-	// and batches collapse to size one.
+	// (nobody is left to wait for), or once it has cost its expected
+	// saving: a moving average of this class's recent combining
+	// sessions (the session a joiner would otherwise run itself) times
+	// a moving average of how many operations of delay classes from
+	// other owners each session claimed, capped at one. So the delay
+	// costs at most one session, and none at all while sessions gather
+	// no such joiners (a lone writer, or batches too cheap for owners
+	// to announce during them); joiners that announce during sessions
+	// without a delay turn it back on. Worth setting only when RunMulti
+	// amortizes an expensive per-batch cost (e.g. an fsync); leave 0
+	// for cheap in-memory batches and for classes that share no such
+	// cost (reads), which then skip the timing and count too. It
+	// matters most when GOMAXPROCS is low: a combiner blocked in a
+	// syscall does not free its P promptly, so without the yield window
+	// announcements seldom overlap and batches shrink toward size one.
 	CombineDelay int
 	// Run is the operation's sequential code. Required.
 	Run ApplyFunc
@@ -199,16 +204,25 @@ type nbudget struct {
 	tryPrivate atomic.Int32
 	maxBatch   atomic.Int32
 	// sessionNS is a moving average of the class's combining sessions in
-	// nanoseconds (claim sweep through publish, delay excluded), kept
-	// only for classes with a CombineDelay: it caps the delay. Written
-	// by combiners, which hold the seqlock.
+	// nanoseconds (claim sweep through publish, delay excluded); joined
+	// is a moving average, in units of 1/joinedOne, of how many
+	// operations of delay classes from other owners each session
+	// claimed. Both are kept only for classes with a CombineDelay, whose
+	// delay they cap, and are written by combiners, which hold the
+	// seqlock.
 	sessionNS atomic.Int64
-	_         [cacheLine - 16]byte
+	joined    atomic.Int64
+	_         [cacheLine - 24]byte
 }
 
-// observeSession folds one combining session's duration into the moving
-// average (weight 1/8; the first sample seeds it).
-func (b *nbudget) observeSession(ns int64) {
+// joinedOne is one joiner per session in nbudget.joined's fixed point.
+const joinedOne = 1 << 10
+
+// observeSession folds one combining session's duration and its count
+// of delay-class joiners into the moving averages (weight 1/8; the first
+// duration seeds its average). The joiner average starts at zero and
+// rounds down, so with no joiners it decays to exactly zero.
+func (b *nbudget) observeSession(ns int64, joiners int) {
 	avg := b.sessionNS.Load()
 	if avg == 0 {
 		avg = ns
@@ -216,6 +230,15 @@ func (b *nbudget) observeSession(ns int64) {
 		avg += (ns - avg) / 8
 	}
 	b.sessionNS.Store(avg)
+	j := b.joined.Load()
+	b.joined.Store(j + (int64(joiners)*joinedOne-j)>>3)
+}
+
+// delayBudget is how long a combiner of this class may wait for joiners:
+// the session a joiner saves, scaled by how many joiners a session can
+// expect (at most one session). Zero until sessions have claimed any.
+func (b *nbudget) delayBudget() time.Duration {
+	return time.Duration(b.sessionNS.Load() * min(b.joined.Load(), joinedOne) / joinedOne)
 }
 
 // Metrics counts one handle's (or, merged, the framework's) activity.
@@ -633,14 +656,16 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 	// claim sweep so they ride this batch's RunMulti (and share its
 	// per-batch cost) instead of forcing a session of their own.
 	var start time.Time
-	if pol.CombineDelay > 0 {
-		start = h.commitDelay(pol.CombineDelay, time.Duration(b.sessionNS.Load()))
+	delayed := pol.CombineDelay > 0
+	if delayed {
+		start = h.commitDelay(pol.CombineDelay, b.delayBudget())
 	}
 
 	sc := &h.sc
 	sc.pend = sc.pend[:0]
 	sc.pend = append(sc.pend, h.id)
 	mine := own.op
+	joiners := 0
 	used := int(f.used.Load())
 	for id := 0; id < used; id++ {
 		if id == int(h.id) {
@@ -655,6 +680,9 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 		}
 		os.status.Store(slotClaimed)
 		sc.pend = append(sc.pend, int32(id))
+		if delayed && f.policies[os.op.Class].CombineDelay > 0 {
+			joiners++
+		}
 	}
 	tm.CombinedOps += uint64(len(sc.pend))
 
@@ -713,16 +741,16 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 		}
 		sc.pend = append(keep, sc.pend[n:]...)
 	}
-	if pol.CombineDelay > 0 {
-		b.observeSession(time.Since(start).Nanoseconds())
+	if delayed {
+		b.observeSession(time.Since(start).Nanoseconds(), joiners)
 	}
 	return ownRes, true
 }
 
 // commitDelay yields up to maxYields times, stopping once the wait has
-// lasted budget (the cost of the session a joiner saves) or every other
-// registered handle has announced, and returns when it stopped: the
-// start of the timed session.
+// lasted budget (the saving that the joiners a session can expect bring)
+// or every other registered handle has announced, and returns when it
+// stopped: the start of the timed session. A zero budget never yields.
 func (h *Handle) commitDelay(maxYields int, budget time.Duration) time.Time {
 	t0 := time.Now()
 	now := t0
