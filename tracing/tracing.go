@@ -9,7 +9,8 @@
 //	env.Run(...)
 //	fmt.Print(col.Summary())
 //
-// See cmd/hcftrace for a ready-made command built on this package.
+// See `hcfstat -probe trace` (cmd/hcfstat) for a ready-made command built
+// on this package.
 package tracing
 
 import "hcf/internal/trace"
