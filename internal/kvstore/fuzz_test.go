@@ -7,10 +7,15 @@ import (
 	"testing"
 )
 
-// FuzzKVRecord feeds arbitrary bytes to the log decoder, both as one
-// record (parseRecord) and as a whole shard log (replayLog), and checks:
+// FuzzKVRecord feeds arbitrary bytes to the log decoder, as one record
+// (parseRecord), as a record at every offset of a shard log (the view
+// reader that serves Get and replay) and as a whole shard log
+// (logView.replay), and checks:
 //
-//   - neither panics, and replay returns no error on a readable file;
+//   - none panics, and replay returns no error on a readable file;
+//   - the view reader accepts a record at an offset exactly when
+//     parseRecord accepts the bytes from that offset on, and decodes it
+//     to the same kind, key and value;
 //   - a decoded record or replayed log never ends past the input;
 //   - every decoded record re-encodes byte for byte through appendRecord,
 //     so the replayed prefix is exactly the log's intact records;
@@ -34,6 +39,7 @@ func FuzzKVRecord(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		checkView(t, path, data)
 		end, log := replayFile(t, path)
 		if end > int64(len(data)) {
 			t.Fatalf("replay ended at %d past the %d-byte log", end, len(data))
@@ -51,6 +57,32 @@ func FuzzKVRecord(f *testing.F) {
 	})
 }
 
+// checkView runs the view reader over the log at path, holding data, at
+// every offset from 0 to its end, against parseRecord at that offset.
+func checkView(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	v := newLogView(f)
+	if err := v.grow(int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	defer v.close()
+	for off := range len(data) + 1 {
+		kind, key, val, err := v.record(int64(off), int64(len(data)))
+		wkind, wkey, wval, n := parseRecord(data[off:])
+		if (err == nil) != (n != 0) {
+			t.Fatalf("offset %d: view reader error %v, parseRecord consumed %d bytes", off, err, n)
+		}
+		if err == nil && (kind != wkind || key != wkey || !bytes.Equal(val, wval)) {
+			t.Fatalf("offset %d: view reader decoded (%d, %d, %x), parseRecord (%d, %d, %x)", off, kind, key, val, wkind, wkey, wval)
+		}
+	}
+}
+
 // replayFile replays the log at path and returns its end offset together
 // with every replayed record re-encoded in order, checking that each
 // record's reported offset is where the previous one ended.
@@ -61,8 +93,10 @@ func replayFile(t *testing.T, path string) (int64, []byte) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	v := newLogView(f)
+	defer v.close()
 	var log []byte
-	end, err := replayLog(f, func(kind byte, key uint64, off int64, val []byte) {
+	end, err := v.replay(func(kind byte, key uint64, off int64, val []byte) {
 		if off != int64(len(log)) {
 			t.Fatalf("record replayed at offset %d, previous record ended at %d", off, len(log))
 		}

@@ -28,6 +28,18 @@
 // at the first CRC failure, and rebuilds an index state-identical to the
 // pre-crash one (IndexDump verifies this bit-for-bit in the tests and the
 // harness figure).
+//
+// Reads: on unix each shard log is mapped read-only and MAP_SHARED, and
+// a get copies its record out of the mapping with no syscall. The
+// combiner grows the mapping (doubling, 1 MiB minimum) before the append
+// that needs it and publishes it before any index offset inside it, so
+// a reader that sees an offset sees a mapping that covers it; replaced
+// mappings stay mapped until Close. Every read is bounded by the
+// shard's log size and checked (length, CRC, kind, key) before the
+// value is copied out; no slice of the mapping leaves the package. A
+// fault on the mapping (a log truncated under the store, EIO paging it
+// in) and a Get after Close come back as errors, not crashes. Replay
+// decodes from the same view. Elsewhere the view reads with ReadAt.
 package kvstore
 
 import (
@@ -44,6 +56,10 @@ import (
 	"hcf/internal/native/hashtable"
 	"hcf/internal/route"
 )
+
+// epoch anchors the flush timer: time.Since(epoch) reads only the
+// monotonic clock, about half the cost of time.Now.
+var epoch = time.Now()
 
 // Operation classes (indexes into each shard's policy slice).
 const (
@@ -132,6 +148,7 @@ type shard struct {
 	tab         *hashtable.Table
 	fw          *native.Framework
 	f           *os.File
+	view        *logView
 	disableSync bool
 	maxValue    int
 	// size is the log length == next append offset. Mutated only inside
@@ -188,6 +205,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		sh, err := openShard(filepath.Join(dir, fmt.Sprintf("shard-%03d.log", i)), cfg)
 		if err != nil {
 			for _, prev := range s.shards[:i] {
+				prev.view.close()
 				prev.f.Close()
 			}
 			return nil, err
@@ -205,11 +223,12 @@ func openShard(path string, cfg Config) (*shard, error) {
 	sh := &shard{
 		tab:         hashtable.New(cfg.Capacity),
 		f:           f,
+		view:        newLogView(f),
 		staging:     make([][]byte, cfg.MaxHandles),
 		disableSync: cfg.DisableSync,
 		maxValue:    cfg.MaxValue,
 	}
-	end, err := replayLog(f, func(kind byte, key uint64, off int64, _ []byte) {
+	end, err := sh.view.replay(func(kind byte, key uint64, off int64, _ []byte) {
 		switch kind {
 		case kindPut:
 			sh.tab.Put(key, uint64(off))
@@ -218,6 +237,7 @@ func openShard(path string, cfg Config) (*shard, error) {
 		}
 	})
 	if err != nil {
+		sh.view.close()
 		f.Close()
 		return nil, err
 	}
@@ -250,6 +270,7 @@ func openShard(path string, cfg Config) (*shard, error) {
 	}
 	fw, err := native.New(native.Config{Policies: pol, MaxHandles: cfg.MaxHandles})
 	if err != nil {
+		sh.view.close()
 		f.Close()
 		return nil, err
 	}
@@ -264,17 +285,20 @@ func openShard(path string, cfg Config) (*shard, error) {
 // Order of effects, and why it is safe:
 //  1. serialize every put/delete in the batch into one buffer, assigning
 //     each its final log offset;
-//  2. one write(2) appends the buffer — after this, any index offset
-//     handed out below is readable via ReadAt;
-//  3. one fsync (unless disabled) — the flush whose cost the whole batch
+//  2. grow the log's read-only mapping to cover the new end, publishing
+//     it before any offset inside it — a failed mmap leaves the log and
+//     the index untouched;
+//  3. one write(2) appends the buffer — after this, any index offset
+//     handed out below is readable through the mapping;
+//  4. one fsync (unless disabled) — the flush whose cost the whole batch
 //     shares;
-//  4. apply index updates and resolve gets in slot order. Gets batched
+//  5. apply index updates and resolve gets in slot order. Gets batched
 //     alongside a put of the same key legally linearize before or after
 //     it depending on slot order — any order is correct for concurrent
 //     operations.
 //
 // Results publish (and Execute returns) only after this function — so
-// acknowledgement implies durability (step 3 precedes it).
+// acknowledgement implies durability (step 4 precedes it).
 func (sh *shard) runBatch(ops []native.Op, res []uint64, done []bool) {
 	if cap(sh.offs) < len(ops) {
 		sh.offs = make([]int64, len(ops))
@@ -296,7 +320,10 @@ func (sh *shard) runBatch(ops []native.Op, res []uint64, done []bool) {
 		}
 	}
 	if writes > 0 {
-		t0 := time.Now()
+		if err := sh.view.grow(base + int64(len(buf))); err != nil {
+			panic(err)
+		}
+		t0 := time.Since(epoch)
 		if _, err := sh.f.WriteAt(buf, base); err != nil {
 			panic(fmt.Sprintf("kvstore: log append failed: %v", err))
 		}
@@ -305,7 +332,7 @@ func (sh *shard) runBatch(ops []native.Op, res []uint64, done []bool) {
 				panic(fmt.Sprintf("kvstore: log fsync failed: %v", err))
 			}
 		}
-		sh.flushNS.Record(time.Since(t0).Nanoseconds())
+		sh.flushNS.Record(int64(time.Since(epoch) - t0))
 		sh.flushes.Add(1)
 		sh.bytes.Add(uint64(len(buf)))
 		sh.size.Store(base + int64(len(buf)))
@@ -347,8 +374,6 @@ func (sh *shard) applyOne(op native.Op) uint64 {
 type Handle struct {
 	s  *Store
 	hs []*native.Handle
-	// head is Get's read-ahead buffer: one pread fetches most records.
-	head [readAhead]byte
 }
 
 // Handle registers a participant. Release it when the goroutine is done.
@@ -403,8 +428,10 @@ func (s *Store) shardOf(key uint64) int {
 
 // Get returns the current value of key, or ok=false if absent. The
 // index lookup speculates (validated optimistic read); the value bytes
-// are then read from the log outside any critical section — offsets are
-// immutable once written, so the read needs no further coordination.
+// are then copied out of the log's mapping outside any critical section
+// — offsets are immutable once written, so the read needs no further
+// coordination. A log that cannot be read (truncated under the store,
+// an I/O error paging it in, a closed store) is an error, never a crash.
 func (h *Handle) Get(key uint64) (val []byte, ok bool, err error) {
 	si := h.s.shardOf(key)
 	sh := h.s.shards[si]
@@ -412,14 +439,11 @@ func (h *Handle) Get(key uint64) (val []byte, ok bool, err error) {
 	if !ok {
 		return nil, false, nil
 	}
-	kind, k, v, err := readRecordAt(sh.f, int64(off), sh.size.Load(), &h.head)
+	val, err = sh.view.value(int64(off), sh.size.Load(), key)
 	if err != nil {
 		return nil, false, err
 	}
-	if kind != kindPut || k != key {
-		return nil, false, fmt.Errorf("kvstore: index points at wrong record (key %d, offset %d)", key, off)
-	}
-	return v, true, nil
+	return val, true, nil
 }
 
 // Put durably stores key=val, returning whether a previous value was
@@ -445,11 +469,15 @@ func (h *Handle) Delete(key uint64) (found bool, err error) {
 	return native.UnpackBool(r), nil
 }
 
-// Close syncs and closes every shard log. Callers must be quiescent.
+// Close syncs, unmaps and closes every shard log. Callers must be
+// quiescent; a later Get returns an error.
 func (s *Store) Close() error {
 	var first error
 	for _, sh := range s.shards {
 		if err := sh.f.Sync(); err != nil && first == nil {
+			first = err
+		}
+		if err := sh.view.close(); err != nil && first == nil {
 			first = err
 		}
 		if err := sh.f.Close(); err != nil && first == nil {
@@ -511,6 +539,18 @@ func (s *Store) Stats() Stats {
 		st.FlushNanos.Merge(&fs)
 	}
 	return st
+}
+
+// NativeMetrics merges every shard framework's combining counters
+// (native.Framework.Metrics). Like those, read it only while no
+// operations are in flight; Stats is the concurrent-safe view.
+func (s *Store) NativeMetrics() native.Metrics {
+	var m native.Metrics
+	for _, sh := range s.shards {
+		sm := sh.fw.Metrics()
+		m.Merge(&sm)
+	}
+	return m
 }
 
 // IndexDump serializes the entire in-memory index deterministically:

@@ -2,11 +2,13 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -303,5 +305,184 @@ func TestStatsGauges(t *testing.T) {
 	}
 	if logBytes == 0 || st.AppendedBytes != uint64(logBytes) {
 		t.Fatalf("log bytes %d vs appended %d", logBytes, st.AppendedBytes)
+	}
+}
+
+// remapValue fills a value of n bytes for version ver of key k: the key
+// and version, then filler derived from both, so a reader can check
+// that it got one whole value written for its key.
+func remapValue(k, ver uint64, n int) []byte {
+	v := make([]byte, n)
+	x := k*0x9E3779B97F4A7C15 ^ ver
+	for i := range v {
+		x = x*6364136223846793005 + 1442695040888963407
+		v[i] = byte(x >> 56)
+	}
+	binary.LittleEndian.PutUint64(v, k)
+	binary.LittleEndian.PutUint64(v[8:], ver)
+	return v
+}
+
+// TestGetsAcrossRemaps runs two getters that check every value they
+// read while one writer appends over 8 MiB to a single shard, so the
+// log's mapping is replaced at least three times under them (1 → 2 → 4
+// → 8 → 16 MiB on unix). A reopen must then rebuild a byte-identical
+// index and read every key back.
+func TestGetsAcrossRemaps(t *testing.T) {
+	const keys, valueLen, logBytes = 256, 4 << 10, 9 << 20
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, Capacity: 1 << 10, DisableSync: true}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.MustHandle()
+	for k := uint64(0); k < keys; k++ {
+		if _, err := w.Put(k, remapValue(k, 0, valueLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := s.MustHandle()
+			defer h.Release()
+			rng := rand.New(rand.NewPCG(uint64(g), 7))
+			for !stop.Load() {
+				k := rng.Uint64N(keys)
+				v, ok, err := h.Get(k)
+				if err != nil || !ok || len(v) != valueLen {
+					t.Errorf("Get(%d) = %d bytes, %v, %v", k, len(v), ok, err)
+					return
+				}
+				if ver := binary.LittleEndian.Uint64(v[8:]); !bytes.Equal(v, remapValue(k, ver, valueLen)) {
+					t.Errorf("Get(%d) returned a torn or foreign value (version %d)", k, ver)
+					return
+				}
+			}
+		}(g)
+	}
+	ver := uint64(0)
+	for s.Stats().Shards[0].LogBytes < logBytes && !t.Failed() {
+		ver++
+		for k := uint64(0); k < keys; k++ {
+			if _, err := w.Put(k, remapValue(k, ver, valueLen)); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	w.Release()
+	if t.Failed() {
+		return
+	}
+	witness := s.IndexDump()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.IndexDump(); !bytes.Equal(got, witness) {
+		t.Fatalf("index after reopen differs from the one before (%d vs %d bytes)", len(got), len(witness))
+	}
+	h := s.MustHandle()
+	defer h.Release()
+	for k := uint64(0); k < keys; k++ {
+		if v, ok, err := h.Get(k); err != nil || !ok || !bytes.Equal(v, remapValue(k, ver, valueLen)) {
+			t.Fatalf("after reopen Get(%d) = %d bytes, %v, %v; want version %d", k, len(v), ok, err, ver)
+		}
+	}
+}
+
+// TestGetAfterTruncate: a shard log cut short under an open store makes
+// Get return an error (on unix the read faults on the mapping, and the
+// fault is recovered), never a crash or a wrong value.
+func TestGetAfterTruncate(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{Shards: 1, Capacity: 1 << 10, DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.MustHandle()
+	defer h.Release()
+	for k := uint64(0); k < 100; k++ {
+		if _, err := h.Put(k, bytes.Repeat([]byte{byte(k)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "shard-000.log")
+	// Mid-page first: the page stays mapped and the record reads as
+	// zeros; then the whole file, so the record's page is gone.
+	for _, size := range []int64{recordLen(100)*90 + 5, 0} {
+		if err := os.Truncate(path, size); err != nil {
+			t.Fatal(err)
+		}
+		v, ok, err := h.Get(95)
+		if err == nil {
+			t.Fatalf("Get after truncating the log to %d bytes = %d bytes, %v, nil error", size, len(v), ok)
+		}
+		t.Logf("truncated to %d bytes: %v", size, err)
+	}
+}
+
+// TestGetAfterClose: a Get through a handle that outlived its store's
+// Close returns an error.
+func TestGetAfterClose(t *testing.T) {
+	s, err := Open(t.TempDir(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.MustHandle()
+	defer h.Release()
+	if _, err := h.Put(1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := h.Get(1); err == nil {
+		t.Fatalf("Get after Close = %q, %v, nil error", v, ok)
+	}
+}
+
+// TestNativeMetrics: every put announces and is applied by a combiner,
+// so after N puts from two handles the merged shard counters show at
+// least N announcements and N combined operations.
+func TestNativeMetrics(t *testing.T) {
+	s, err := Open(t.TempDir(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const perHandle = 500
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := s.MustHandle()
+			defer h.Release()
+			for i := uint64(0); i < perHandle; i++ {
+				if _, err := h.Put(g<<32|i, []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	m := s.NativeMetrics()
+	if n := uint64(2 * perHandle); m.Announces < n || m.CombinedOps < n {
+		t.Fatalf("after %d puts: %d announces, %d combined ops", n, m.Announces, m.CombinedOps)
 	}
 }

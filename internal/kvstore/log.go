@@ -12,10 +12,10 @@ package kvstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
+	"runtime/debug"
 )
 
 const (
@@ -68,74 +68,102 @@ func parseRecord(data []byte) (kind byte, key uint64, val []byte, n int64) {
 	return kind, key, data[recHeaderLen : recHeaderLen+vlen], int64(total)
 }
 
-// replayLog scans f from the start, calling apply(kind, key, offset,
-// value) for every intact record, and returns the offset of the first
-// byte past the last intact record. A torn tail is truncated in place so
-// subsequent appends extend a clean log.
-func replayLog(f *os.File, apply func(kind byte, key uint64, off int64, val []byte)) (int64, error) {
-	st, err := f.Stat()
+// errCorrupt marks a record that fails decoding: a torn or corrupt
+// tail to replay, an error to a get.
+var errCorrupt = errors.New("corrupt record")
+
+// record is the one record reader, for Get and for replay: it decodes
+// the record at off from the log's first size bytes, read through v. It
+// accepts exactly what parseRecord accepts on the log's bytes [off,
+// size), and rejects a length that runs past size before it reads or
+// allocates anything for the value. val aliases v: read it only with
+// faults recovered (see recoverFault).
+func (v *logView) record(off, size int64) (kind byte, key uint64, val []byte, err error) {
+	if off < 0 || off+recordLen(0) > size {
+		return 0, 0, nil, fmt.Errorf("kvstore: record at %d: header past the log end at %d: %w", off, size, errCorrupt)
+	}
+	hdr, err := v.bytes(off, recHeaderLen)
 	if err != nil {
+		return 0, 0, nil, err
+	}
+	total := recordLen(0) + int64(binary.LittleEndian.Uint32(hdr[9:13]))
+	if off+total > size {
+		return 0, 0, nil, fmt.Errorf("kvstore: record at %d claims %d bytes, past the log end at %d: %w", off, total, size, errCorrupt)
+	}
+	rec, err := v.bytes(off, total)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	kind, key, val, n := parseRecord(rec)
+	if n == 0 {
+		return 0, 0, nil, fmt.Errorf("kvstore: record at %d: bad kind or CRC: %w", off, errCorrupt)
+	}
+	return kind, key, val, nil
+}
+
+// value returns a fresh copy of the value that key's put record at off
+// holds, off and the record bounded by the log's first size bytes.
+func (v *logView) value(off, size int64, key uint64) (val []byte, err error) {
+	defer recoverFault(&err)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	kind, k, rec, err := v.record(off, size)
+	if err != nil {
+		return nil, err
+	}
+	if kind != kindPut || k != key {
+		return nil, fmt.Errorf("kvstore: index points at wrong record (key %d, offset %d)", key, off)
+	}
+	val = make([]byte, len(rec))
+	copy(val, rec)
+	return val, nil
+}
+
+// recoverFault, deferred after debug.SetPanicOnFault(true), turns a memory
+// fault while reading the mapping into an error: a log truncated under
+// the store, or an I/O error paging the mapping in, raises SIGBUS on
+// the read. Any other panic goes on.
+func recoverFault(err *error) {
+	if r := recover(); r != nil {
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("kvstore: log read faulted at %#x: %v", fault.Addr(), r)
+	}
+}
+
+// replay decodes the log from the start, calling apply(kind, key,
+// offset, value) for every intact record, and returns the offset of the
+// first byte past the last intact record. A torn tail is truncated in
+// place so subsequent appends extend a clean log; a read error or fault
+// fails the replay instead, so it never truncates a log it could not
+// read.
+func (v *logView) replay(apply func(kind byte, key uint64, off int64, val []byte)) (end int64, err error) {
+	st, err := v.f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: replay: %w", err)
+	}
+	size := st.Size()
+	if err := v.grow(size); err != nil {
 		return 0, err
 	}
-	data := make([]byte, st.Size())
-	if _, err := f.ReadAt(data, 0); err != nil && st.Size() > 0 {
-		return 0, fmt.Errorf("kvstore: replay read: %w", err)
-	}
-	off := int64(0)
-	for off < int64(len(data)) {
-		kind, key, val, n := parseRecord(data[off:])
-		if n == 0 {
+	defer recoverFault(&err)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for end < size {
+		kind, key, val, err := v.record(end, size)
+		if errors.Is(err, errCorrupt) {
 			break // torn or corrupt tail
 		}
-		apply(kind, key, off, val)
-		off += n
+		if err != nil {
+			return 0, fmt.Errorf("kvstore: replay: %w", err)
+		}
+		apply(kind, key, end, val)
+		end += recordLen(len(val))
 	}
-	if off < st.Size() {
-		if err := f.Truncate(off); err != nil {
+	if end < size {
+		if err := v.f.Truncate(end); err != nil {
 			return 0, fmt.Errorf("kvstore: truncate torn tail: %w", err)
 		}
 	}
-	return off, nil
-}
-
-// readAhead is how many bytes readRecordAt asks for in its first read:
-// enough for a whole record with a value of up to readAhead-17 bytes, so
-// a typical Get costs one pread. Longer records take a second read.
-const readAhead = 512
-
-// readRecordAt reads and validates the record starting at off in a log of
-// size bytes, returning its kind, key and a freshly allocated copy of the
-// value. head is the caller's read-ahead buffer. The first read may stop
-// short at the end of the file; that is fine when the whole record is
-// inside it. A header whose length runs past size is rejected before
-// anything is allocated for the value.
-func readRecordAt(f *os.File, off, size int64, head *[readAhead]byte) (kind byte, key uint64, val []byte, err error) {
-	n, err := f.ReadAt(head[:], off)
-	if err == io.EOF && n < recHeaderLen {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil && err != io.EOF {
-		return 0, 0, nil, fmt.Errorf("kvstore: record header at %d: %w", off, err)
-	}
-	vlen := int64(binary.LittleEndian.Uint32(head[9:13]))
-	total := recordLen(0) + vlen
-	if off+total > size {
-		return 0, 0, nil, fmt.Errorf("kvstore: record at %d claims %d bytes, past the log end at %d", off, total, size)
-	}
-	var rec []byte
-	if total <= int64(n) {
-		rec = head[:total]
-		val = make([]byte, vlen)
-		copy(val, rec[recHeaderLen:])
-	} else {
-		rec = make([]byte, total)
-		if _, err := f.ReadAt(rec, off); err != nil {
-			return 0, 0, nil, fmt.Errorf("kvstore: record body at %d: %w", off, err)
-		}
-		val = rec[recHeaderLen : recHeaderLen+vlen : recHeaderLen+vlen]
-	}
-	if crc32.ChecksumIEEE(rec[:recHeaderLen+vlen]) != binary.LittleEndian.Uint32(rec[recHeaderLen+vlen:]) {
-		return 0, 0, nil, fmt.Errorf("kvstore: CRC mismatch at offset %d", off)
-	}
-	return rec[0], binary.LittleEndian.Uint64(rec[1:9]), val, nil
+	return end, nil
 }

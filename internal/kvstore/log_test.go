@@ -9,40 +9,64 @@ import (
 	"testing"
 )
 
-// TestReadAheadBoundaries reads values whose records end one byte inside,
-// exactly at and one byte past the read-ahead, plus a 1 MiB value: each
-// right after its put, while it is the log's last record (the first read
-// stops short at the end of the file), and again once later records
-// follow it.
-func TestReadAheadBoundaries(t *testing.T) {
-	s, err := Open(t.TempDir(), Config{Shards: 1, Capacity: 1 << 10, DisableSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	h := s.MustHandle()
-	defer h.Release()
-	lens := []int{0, 1, readAhead - 18, readAhead - 17, readAhead - 16, 1 << 20}
-	vals := make([][]byte, len(lens))
-	for i, n := range lens {
-		vals[i] = bytes.Repeat([]byte{byte(i + 1)}, n)
-		if _, err := h.Put(uint64(i), vals[i]); err != nil {
+// firstMapping is the length of a shard log's first read-only mapping
+// on unix; each remap doubles it.
+const firstMapping = 1 << 20
+
+// TestMappingBoundaries reads records that end one byte inside, exactly
+// at and one byte past the first mapping's end, then after a 1 MiB value
+// that takes two more remaps: each right after its put, while it is the
+// log's last record, again once later records follow it, and again
+// after a reopen whose replay maps the log at that size.
+func TestMappingBoundaries(t *testing.T) {
+	for _, d := range []int{-1, 0, 1} {
+		dir := t.TempDir()
+		cfg := Config{Shards: 1, Capacity: 1 << 10, MaxValue: 1 << 21, DisableSync: true}
+		s, err := Open(dir, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, vals[i]) {
-			t.Fatalf("%d-byte value as the last record: got %d bytes, %v, %v", n, len(v), ok, err)
+		h := s.MustHandle()
+		// Key 0's record ends at firstMapping+d; then a small record, an
+		// empty value and a 1 MiB value.
+		lens := []int{firstMapping + d - int(recordLen(0)), 1, 0, 1 << 20}
+		vals := make([][]byte, len(lens))
+		for i, n := range lens {
+			vals[i] = bytes.Repeat([]byte{byte(i + 1)}, n)
+			if _, err := h.Put(uint64(i), vals[i]); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, vals[i]) {
+				t.Fatalf("end %+d: %d-byte value as the last record: got %d bytes, %v, %v", d, n, len(v), ok, err)
+			}
 		}
-	}
-	for i, n := range lens {
-		if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, vals[i]) {
-			t.Fatalf("%d-byte value: got %d bytes, %v, %v", n, len(v), ok, err)
+		check := func(what string, h *Handle) {
+			t.Helper()
+			for i, n := range lens {
+				if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, vals[i]) {
+					t.Fatalf("end %+d, %s: %d-byte value: got %d bytes, %v, %v", d, what, n, len(v), ok, err)
+				}
+			}
 		}
+		check("later records", h)
+		h.Release()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = s.MustHandle()
+		check("reopened", h)
+		h.Release()
+		s.Close()
 	}
 }
 
 // TestReadRecordCorruptLength: a record whose length field claims more
 // bytes than the log holds is an error, found before the claimed length
-// is allocated.
+// is allocated; so is a read at the log end.
 func TestReadRecordCorruptLength(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.log")
 	log := appendRecord(nil, kindPut, 7, []byte("value"))
@@ -56,10 +80,14 @@ func TestReadRecordCorruptLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var head [readAhead]byte
+	v := newLogView(f)
+	if err := v.grow(int64(len(log))); err != nil {
+		t.Fatal(err)
+	}
+	defer v.close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, err = readRecordAt(f, 0, int64(len(log)), &head)
+	_, err = v.value(0, int64(len(log)), 7)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("record with a 4 GiB length read without error")
@@ -67,7 +95,7 @@ func TestReadRecordCorruptLength(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("reading the corrupt record allocated %d bytes", grew)
 	}
-	if _, _, _, err := readRecordAt(f, int64(len(log)), int64(len(log)), &head); err == nil {
+	if _, err := v.value(int64(len(log)), int64(len(log)), 8); err == nil {
 		t.Error("read at the log end succeeded")
 	}
 }

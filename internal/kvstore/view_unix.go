@@ -1,0 +1,92 @@
+//go:build unix
+
+package kvstore
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"sync/atomic"
+	"syscall"
+)
+
+// minMapping is the length of a shard log's first mapping. Each remap
+// doubles the length until it covers the log.
+const minMapping = 1 << 20
+
+// logView maps a shard log read-only and MAP_SHARED, so a get decodes
+// its record straight from the page cache, without a syscall. write(2)
+// and a shared mapping of the same file see one page cache, so bytes
+// that WriteAt has returned are visible through the mapping.
+//
+// The mapping may run past the end of the file (mapping past EOF is
+// legal); readers never touch bytes at or past the shard's size.
+type logView struct {
+	f *os.File
+	// cur is the newest mapping. It covers the log's first size bytes
+	// before size (and any index offset below it) is published. Nil
+	// once the view is closed.
+	cur atomic.Pointer[[]byte]
+	// maps holds every mapping made, newest last. Old ones stay mapped
+	// until close, since a get may still be copying from one; with the
+	// doubling they take up about twice the log's length in address space.
+	// Combiner-only (and Open/Close).
+	maps [][]byte
+}
+
+func newLogView(f *os.File) *logView { return &logView{f: f} }
+
+// grow makes the mapping cover the log's first size bytes, mapping the
+// file anew at the next doubling of its length. It runs under the
+// shard's seqlock (or in Open), before the bytes it covers are written,
+// so a failed mmap leaves the log and the index untouched.
+func (v *logView) grow(size int64) error {
+	n := int64(minMapping)
+	if m := v.cur.Load(); m != nil {
+		if size <= int64(len(*m)) {
+			return nil
+		}
+		n = int64(len(*m))
+	}
+	for n < size {
+		n *= 2
+	}
+	if int64(int(n)) != n {
+		return fmt.Errorf("kvstore: map log: %d bytes exceed the address space", n)
+	}
+	m, err := syscall.Mmap(int(v.f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("kvstore: map log: %w", err)
+	}
+	v.maps = append(v.maps, m)
+	v.cur.Store(&m)
+	return nil
+}
+
+var errClosed = errors.New("kvstore: store is closed")
+
+// bytes returns the log's bytes [off, off+n), which the caller has
+// bounded by the shard's size. The slice aliases the mapping: read it
+// only with faults recovered (see recoverFault), and copy out what must
+// outlive the call.
+func (v *logView) bytes(off, n int64) ([]byte, error) {
+	m := v.cur.Load()
+	if m == nil {
+		return nil, errClosed
+	}
+	return (*m)[off : off+n : off+n], nil
+}
+
+// close unmaps every mapping. Callers must be quiescent; a later get
+// fails with errClosed.
+func (v *logView) close() error {
+	v.cur.Store(nil)
+	var first error
+	for _, m := range v.maps {
+		if err := syscall.Munmap(m); err != nil && first == nil {
+			first = fmt.Errorf("kvstore: unmap log: %w", err)
+		}
+	}
+	v.maps = nil
+	return first
+}

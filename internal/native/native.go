@@ -655,7 +655,7 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 	// Group-commit delay: let concurrent owners announce before the
 	// claim sweep so they ride this batch's RunMulti (and share its
 	// per-batch cost) instead of forcing a session of their own.
-	var start time.Time
+	var start time.Duration
 	delayed := pol.CombineDelay > 0
 	if delayed {
 		start = h.commitDelay(pol.CombineDelay, b.delayBudget())
@@ -742,7 +742,7 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 		sc.pend = append(keep, sc.pend[n:]...)
 	}
 	if delayed {
-		b.observeSession(time.Since(start).Nanoseconds(), joiners)
+		b.observeSession(int64(time.Since(epoch)-start), joiners)
 	}
 	return ownRes, true
 }
@@ -750,16 +750,21 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 // commitDelay yields up to maxYields times, stopping once the wait has
 // lasted budget (the saving that the joiners a session can expect bring)
 // or every other registered handle has announced, and returns when it
-// stopped: the start of the timed session. A zero budget never yields.
-func (h *Handle) commitDelay(maxYields int, budget time.Duration) time.Time {
-	t0 := time.Now()
+// stopped (as time since epoch): the start of the timed session. A zero
+// budget never yields.
+func (h *Handle) commitDelay(maxYields int, budget time.Duration) time.Duration {
+	t0 := time.Since(epoch)
 	now := t0
-	for d := 0; d < maxYields && now.Sub(t0) < budget && !h.fw.othersAnnounced(h.id); d++ {
+	for d := 0; d < maxYields && now-t0 < budget && !h.fw.othersAnnounced(h.id); d++ {
 		runtime.Gosched()
-		now = time.Now()
+		now = time.Since(epoch)
 	}
 	return now
 }
+
+// epoch anchors the session timer: time.Since(epoch) reads only the
+// monotonic clock, about half the cost of time.Now.
+var epoch = time.Now()
 
 // othersAnnounced reports whether every registered slot but self is
 // announced, so no further owner can join the coming batch.
