@@ -20,7 +20,10 @@ import (
 //   - every decoded record re-encodes byte for byte through appendRecord,
 //     so the replayed prefix is exactly the log's intact records;
 //   - replay truncates the file to the returned end, and a second replay
-//     of the truncated file finds the same records and changes nothing.
+//     of the truncated file finds the same records and changes nothing;
+//   - the truncated log followed by a run of zero bytes (what an open
+//     store's appends leave past the log, and a crash leaves behind)
+//     replays to the same records and end, truncating the zeros.
 //
 // The seed corpus (testdata/fuzz/FuzzKVRecord) holds valid logs, a torn
 // tail, a CRC-flipped record and non-record garbage.
@@ -54,6 +57,19 @@ func FuzzKVRecord(f *testing.F) {
 		if end2 != end || !bytes.Equal(log2, log) {
 			t.Fatalf("second replay ended at %d with %d bytes, first at %d with %d", end2, len(log2), end, len(log))
 		}
+
+		for _, zeros := range []int{1, 4096} {
+			if err := os.WriteFile(path, append(data[:end:end], make([]byte, zeros)...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			end3, log3 := replayFile(t, path)
+			if end3 != end || !bytes.Equal(log3, log) {
+				t.Fatalf("with %d zero bytes appended, replay ended at %d with %d bytes, without at %d with %d", zeros, end3, len(log3), end, len(log))
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() != end {
+				t.Fatalf("zero tail not truncated to %d: %v, %v", end, st.Size(), err)
+			}
+		}
 	})
 }
 
@@ -61,7 +77,7 @@ func FuzzKVRecord(f *testing.F) {
 // every offset from 0 to its end, against parseRecord at that offset.
 func checkView(t *testing.T, path string, data []byte) {
 	t.Helper()
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,32 +17,41 @@
 // Consistency model: an operation is acknowledged (its Execute returns)
 // only after the batch containing it has been flushed, so every
 // acknowledged write is durable. Index updates happen inside the same
-// seqlock critical section after the log append's write syscall and its
-// fsync, so a concurrent reader that observes a new offset can always
-// read those bytes back (the write is sequenced before the index store,
-// and the reader's validated load orders after it), and it only ever
-// observes writes that are already on disk — the same writes that are,
-// or are about to be, acknowledged. With DisableSync there is no fsync,
-// and a reader may observe a write that only the page cache holds.
-// Crash recovery replays each shard log in order, truncating a torn tail
-// at the first CRC failure, and rebuilds an index state-identical to the
-// pre-crash one (IndexDump verifies this bit-for-bit in the tests and the
-// harness figure).
+// seqlock critical section after the batch has been copied into the
+// log's page cache and fsynced, so a concurrent reader that observes a
+// new offset can always read those bytes back (the copy is sequenced
+// before the index store, and the reader's validated load orders after
+// it), and it only ever observes writes that are already on disk — the
+// same writes that are, or are about to be, acknowledged. With
+// DisableSync there is no fsync, and a reader may observe a write that
+// only the page cache holds. Crash recovery replays each shard log in
+// order, truncating a torn tail at the first record that fails decoding,
+// and rebuilds an index state-identical to the pre-crash one (IndexDump
+// verifies this bit-for-bit in the tests and the harness figure).
 //
-// Reads: on unix each shard log is mapped read-only and MAP_SHARED, and
-// a get copies its record out of the mapping with no syscall. The
-// combiner grows the mapping (doubling, 1 MiB minimum) before the append
-// that needs it and publishes it before any index offset inside it, so
-// a reader that sees an offset sees a mapping that covers it; replaced
-// mappings stay mapped until Close. Every read is bounded by the
-// shard's log size and checked (length, CRC, kind, key) before the
-// value is copied out; no slice of the mapping leaves the package. A
-// fault on the mapping (a log truncated under the store, EIO paging it
-// in) and a Get after Close come back as errors, not crashes. Replay
-// decodes from the same view. Elsewhere the view reads with ReadAt.
+// Mapped log: on unix each shard log is mapped read-write and
+// MAP_SHARED. A get copies its record out of the mapping, and a group
+// commit copies its batch in, neither with a syscall. The combiner grows
+// the mapping (doubling, 1 MiB minimum) before the append that needs it
+// and publishes it before any index offset inside it, so a reader that
+// sees an offset sees a mapping that covers it; replaced mappings stay
+// mapped until Close. An append past the file's end first extends the
+// file to the mapping's length, so an open store's log file carries a
+// zero tail; replay truncates one that a crash left, and Close
+// truncates each file to its log. Durability through the mapping rests
+// on fsync writing back pages dirtied through a shared mapping, as it
+// does on Linux; it is argued and tested for Linux only. Every read is
+// bounded by the shard's log size and checked (length, CRC, kind, key)
+// before the value is copied out; no slice of the mapping leaves the
+// package. A fault on the mapping (a log truncated under the store, EIO
+// paging it in, a full disk under an append) comes back as an error,
+// not a crash, and so does any operation after Close. Replay decodes
+// from the same view. Elsewhere the view reads with ReadAt and appends
+// with WriteAt.
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -180,7 +189,12 @@ type Store struct {
 	dir    string
 	ring   *route.Ring
 	shards []*shard
+	// closed is set by Close; later puts and deletes fail with errClosed
+	// instead of entering a combiner whose log is gone.
+	closed atomic.Bool
 }
+
+var errClosed = errors.New("kvstore: store is closed")
 
 // Open creates or re-opens a store rooted at dir. Existing shard logs
 // are replayed to rebuild the in-memory index; a torn tail (crash
@@ -285,11 +299,12 @@ func openShard(path string, cfg Config) (*shard, error) {
 // Order of effects, and why it is safe:
 //  1. serialize every put/delete in the batch into one buffer, assigning
 //     each its final log offset;
-//  2. grow the log's read-only mapping to cover the new end, publishing
-//     it before any offset inside it — a failed mmap leaves the log and
-//     the index untouched;
-//  3. one write(2) appends the buffer — after this, any index offset
-//     handed out below is readable through the mapping;
+//  2. grow the log's mapping to cover the new end, publishing it before
+//     any offset inside it — a failed mmap leaves the log and the index
+//     untouched;
+//  3. append the buffer (on unix a copy into the mapping, extending the
+//     file first when the copy runs past it) — after this, any index
+//     offset handed out below is readable through the mapping;
 //  4. one fsync (unless disabled) — the flush whose cost the whole batch
 //     shares;
 //  5. apply index updates and resolve gets in slot order. Gets batched
@@ -324,7 +339,7 @@ func (sh *shard) runBatch(ops []native.Op, res []uint64, done []bool) {
 			panic(err)
 		}
 		t0 := time.Since(epoch)
-		if _, err := sh.f.WriteAt(buf, base); err != nil {
+		if err := sh.view.append(buf, base); err != nil {
 			panic(fmt.Sprintf("kvstore: log append failed: %v", err))
 		}
 		if !sh.disableSync {
@@ -450,6 +465,9 @@ func (h *Handle) Get(key uint64) (val []byte, ok bool, err error) {
 // replaced. It returns only after the group commit containing the write
 // has been flushed.
 func (h *Handle) Put(key uint64, val []byte) (replaced bool, err error) {
+	if h.s.closed.Load() {
+		return false, errClosed
+	}
 	si := h.s.shardOf(key)
 	sh := h.s.shards[si]
 	if len(val) > sh.maxValue {
@@ -464,16 +482,24 @@ func (h *Handle) Put(key uint64, val []byte) (replaced bool, err error) {
 // Delete durably removes key, returning whether it was present. Like
 // Put, it returns only after its group commit has been flushed.
 func (h *Handle) Delete(key uint64) (found bool, err error) {
+	if h.s.closed.Load() {
+		return false, errClosed
+	}
 	si := h.s.shardOf(key)
 	r := h.hs[si].Execute(native.Op{Class: ClassDelete, A: key})
 	return native.UnpackBool(r), nil
 }
 
-// Close syncs, unmaps and closes every shard log. Callers must be
-// quiescent; a later Get returns an error.
+// Close truncates each shard log file to its log (dropping the zero
+// tail appends leave), then syncs, unmaps and closes it. Callers must be
+// quiescent; a later Get, Put or Delete returns an error.
 func (s *Store) Close() error {
+	s.closed.Store(true)
 	var first error
 	for _, sh := range s.shards {
+		if err := sh.f.Truncate(sh.size.Load()); err != nil && first == nil {
+			first = fmt.Errorf("kvstore: truncate log: %w", err)
+		}
 		if err := sh.f.Sync(); err != nil && first == nil {
 			first = err
 		}

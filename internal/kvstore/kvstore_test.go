@@ -3,10 +3,12 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,6 +202,95 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil || !ok || string(v) != "after-recovery" {
 		t.Fatalf("post-recovery append: got (%q,%v,%v)", v, ok, err)
 	}
+}
+
+// TestCrashCopyRecovers simulates a crash without Close: a copy of an
+// open store's shard files, each carrying the zero tail its appends left
+// past the log, opens to the open store's index with every file cut back
+// to its log, and the copy then serves puts (the first one extends the
+// file again) and gets. Closing the copy leaves each file exactly its log.
+func TestCrashCopyRecovers(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.MustHandle()
+	model := map[uint64][]byte{}
+	for k := uint64(0); k < 400; k++ {
+		v := []byte(fmt.Sprintf("v%d", k))
+		if _, err := h.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		model[k] = v
+	}
+	for k := uint64(0); k < 400; k += 3 {
+		if _, err := h.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, k)
+	}
+	h.Release()
+	witness := s.IndexDump()
+	ends := s.Stats().Shards
+
+	crash := t.TempDir()
+	for i, sh := range ends {
+		name := fmt.Sprintf("shard-%03d.log", i)
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runtime.GOOS == "linux" && int64(len(data)) <= sh.LogBytes {
+			t.Fatalf("shard %d: open store's file holds %d bytes, its log %d: no zero tail", i, len(data), sh.LogBytes)
+		}
+		if err := os.WriteFile(filepath.Join(crash, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fileSizes := func(what string, want func(i int) int64) {
+		t.Helper()
+		for i := range ends {
+			st, err := os.Stat(filepath.Join(crash, fmt.Sprintf("shard-%03d.log", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != want(i) {
+				t.Fatalf("%s: shard %d file holds %d bytes, want its log end %d", what, i, st.Size(), want(i))
+			}
+		}
+	}
+
+	c, err := Open(crash, cfg)
+	if err != nil {
+		t.Fatalf("open the crash copy: %v", err)
+	}
+	if got := c.IndexDump(); !bytes.Equal(got, witness) {
+		t.Fatal("crash copy's index differs from the open store's")
+	}
+	fileSizes("after replay", func(i int) int64 { return ends[i].LogBytes })
+	hc := c.MustHandle()
+	for k := uint64(1000); k < 1064; k++ {
+		v := []byte(fmt.Sprintf("after-crash-%d", k))
+		if _, err := hc.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		model[k] = v
+	}
+	for k := uint64(0); k < 1064; k++ {
+		v, ok, err := hc.Get(k)
+		if want, live := model[k]; err != nil || ok != live || !bytes.Equal(v, want) {
+			t.Fatalf("crash copy Get(%d) = (%q, %v, %v), want (%q, %v, nil)", k, v, ok, err, want, live)
+		}
+	}
+	hc.Release()
+	after := c.Stats().Shards
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fileSizes("after Close", func(i int) int64 { return after[i].LogBytes })
 }
 
 // TestConcurrentGroupCommit drives real fsync-backed group commit from
@@ -435,8 +526,9 @@ func TestGetAfterTruncate(t *testing.T) {
 	}
 }
 
-// TestGetAfterClose: a Get through a handle that outlived its store's
-// Close returns an error.
+// TestGetAfterClose: a Get, Put or Delete through a handle that outlived
+// its store's Close returns an error, and the writes never reach the
+// combiner.
 func TestGetAfterClose(t *testing.T) {
 	s, err := Open(t.TempDir(), testConfig())
 	if err != nil {
@@ -452,6 +544,12 @@ func TestGetAfterClose(t *testing.T) {
 	}
 	if v, ok, err := h.Get(1); err == nil {
 		t.Fatalf("Get after Close = %q, %v, nil error", v, ok)
+	}
+	if _, err := h.Put(2, []byte("two")); !errors.Is(err, errClosed) {
+		t.Fatalf("Put after Close: %v, want %v", err, errClosed)
+	}
+	if _, err := h.Delete(1); !errors.Is(err, errClosed) {
+		t.Fatalf("Delete after Close: %v, want %v", err, errClosed)
 	}
 }
 

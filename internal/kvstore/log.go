@@ -119,25 +119,27 @@ func (v *logView) value(off, size int64, key uint64) (val []byte, err error) {
 }
 
 // recoverFault, deferred after debug.SetPanicOnFault(true), turns a memory
-// fault while reading the mapping into an error: a log truncated under
-// the store, or an I/O error paging the mapping in, raises SIGBUS on
-// the read. Any other panic goes on.
+// fault on the mapping into an error: a log truncated under the store,
+// an I/O error paging the mapping in, or a full disk when an append
+// fills a hole raises SIGBUS on the access. Any other panic goes on.
 func recoverFault(err *error) {
 	if r := recover(); r != nil {
 		fault, ok := r.(interface{ Addr() uintptr })
 		if !ok {
 			panic(r)
 		}
-		*err = fmt.Errorf("kvstore: log read faulted at %#x: %v", fault.Addr(), r)
+		*err = fmt.Errorf("kvstore: log access faulted at %#x: %v", fault.Addr(), r)
 	}
 }
 
 // replay decodes the log from the start, calling apply(kind, key,
 // offset, value) for every intact record, and returns the offset of the
 // first byte past the last intact record. A torn tail is truncated in
-// place so subsequent appends extend a clean log; a read error or fault
-// fails the replay instead, so it never truncates a log it could not
-// read.
+// place so subsequent appends extend a clean log; so are the zeros an
+// open store keeps past its log (see logView.append), which a crash
+// leaves behind and a zero kind byte marks as torn. A read error or
+// fault fails the replay instead, so it never truncates a log it could
+// not read.
 func (v *logView) replay(apply func(kind byte, key uint64, off int64, val []byte)) (end int64, err error) {
 	st, err := v.f.Stat()
 	if err != nil {

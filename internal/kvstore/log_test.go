@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// firstMapping is the length of a shard log's first read-only mapping
-// on unix; each remap doubles it.
+// firstMapping is the length of a shard log's first mapping on unix;
+// each remap doubles it.
 const firstMapping = 1 << 20
 
 // TestMappingBoundaries reads records that end one byte inside, exactly
@@ -75,7 +75,7 @@ func TestReadRecordCorruptLength(t *testing.T) {
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,4 +98,35 @@ func TestReadRecordCorruptLength(t *testing.T) {
 	if _, err := v.value(int64(len(log)), int64(len(log)), 8); err == nil {
 		t.Error("read at the log end succeeded")
 	}
+}
+
+// TestAppendFault: an append whose copy faults comes back as an error,
+// not a crash. The file is cut short under the view after an append has
+// extended it, so the next append's page lies past the end of the file.
+func TestAppendFault(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("appends copy into the mapping on unix; the fault is tested on Linux")
+	}
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), "shard.log"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	v := newLogView(f)
+	defer v.close()
+	rec := appendRecord(nil, kindPut, 7, []byte("value"))
+	if err := v.grow(int64(len(rec))); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.append(rec, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	err = v.append(rec, int64(len(rec)))
+	if err == nil {
+		t.Fatal("append to a page past the end of the file succeeded")
+	}
+	t.Logf("append past the end of the file: %v", err)
 }

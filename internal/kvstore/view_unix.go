@@ -3,9 +3,9 @@
 package kvstore
 
 import (
-	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync/atomic"
 	"syscall"
 )
@@ -14,15 +14,22 @@ import (
 // doubles the length until it covers the log.
 const minMapping = 1 << 20
 
-// logView maps a shard log read-only and MAP_SHARED, so a get decodes
-// its record straight from the page cache, without a syscall. write(2)
-// and a shared mapping of the same file see one page cache, so bytes
-// that WriteAt has returned are visible through the mapping.
+// logView maps a shard log read-write and MAP_SHARED: a get decodes its
+// record straight from the page cache, and a group commit copies its
+// batch into it, neither with a syscall. The mapping and the file share
+// one page cache, so fsync writes back the pages an append dirtied
+// (Linux; see the package doc).
 //
 // The mapping may run past the end of the file (mapping past EOF is
-// legal); readers never touch bytes at or past the shard's size.
+// legal); readers never touch bytes at or past the shard's size, and an
+// append first extends the file to the mapping's length.
 type logView struct {
 	f *os.File
+	// fileLen is the file length the last extending append set, 0
+	// before the first; the file is at least this long. Replay leaves
+	// the file exactly the log, so the first append extends it anyway.
+	// Combiner-only.
+	fileLen int64
 	// cur is the newest mapping. It covers the log's first size bytes
 	// before size (and any index offset below it) is published. Nil
 	// once the view is closed.
@@ -39,7 +46,8 @@ func newLogView(f *os.File) *logView { return &logView{f: f} }
 // grow makes the mapping cover the log's first size bytes, mapping the
 // file anew at the next doubling of its length. It runs under the
 // shard's seqlock (or in Open), before the bytes it covers are written,
-// so a failed mmap leaves the log and the index untouched.
+// so a failed mmap leaves the log and the index untouched. It never
+// changes the file, so replay and gets never extend a log.
 func (v *logView) grow(size int64) error {
 	n := int64(minMapping)
 	if m := v.cur.Load(); m != nil {
@@ -54,7 +62,7 @@ func (v *logView) grow(size int64) error {
 	if int64(int(n)) != n {
 		return fmt.Errorf("kvstore: map log: %d bytes exceed the address space", n)
 	}
-	m, err := syscall.Mmap(int(v.f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	m, err := syscall.Mmap(int(v.f.Fd()), 0, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return fmt.Errorf("kvstore: map log: %w", err)
 	}
@@ -62,8 +70,6 @@ func (v *logView) grow(size int64) error {
 	v.cur.Store(&m)
 	return nil
 }
-
-var errClosed = errors.New("kvstore: store is closed")
 
 // bytes returns the log's bytes [off, off+n), which the caller has
 // bounded by the shard's size. The slice aliases the mapping: read it
@@ -75,6 +81,27 @@ func (v *logView) bytes(off, n int64) ([]byte, error) {
 		return nil, errClosed
 	}
 	return (*m)[off : off+n : off+n], nil
+}
+
+// append copies buf into the log at off, which grow has made the
+// mapping cover. When the bytes run past the file's length, it first
+// extends the file to the mapping's length: a hole, allocated only as it
+// is written. A file thus stays longer than the log while the store is
+// open; replay reads the zeros past the log as a torn tail. A fault on
+// the copy (EIO, or ENOSPC filling the hole) comes back as an error.
+func (v *logView) append(buf []byte, off int64) (err error) {
+	m := v.cur.Load()
+	end := off + int64(len(buf))
+	if end > v.fileLen {
+		if err := v.f.Truncate(int64(len(*m))); err != nil {
+			return fmt.Errorf("kvstore: extend log: %w", err)
+		}
+		v.fileLen = int64(len(*m))
+	}
+	defer recoverFault(&err)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	copy((*m)[off:end], buf)
+	return nil
 }
 
 // close unmaps every mapping. Callers must be quiescent; a later get
