@@ -16,8 +16,9 @@
 //   - -bench: host throughput of a simulated sweep (default figure 2c),
 //     bench/BENCH_sim.json;
 //   - -fig native: the native (direct-atomics) HCF backend against
-//     sync.Mutex, sync.RWMutex and sync.Map on the wall clock,
-//     bench/BENCH_native.json;
+//     sync.Mutex, sync.RWMutex and sync.Map on the wall clock, each
+//     cell the median ops/s of fixed-size rounds over seeded operation
+//     streams drawn before the clock starts, bench/BENCH_native.json;
 //   - -fig kv: open-loop Zipfian get/put/delete mixes against the KV
 //     engine with fsync-backed group commit and a crash-recovery replay
 //     check per point, bench/KV_sweep.jsonl;
@@ -201,7 +202,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.bench, "bench", false, "measure host throughput of a figure sweep (default 2c) and emit a BENCH_sim.json record")
 	fs.StringVar(&o.rates, "rates", "", "comma-separated offered loads in ops/Mcycle (-fig openloop only; default 2000,8000,20000,45000,90000)")
 	fs.StringVar(&o.serve, "serve", "", "host:port for live introspection endpoints during the -fig openloop run (forces serial point order)")
-	fs.IntVar(&o.dur, "dur", 0, "measured window per point in milliseconds (-fig native, default 150; -fig kv, default 400)")
+	fs.IntVar(&o.dur, "dur", 0, "wall-clock time per point in milliseconds: -fig native, each cell's budget for a warm-up round and measured rounds (default 150); -fig kv, the arrival window (default 400)")
 	fs.StringVar(&o.out, "out", "", "write the record to this file (-bench, -fig native, kv, openloop, elastic)")
 	fs.StringVar(&o.baseline, "baseline", "", "compare the record against this baseline record with the figure's fixed gate; exit non-zero on a regression (-bench, -fig native, kv, openloop)")
 	return fs

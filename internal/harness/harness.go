@@ -10,8 +10,8 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"hcf/internal/core"
 	"hcf/internal/engine"
@@ -421,19 +421,14 @@ func forEachPoint(n, par int, run func(i int) error) error {
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(par, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				if errs[i] = run(i); errs[i] != nil {
-					return
-				}
+	runClients(min(par, n), func(int, time.Time) error {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if errs[i] = run(i); errs[i] != nil {
+				break
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		return nil // errs keeps each point's error at its index
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

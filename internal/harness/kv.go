@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"hcf/internal/kvstore"
@@ -36,15 +35,12 @@ type KVSweepOptions struct {
 	Dir string
 	// Workers is the number of client goroutines. 0 = max(8, 2*GOMAXPROCS).
 	Workers int
-	// Shards and Capacity configure the store (kvstore.Config).
-	Shards, Capacity int
+	// Shards is the store's shard count (kvstore.Config). 0 = 4.
+	Shards int
 	// Users is the simulated-population ladder: each population of U
-	// users with ThinkMS think time offers U/Think aggregate ops/sec
+	// users with kvThinkMS think time offers U/Think aggregate ops/sec
 	// (workload.NewPopulation). 0-length = {2000, 10000, 40000}.
 	Users []uint64
-	// ThinkMS is each simulated user's think time in milliseconds
-	// between operations. 0 = 1000 (so Users is also the ops/sec rate).
-	ThinkMS int64
 	// GetPcts are the read mixes to sweep: each is the get percentage,
 	// with the remainder split evenly between puts and deletes
 	// (workload.UpdateMix). 0-length = {95, 50}.
@@ -55,23 +51,30 @@ type KVSweepOptions struct {
 	DurationMS int64
 	// Keys is the Zipfian keyspace size. 0 = 1<<16.
 	Keys uint64
-	// Theta is the Zipfian skew in [0,1). 0 = 0.9 (the paper's figure 5).
-	Theta float64
 	// ValueLen is the put value size in bytes. 0 = 128.
 	ValueLen int
 	// Seed drives arrivals, keys and mixes.
 	Seed uint64
-	// SLO overrides the sojourn objectives; nil uses DefaultKVSLO.
-	SLO *metrics.SLOConfig
 	// DisableSync skips fsync (unit tests only — the checked-in figure
 	// always syncs; it is a durability benchmark).
 	DisableSync bool
 }
 
+// Fixed parameters of the kv figure, recorded in every KVReport.
+const (
+	kvCapacity = 1 << 17 // index slots per store (kvstore.Config)
+	// kvThinkMS is each simulated user's think time in milliseconds
+	// between operations, so Users is also the offered ops/sec.
+	kvThinkMS = 1000
+	kvTheta   = 0.9 // Zipfian skew (the paper's figure 5)
+)
+
 // DefaultKVSLO is the kv figure's sojourn objective set (nanoseconds):
-// 99% of all operations within 10ms, and 99% of gets within 2ms — gets
-// never wait for an fsync, only for the index seqlock and a log read,
-// so they are held to a tighter bound.
+// 99% of all operations within 10ms, and 99% of gets within 2ms. Gets
+// get the tighter bound because they issue no write or fsync of their
+// own; they still wait for a disk flush whenever a group commit holds
+// the shard's index seqlock across its fsync, since a get that cannot
+// validate is combined behind that batch.
 func DefaultKVSLO() metrics.SLOConfig {
 	return metrics.SLOConfig{
 		Objectives: []metrics.Objective{
@@ -83,22 +86,13 @@ func DefaultKVSLO() metrics.SLOConfig {
 
 func (o *KVSweepOptions) normalize() {
 	if o.Workers <= 0 {
-		o.Workers = 2 * runtime.GOMAXPROCS(0)
-		if o.Workers < 8 {
-			o.Workers = 8
-		}
+		o.Workers = max(8, 2*runtime.GOMAXPROCS(0))
 	}
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
-	if o.Capacity <= 0 {
-		o.Capacity = 1 << 17
-	}
 	if len(o.Users) == 0 {
 		o.Users = []uint64{2000, 10000, 40000}
-	}
-	if o.ThinkMS <= 0 {
-		o.ThinkMS = 1000
 	}
 	if len(o.GetPcts) == 0 {
 		o.GetPcts = []int{95, 50}
@@ -109,18 +103,11 @@ func (o *KVSweepOptions) normalize() {
 	if o.Keys == 0 {
 		o.Keys = 1 << 16
 	}
-	if o.Theta == 0 {
-		o.Theta = 0.9
-	}
 	if o.ValueLen <= 0 {
 		o.ValueLen = 128
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.SLO == nil {
-		slo := DefaultKVSLO()
-		o.SLO = &slo
 	}
 }
 
@@ -190,9 +177,9 @@ func RunKVSweep(opts KVSweepOptions) (*KVReport, error) {
 		Workers:    opts.Workers,
 		Shards:     opts.Shards,
 		DurationMS: opts.DurationMS,
-		ThinkMS:    opts.ThinkMS,
+		ThinkMS:    kvThinkMS,
 		Keys:       opts.Keys,
-		Theta:      opts.Theta,
+		Theta:      kvTheta,
 		ValueLen:   opts.ValueLen,
 		Seed:       opts.Seed,
 		Users:      opts.Users,
@@ -215,21 +202,20 @@ func RunKVSweep(opts KVSweepOptions) (*KVReport, error) {
 // runKVPoint measures one population+mix against a fresh database, then
 // runs the crash-recovery replay check on what the workload wrote.
 func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPoint, error) {
-	store, err := kvstore.Open(dir, kvstore.Config{
-		Shards:      opts.Shards,
-		Capacity:    opts.Capacity,
-		MaxHandles:  opts.Workers + 1,
-		DisableSync: opts.DisableSync,
-	})
+	mix, err := workload.UpdateMix(getPct)
 	if err != nil {
 		return KVPoint{}, err
 	}
-
+	zipf, err := workload.NewZipf(opts.Keys, kvTheta)
+	if err != nil {
+		return KVPoint{}, err
+	}
 	horizon := opts.DurationMS * int64(time.Millisecond)
-	thinkNS := opts.ThinkMS * int64(time.Millisecond)
 	// Split the user population across workers; low-index workers take
-	// the remainder so small populations still generate load.
+	// the remainder so small populations still generate load. Each
+	// arrival's op is drawn here, before the clock starts.
 	schedules := make([][]int64, opts.Workers)
+	ops := make([][]uint64, opts.Workers)
 	var totalArrivals uint64
 	for w := 0; w < opts.Workers; w++ {
 		share := users / uint64(opts.Workers)
@@ -239,124 +225,90 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 		if share == 0 {
 			continue
 		}
-		gen, err := workload.NewPopulation(share, thinkNS)
+		gen, err := workload.NewPopulation(share, kvThinkMS*int64(time.Millisecond))
 		if err != nil {
-			store.Close()
 			return KVPoint{}, err
 		}
 		r := rand.New(rand.NewPCG(opts.Seed^0xA17ECA11, uint64(w)+1))
 		schedules[w] = workload.GenSchedule(gen, horizon, r)
 		totalArrivals += uint64(len(schedules[w]))
+		ops[w] = drawOps(len(schedules[w]), zipf, mix, rand.New(rand.NewPCG(opts.Seed^0x9E3779B9, uint64(w)+1)))
 	}
 
-	classNames := []string{"get", "put", "delete"}
 	rec, err := metrics.New(metrics.Config{
 		Shards:   opts.Workers,
-		Classes:  classNames,
+		Classes:  []string{"get", "put", "delete"},
 		Paths:    []string{"sojourn"},
 		TimeUnit: "ns",
+	})
+	if err != nil {
+		return KVPoint{}, err
+	}
+	slo, err := metrics.NewSLOTracker(rec, DefaultKVSLO())
+	if err != nil {
+		return KVPoint{}, err
+	}
+	store, err := kvstore.Open(dir, kvstore.Config{
+		Shards:      opts.Shards,
+		Capacity:    kvCapacity,
+		MaxHandles:  opts.Workers + 1,
+		DisableSync: opts.DisableSync,
+	})
+	if err != nil {
+		return KVPoint{}, err
+	}
+
+	interval := max(horizon/20, 1)
+	wall, err := runClients(opts.Workers, func(w int, epoch time.Time) error {
+		h, err := store.Handle()
+		if err != nil {
+			return err
+		}
+		defer h.Release()
+		val := make([]byte, opts.ValueLen)
+		nextTick := interval
+		for i, intended := range schedules[w] {
+			if wait := time.Duration(intended) - time.Since(epoch); wait > 0 {
+				time.Sleep(wait)
+			}
+			key, class := ops[w][i]>>2, int(ops[w][i]&3)
+			switch class {
+			case opRead:
+				_, _, err = h.Get(key)
+			case opWrite:
+				for j := range val {
+					val[j] = byte(key + uint64(j))
+				}
+				_, err = h.Put(key, val)
+			default:
+				_, err = h.Delete(key)
+			}
+			if err != nil {
+				return err
+			}
+			now := int64(time.Since(epoch))
+			rec.RecordOp(w, class, 0, now-intended)
+			if w == 0 && now >= nextTick {
+				slo.Step(now)
+				nextTick = now + interval
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		store.Close()
 		return KVPoint{}, err
 	}
-	slo, err := metrics.NewSLOTracker(rec, *opts.SLO)
-	if err != nil {
-		store.Close()
-		return KVPoint{}, err
-	}
-
-	mix, err := workload.UpdateMix(getPct)
-	if err != nil {
-		store.Close()
-		return KVPoint{}, err
-	}
-
-	interval := horizon / 20
-	if interval <= 0 {
-		interval = 1
-	}
-	epoch := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, opts.Workers)
-	ends := make([]int64, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		if len(schedules[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h, err := store.Handle()
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer h.Release()
-			rng := rand.New(rand.NewPCG(opts.Seed^0x9E3779B9, uint64(w)+1))
-			zipf, err := workload.NewZipf(opts.Keys, opts.Theta)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			val := make([]byte, opts.ValueLen)
-			nextTick := interval
-			for _, intended := range schedules[w] {
-				if wait := time.Duration(intended) - time.Since(epoch); wait > 0 {
-					time.Sleep(wait)
-				}
-				key := zipf.Next(rng)
-				class := mix.Pick(rng)
-				switch class {
-				case 0:
-					_, _, err = h.Get(key)
-				case 1:
-					for i := range val {
-						val[i] = byte(key + uint64(i))
-					}
-					_, err = h.Put(key, val)
-				default:
-					_, err = h.Delete(key)
-				}
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				now := int64(time.Since(epoch))
-				rec.RecordOp(w, class, 0, now-intended)
-				if w == 0 && now >= nextTick {
-					slo.Step(now)
-					nextTick = now + interval
-				}
-			}
-			ends[w] = int64(time.Since(epoch))
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			store.Close()
-			return KVPoint{}, err
-		}
-	}
 
 	pt := KVPoint{
 		Users:     users,
-		RateOps:   float64(users) * 1000 / float64(opts.ThinkMS),
+		RateOps:   float64(users) * 1000 / kvThinkMS,
 		GetPct:    getPct,
 		Workers:   opts.Workers,
 		Arrivals:  totalArrivals,
 		HorizonMS: opts.DurationMS,
 	}
-	var makespan int64
-	for _, e := range ends {
-		if e > makespan {
-			makespan = e
-		}
-	}
-	if makespan < horizon {
-		makespan = horizon
-	}
+	makespan := max(int64(wall), horizon)
 	pt.MakespanMS = float64(makespan) / 1e6
 	pt.Saturated = makespan > horizon+horizon/10
 	slo.Step(makespan)
@@ -384,7 +336,7 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	}
 	reopened, err := kvstore.Open(dir, kvstore.Config{
 		Shards:   opts.Shards,
-		Capacity: opts.Capacity,
+		Capacity: kvCapacity,
 	})
 	if err != nil {
 		return KVPoint{}, fmt.Errorf("kv recovery reopen: %w", err)

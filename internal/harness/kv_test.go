@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,5 +122,29 @@ func TestKVJSONLRoundTripAndBaseline(t *testing.T) {
 	if err := broken.Check(); err == nil ||
 		!strings.Contains(err.Error(), "recovery") {
 		t.Fatalf("recovery failure not gated: %v", err)
+	}
+}
+
+// TestKVSweepSeedPinsOps: the seed alone fixes every point's arrivals
+// and its get/put/delete counts, however the run is timed.
+func TestKVSweepSeedPinsOps(t *testing.T) {
+	counts := func() [][]uint64 {
+		rep, err := RunKVSweep(kvTestOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]uint64
+		for _, p := range rep.Points {
+			row := []uint64{p.Arrivals}
+			for _, c := range p.ByClass {
+				row = append(row, c.Count)
+			}
+			out = append(out, row)
+		}
+		return out
+	}
+	first, second := counts(), counts()
+	if !slices.EqualFunc(first, second, slices.Equal[[]uint64]) {
+		t.Fatalf("same seed, different ops: arrivals and class counts %v then %v", first, second)
 	}
 }

@@ -3,8 +3,10 @@ package harness
 // Native wall-clock sweep: drives the native (direct-atomics) HCF
 // backend and the stdlib baselines everyone benchmarks against —
 // sync.Mutex, sync.RWMutex, sync.Map — across goroutine counts and
-// read/write mixes, measuring real operations per second over fixed
-// timed windows. This is the wall-clock counterpart of the simulated
+// read/write mixes, measuring real operations per second. Each cell's
+// seeded operation streams are drawn before the clock starts and run in
+// fixed-size rounds; a cell reports the median round rate after a
+// warm-up round. This is the wall-clock counterpart of the simulated
 // figure sweeps: no cycle model, just the host clock, which also makes
 // the numbers hardware-dependent. The baseline gate therefore
 // normalizes by the median point ratio before judging regressions, so a
@@ -16,11 +18,11 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"hcf/internal/workload"
 	"hcf/native"
 )
 
@@ -40,15 +42,9 @@ type NativeOptions struct {
 	// Goroutines is the concurrency ladder. Default {1,2,4,8}, plus
 	// NumCPU when larger than 8.
 	Goroutines []int
-	// ReadPcts are the hashtable read percentages to measure (writes
-	// split evenly between put and delete). Default {90, 50}.
-	ReadPcts []int
-	// Duration is the measured window per point (default 150ms); each
-	// point also gets a Duration/3 warmup.
+	// Duration is each cell's wall-clock budget (default 150ms), the
+	// warm-up round included.
 	Duration time.Duration
-	// Keyspace is the hashtable key range (default 1<<14), prefilled to
-	// half occupancy.
-	Keyspace int
 }
 
 func (o *NativeOptions) normalize() {
@@ -58,16 +54,23 @@ func (o *NativeOptions) normalize() {
 			o.Goroutines = append(o.Goroutines, n)
 		}
 	}
-	if len(o.ReadPcts) == 0 {
-		o.ReadPcts = []int{90, 50}
-	}
 	if o.Duration <= 0 {
 		o.Duration = 150 * time.Millisecond
 	}
-	if o.Keyspace <= 0 {
-		o.Keyspace = 1 << 14
-	}
 }
+
+const (
+	// nativeKeyspace is the hashtable key range, prefilled to half
+	// occupancy.
+	nativeKeyspace = 1 << 14
+	// nativeRoundOps is the number of operations in one round of a
+	// cell, split evenly across its goroutines: a few milliseconds at
+	// the fastest cells' rates, so even the slowest fit several rounds
+	// in an 80ms budget.
+	nativeRoundOps = 1 << 16
+	// pqKeys bounds the priority-queue insert keys.
+	pqKeys = 1 << 20
+)
 
 // NativePoint is one measured (structure, engine, goroutines, mix) cell.
 type NativePoint struct {
@@ -95,43 +98,52 @@ type NativeReport struct {
 // NativeReportKind is the Kind value RunNativeSweep stamps.
 const NativeReportKind = "hcf-native-bench"
 
-// nativeWorker is one goroutine's operation loop state.
-type nativeWorker struct {
-	op    func(rng *rand.Rand)
-	close func()
+// nativeClient is one goroutine's view of an engine's structure: the
+// operation each stream kind maps to, and the handle release to call
+// when the client is done (nil for the stdlib engines).
+type nativeClient struct {
+	read, write, del func(k uint64)
+	release          func()
 }
 
-// nativeEngine builds per-goroutine workers over one shared structure.
-type nativeEngine struct {
-	name   string
-	worker func() nativeWorker
-}
-
-// hashWorkerLoop returns the shared mixed-op body over an abstract map.
-func hashMix(get func(uint64), put func(uint64, uint64), del func(uint64), keyspace uint64, readPct int) func(rng *rand.Rand) {
-	return func(rng *rand.Rand) {
-		k := rng.Uint64N(keyspace)
-		r := rng.IntN(100)
-		switch {
-		case r < readPct:
-			get(k)
-		case r&1 == 0:
-			put(k, k+1)
+// run applies one stream of encoded ops (key<<2 | kind).
+func (c nativeClient) run(stream []uint64) {
+	for _, op := range stream {
+		switch k := op >> 2; op & 3 {
+		case opRead:
+			c.read(k)
+		case opWrite:
+			c.write(k)
 		default:
-			del(k)
+			c.del(k)
 		}
 	}
 }
 
-// hashEngines builds the four hashtable contenders, each prefilled to
-// half the keyspace.
-func hashEngines(keyspace, readPct int) ([]nativeEngine, error) {
-	ks := uint64(keyspace)
-	prefill := ks / 2
+// nativeEngine builds per-goroutine clients over one shared structure.
+type nativeEngine struct {
+	name   string
+	client func() nativeClient
+}
 
-	nm, err := native.NewMap(2 * keyspace)
+// nativeWorkload is one (structure, mix) row of the sweep. handles is
+// the native structure's handle limit, so the most goroutines a cell
+// can run.
+type nativeWorkload struct {
+	structure string
+	readPct   int
+	keys      workload.KeyGen
+	handles   int
+	engines   []nativeEngine
+}
+
+// hashWorkload builds the four hashtable contenders, each prefilled to
+// half the keyspace.
+func hashWorkload(readPct int) (nativeWorkload, error) {
+	const prefill = nativeKeyspace / 2
+	nm, err := native.NewMap(2 * nativeKeyspace)
 	if err != nil {
-		return nil, err
+		return nativeWorkload{}, err
 	}
 	h := nm.Handle()
 	for k := uint64(0); k < prefill; k++ {
@@ -142,11 +154,11 @@ func hashEngines(keyspace, readPct int) ([]nativeEngine, error) {
 	mm := struct {
 		sync.Mutex
 		m map[uint64]uint64
-	}{m: make(map[uint64]uint64, keyspace)}
+	}{m: make(map[uint64]uint64, nativeKeyspace)}
 	rm := struct {
 		sync.RWMutex
 		m map[uint64]uint64
-	}{m: make(map[uint64]uint64, keyspace)}
+	}{m: make(map[uint64]uint64, nativeKeyspace)}
 	var sm sync.Map
 	for k := uint64(0); k < prefill; k++ {
 		mm.m[k*2] = k
@@ -154,49 +166,38 @@ func hashEngines(keyspace, readPct int) ([]nativeEngine, error) {
 		sm.Store(k*2, k)
 	}
 
-	return []nativeEngine{
-		{name: NativeEngineHCF, worker: func() nativeWorker {
+	return nativeWorkload{NativeStructHash, readPct, workload.Uniform{N: nativeKeyspace}, nm.Framework().MaxHandles(), []nativeEngine{
+		{name: NativeEngineHCF, client: func() nativeClient {
 			mh := nm.Handle()
-			return nativeWorker{
-				op: hashMix(
-					func(k uint64) { mh.Get(k) },
-					func(k, v uint64) { mh.Put(k, v) },
-					func(k uint64) { mh.Delete(k) },
-					ks, readPct),
-				close: mh.Release,
+			return nativeClient{
+				read:    func(k uint64) { mh.Get(k) },
+				write:   func(k uint64) { mh.Put(k, k+1) },
+				del:     func(k uint64) { mh.Delete(k) },
+				release: mh.Release,
 			}
 		}},
-		{name: NativeEngineMutex, worker: func() nativeWorker {
-			return nativeWorker{
-				op: hashMix(
-					func(k uint64) { mm.Lock(); _ = mm.m[k]; mm.Unlock() },
-					func(k, v uint64) { mm.Lock(); mm.m[k] = v; mm.Unlock() },
-					func(k uint64) { mm.Lock(); delete(mm.m, k); mm.Unlock() },
-					ks, readPct),
-				close: func() {},
+		{name: NativeEngineMutex, client: func() nativeClient {
+			return nativeClient{
+				read:  func(k uint64) { mm.Lock(); _ = mm.m[k]; mm.Unlock() },
+				write: func(k uint64) { mm.Lock(); mm.m[k] = k + 1; mm.Unlock() },
+				del:   func(k uint64) { mm.Lock(); delete(mm.m, k); mm.Unlock() },
 			}
 		}},
-		{name: NativeEngineRWMutex, worker: func() nativeWorker {
-			return nativeWorker{
-				op: hashMix(
-					func(k uint64) { rm.RLock(); _ = rm.m[k]; rm.RUnlock() },
-					func(k, v uint64) { rm.Lock(); rm.m[k] = v; rm.Unlock() },
-					func(k uint64) { rm.Lock(); delete(rm.m, k); rm.Unlock() },
-					ks, readPct),
-				close: func() {},
+		{name: NativeEngineRWMutex, client: func() nativeClient {
+			return nativeClient{
+				read:  func(k uint64) { rm.RLock(); _ = rm.m[k]; rm.RUnlock() },
+				write: func(k uint64) { rm.Lock(); rm.m[k] = k + 1; rm.Unlock() },
+				del:   func(k uint64) { rm.Lock(); delete(rm.m, k); rm.Unlock() },
 			}
 		}},
-		{name: NativeEngineSyncMap, worker: func() nativeWorker {
-			return nativeWorker{
-				op: hashMix(
-					func(k uint64) { sm.Load(k) },
-					func(k, v uint64) { sm.Store(k, v) },
-					func(k uint64) { sm.Delete(k) },
-					ks, readPct),
-				close: func() {},
+		{name: NativeEngineSyncMap, client: func() nativeClient {
+			return nativeClient{
+				read:  func(k uint64) { sm.Load(k) },
+				write: func(k uint64) { sm.Store(k, k+1) },
+				del:   func(k uint64) { sm.Delete(k) },
 			}
 		}},
-	}, nil
+	}}, nil
 }
 
 // mutexHeap is the baseline priority queue: a plain binary min-heap
@@ -259,12 +260,12 @@ func (p *mutexHeap) peekMin() (uint64, bool) {
 
 const pqPrefill = 4096
 
-// pqEngines builds the two priority-queue contenders. readPct of the
-// mix peeks; the rest splits evenly between insert and extract-min.
-func pqEngines(readPct int) ([]nativeEngine, error) {
-	np, err := native.NewPQueue(1 << 20)
+// pqWorkload builds the two priority-queue contenders: reads peek,
+// writes insert, deletes extract the minimum.
+func pqWorkload(readPct int) (nativeWorkload, error) {
+	np, err := native.NewPQueue(pqKeys)
 	if err != nil {
-		return nil, err
+		return nativeWorkload{}, err
 	}
 	h := np.Handle()
 	for k := uint64(0); k < pqPrefill; k++ {
@@ -277,121 +278,104 @@ func pqEngines(readPct int) ([]nativeEngine, error) {
 		mh.insert(k)
 	}
 
-	pqMix := func(peek func(), insert func(uint64), extract func()) func(rng *rand.Rand) {
-		return func(rng *rand.Rand) {
-			r := rng.IntN(100)
-			switch {
-			case r < readPct:
-				peek()
-			case r&1 == 0:
-				insert(rng.Uint64N(1 << 20))
-			default:
-				extract()
-			}
-		}
-	}
-	return []nativeEngine{
-		{name: NativeEngineHCF, worker: func() nativeWorker {
+	return nativeWorkload{NativeStructPQ, readPct, workload.Uniform{N: pqKeys}, np.Framework().MaxHandles(), []nativeEngine{
+		{name: NativeEngineHCF, client: func() nativeClient {
 			ph := np.Handle()
-			return nativeWorker{
-				op: pqMix(
-					func() { ph.PeekMin() },
-					func(k uint64) { ph.Insert(k) },
-					func() { ph.ExtractMin() }),
-				close: ph.Release,
+			return nativeClient{
+				read:    func(uint64) { ph.PeekMin() },
+				write:   ph.Insert,
+				del:     func(uint64) { ph.ExtractMin() },
+				release: ph.Release,
 			}
 		}},
-		{name: NativeEngineMutex, worker: func() nativeWorker {
-			return nativeWorker{
-				op:    pqMix(func() { mh.peekMin() }, mh.insert, mh.extractMin),
-				close: func() {},
+		{name: NativeEngineMutex, client: func() nativeClient {
+			return nativeClient{
+				read:  func(uint64) { mh.peekMin() },
+				write: mh.insert,
+				del:   func(uint64) { mh.extractMin() },
 			}
 		}},
-	}, nil
+	}}, nil
 }
 
-// measurePoint runs one engine at one goroutine count: warmup window,
-// then a measured window, both bounded by wall-clock deadlines checked
-// per operation.
-func measurePoint(eng nativeEngine, goroutines int, warmup, window time.Duration, seed uint64) (uint64, float64) {
-	var warm, stop atomic.Bool
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			w := eng.worker()
-			defer w.close()
-			rng := rand.New(rand.NewPCG(seed, uint64(g)))
-			for !warm.Load() {
-				w.op(rng)
+// measureCell runs one engine over a cell's streams, one client per
+// stream: a warm-up round, then measured rounds while the next one
+// still fits the budget. It returns the measured operations and the
+// median round rate in ops/s.
+func measureCell(eng nativeEngine, streams [][]uint64, budget time.Duration) (uint64, float64) {
+	roundOps := len(streams) * len(streams[0])
+	var rates []float64
+	roundLoop(budget, 2, func(r int) {
+		// Native clients cannot fail.
+		wall, _ := runClients(len(streams), func(i int, _ time.Time) error {
+			c := eng.client()
+			if c.release != nil {
+				defer c.release()
 			}
-			var n uint64
-			for !stop.Load() {
-				w.op(rng)
-				n++
-			}
-			total.Add(n)
-		}(g)
-	}
-	time.Sleep(warmup)
-	warm.Store(true)
-	measureStart := time.Now()
-	time.Sleep(window)
-	stop.Store(true)
-	elapsed := time.Since(measureStart)
-	wg.Wait()
-	ops := total.Load()
-	return ops, float64(ops) / elapsed.Seconds()
+			c.run(streams[i])
+			return nil
+		})
+		if r > 0 {
+			rates = append(rates, float64(roundOps)/wall.Seconds())
+		}
+	})
+	return uint64(roundOps * len(rates)), median(rates)
 }
 
 // RunNativeSweep measures every (structure, engine, goroutines, mix)
-// cell and returns the report.
+// cell and returns the report. The engines of one (structure, mix,
+// goroutines) cell run the same seeded streams, back to back.
 func RunNativeSweep(opts NativeOptions) (*NativeReport, error) {
 	opts.normalize()
+	var work []nativeWorkload
+	for _, readPct := range []int{90, 50} {
+		w, err := hashWorkload(readPct)
+		if err != nil {
+			return nil, err
+		}
+		work = append(work, w)
+	}
+	// One mixed PQ workload: 20% peek, updates split insert/extract.
+	w, err := pqWorkload(20)
+	if err != nil {
+		return nil, err
+	}
+	work = append(work, w)
+	lo, hi := slices.Min(opts.Goroutines), slices.Max(opts.Goroutines)
+	for _, w := range work {
+		if lo < 1 || hi > w.handles {
+			return nil, fmt.Errorf("native %s: goroutine counts %v, want 1 to %d (its handle limit)", w.structure, opts.Goroutines, w.handles)
+		}
+	}
+
 	rep := &NativeReport{
 		Kind:       NativeReportKind,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		DurationMS: opts.Duration.Milliseconds(),
-		Keyspace:   opts.Keyspace,
+		Keyspace:   nativeKeyspace,
 	}
-	warmup := opts.Duration / 3
 	start := time.Now()
 	seed := uint64(1)
-	for _, readPct := range opts.ReadPcts {
-		engines, err := hashEngines(opts.Keyspace, readPct)
+	for _, w := range work {
+		mix, err := workload.UpdateMix(w.readPct)
 		if err != nil {
 			return nil, err
 		}
-		for _, eng := range engines {
-			for _, g := range opts.Goroutines {
-				seed++
-				ops, rate := measurePoint(eng, g, warmup, opts.Duration, seed)
+		for _, g := range opts.Goroutines {
+			seed++
+			streams := make([][]uint64, g)
+			for i := range streams {
+				streams[i] = drawOps(nativeRoundOps/g, w.keys, mix, rand.New(rand.NewPCG(seed, uint64(i))))
+			}
+			for _, eng := range w.engines {
+				ops, rate := measureCell(eng, streams, opts.Duration)
 				rep.Points = append(rep.Points, NativePoint{
-					Structure: NativeStructHash, Engine: eng.name,
-					Goroutines: g, ReadPct: readPct,
+					Structure: w.structure, Engine: eng.name,
+					Goroutines: g, ReadPct: w.readPct,
 					Ops: ops, OpsPerSec: rate,
 				})
 			}
-		}
-	}
-	// One mixed PQ workload: 20% peek, updates split insert/extract.
-	const pqReadPct = 20
-	engines, err := pqEngines(pqReadPct)
-	if err != nil {
-		return nil, err
-	}
-	for _, eng := range engines {
-		for _, g := range opts.Goroutines {
-			seed++
-			ops, rate := measurePoint(eng, g, warmup, opts.Duration, seed)
-			rep.Points = append(rep.Points, NativePoint{
-				Structure: NativeStructPQ, Engine: eng.name,
-				Goroutines: g, ReadPct: pqReadPct,
-				Ops: ops, OpsPerSec: rate,
-			})
 		}
 	}
 	rep.WallSec = time.Since(start).Seconds()
@@ -399,60 +383,39 @@ func RunNativeSweep(opts NativeOptions) (*NativeReport, error) {
 }
 
 // Text renders the sweep as a table per (structure, mix), engines as
-// columns, with the HCF-over-Mutex speedup on each row.
+// columns, with the HCF-over-Mutex speedup on each row. It relies on
+// RunNativeSweep's point order: one run of points per (structure, mix,
+// goroutines) row, engines innermost.
 func (r *NativeReport) Text() string {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "native wall-clock sweep: GOMAXPROCS=%d NumCPU=%d window=%dms\n",
+	fmt.Fprintf(&buf, "native wall-clock sweep: GOMAXPROCS=%d NumCPU=%d budget=%dms per cell\n",
 		r.GoMaxProcs, r.NumCPU, r.DurationMS)
-	type cell struct {
-		structure string
-		readPct   int
-	}
-	groups := map[cell]map[int]map[string]float64{}
-	engines := map[cell][]string{}
-	var order []cell
-	for _, p := range r.Points {
-		c := cell{p.Structure, p.ReadPct}
-		if groups[c] == nil {
-			groups[c] = map[int]map[string]float64{}
-			order = append(order, c)
+	for i := 0; i < len(r.Points); {
+		p := r.Points[i]
+		j := i + 1
+		for j < len(r.Points) && r.Points[j].Structure == p.Structure &&
+			r.Points[j].ReadPct == p.ReadPct && r.Points[j].Goroutines == p.Goroutines {
+			j++
 		}
-		if groups[c][p.Goroutines] == nil {
-			groups[c][p.Goroutines] = map[string]float64{}
-		}
-		groups[c][p.Goroutines][p.Engine] = p.OpsPerSec
-		found := false
-		for _, e := range engines[c] {
-			if e == p.Engine {
-				found = true
+		row := r.Points[i:j]
+		if i == 0 || r.Points[i-1].Structure != p.Structure || r.Points[i-1].ReadPct != p.ReadPct {
+			fmt.Fprintf(&buf, "\n%s, %d%% reads (Mops/s):\n%8s", p.Structure, p.ReadPct, "g")
+			for _, q := range row {
+				fmt.Fprintf(&buf, "%10s", q.Engine)
 			}
+			fmt.Fprintf(&buf, "%12s\n", "HCF/Mutex")
 		}
-		if !found {
-			engines[c] = append(engines[c], p.Engine)
+		fmt.Fprintf(&buf, "%8d", p.Goroutines)
+		rate := map[string]float64{}
+		for _, q := range row {
+			fmt.Fprintf(&buf, "%10.2f", q.OpsPerSec/1e6)
+			rate[q.Engine] = q.OpsPerSec
 		}
-	}
-	for _, c := range order {
-		fmt.Fprintf(&buf, "\n%s, %d%% reads (Mops/s):\n", c.structure, c.readPct)
-		fmt.Fprintf(&buf, "%8s", "g")
-		for _, e := range engines[c] {
-			fmt.Fprintf(&buf, "%10s", e)
+		if mx := rate[NativeEngineMutex]; mx > 0 {
+			fmt.Fprintf(&buf, "%11.2fx", rate[NativeEngineHCF]/mx)
 		}
-		fmt.Fprintf(&buf, "%12s\n", "HCF/Mutex")
-		var gs []int
-		for g := range groups[c] {
-			gs = append(gs, g)
-		}
-		sort.Ints(gs)
-		for _, g := range gs {
-			fmt.Fprintf(&buf, "%8d", g)
-			for _, e := range engines[c] {
-				fmt.Fprintf(&buf, "%10.2f", groups[c][g][e]/1e6)
-			}
-			if mx := groups[c][g][NativeEngineMutex]; mx > 0 {
-				fmt.Fprintf(&buf, "%11.2fx", groups[c][g][NativeEngineHCF]/mx)
-			}
-			fmt.Fprintln(&buf)
-		}
+		fmt.Fprintln(&buf)
+		i = j
 	}
 	return buf.String()
 }

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"hcf/native"
 )
 
 // TestRunNativeSweepSmoke runs a tiny sweep end to end: every expected
@@ -11,15 +14,14 @@ import (
 func TestRunNativeSweepSmoke(t *testing.T) {
 	rep, err := RunNativeSweep(NativeOptions{
 		Goroutines: []int{1, 2},
-		ReadPcts:   []int{50},
 		Duration:   10 * time.Millisecond,
-		Keyspace:   1 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 hashtable engines x 2 goroutine counts + 2 pqueue engines x 2.
-	if want := 4*2 + 2*2; len(rep.Points) != want {
+	// 4 hashtable engines x 2 mixes x 2 goroutine counts + 2 pqueue
+	// engines x 2.
+	if want := 4*2*2 + 2*2; len(rep.Points) != want {
 		t.Fatalf("points = %d, want %d", len(rep.Points), want)
 	}
 	for _, p := range rep.Points {
@@ -43,6 +45,29 @@ func TestRunNativeSweepSmoke(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered report missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestRunNativeSweepRejectsTooManyGoroutines: a goroutine count above
+// the native structures' handle limit is an error naming the limit,
+// returned before any cell runs. Each cell's budget is a minute, so a
+// sweep that ran the g=1 cells first would fail the elapsed-time check.
+func TestRunNativeSweepRejectsTooManyGoroutines(t *testing.T) {
+	m, err := native.NewMap(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := m.Framework().MaxHandles()
+	start := time.Now()
+	rep, err := RunNativeSweep(NativeOptions{Goroutines: []int{1, limit + 1}, Duration: time.Minute})
+	if err == nil || rep != nil {
+		t.Fatalf("%d goroutines accepted", limit+1)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprint(limit)) {
+		t.Fatalf("error does not name the %d-handle limit: %v", limit, err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("rejection took %v: cells ran before the check", d)
 	}
 }
 
