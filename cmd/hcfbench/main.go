@@ -10,7 +10,7 @@
 //	hcfbench -fig 5a -json         # emit JSON Lines (one record per cell)
 //	hcfbench -fig 2a -threads 1,8,36 -horizon 500000 -seed 7
 //
-// Five runs have their own pipelines, each producing a record checked in
+// Six runs have their own pipelines, each producing a record checked in
 // under bench/:
 //
 //   - -bench: host throughput of a simulated sweep (default figure 2c),
@@ -26,14 +26,20 @@
 //     sojourn tails and SLO verdicts, bench/OPENLOOP_sweep.jsonl;
 //   - -fig elastic: the same drifting 90%-skewed workload with the
 //     topology frozen and with the rebalancer splitting hot shards
-//     online, bench/ELASTIC_sweep.jsonl.
+//     online, bench/ELASTIC_sweep.jsonl;
+//   - -fig autotune: the evidence-driven policy autotuner against every
+//     static policy and the per-segment oracle on a drifting priority
+//     queue, bench/AUTOTUNE_sweep.jsonl, with its decision journal in
+//     bench/AUTOTUNE_sweep.journal.json.
 //
-// All five end in the same steps: -out writes the record; the table is
-// printed, or the record itself with -json; the record's own check runs
-// (invariant violations, the KV recovery replay, the elastic healing
-// story) and fails the run whether or not a baseline is given; and
-// -baseline compares the record against a baseline record with the
-// figure's fixed gate (all but elastic, whose record is compared with
+// All six end in the same steps: -out writes the record (and, for
+// autotune, its journal beside it: rec.jsonl gets rec.journal.json);
+// the table is printed, or the record itself with -json; the record's
+// own check runs (invariant violations, the KV recovery replay, the
+// elastic healing story, the tuned run at >= 0.9x the paper's policy)
+// and fails the run whether or not a baseline is given; and -baseline
+// compares the record against a baseline record with the figure's fixed
+// gate (all but elastic and autotune, whose records are compared with
 // cmp instead):
 //
 //	hcfbench -bench -threads 1,4,12,36 -horizon 50000 -baseline bench/BENCH_sim.json
@@ -42,6 +48,7 @@
 //	hcfbench -fig openloop -json -baseline bench/OPENLOOP_sweep.jsonl
 //	hcfbench -fig openloop -serve 127.0.0.1:7070      # live /debug endpoints
 //	hcfbench -fig elastic -out ELASTIC_sweep.jsonl
+//	hcfbench -fig autotune -out AUTOTUNE_sweep.jsonl
 //
 // A flag the chosen run does not use is an error, reported before
 // anything runs.
@@ -51,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -124,6 +132,7 @@ var modeFlags = map[string]string{
 	"kv":       "threads dur json out baseline",
 	"openloop": "threads engines horizon seed parallel json rates serve out baseline",
 	"elastic":  "threads horizon seed parallel json out",
+	"autotune": "threads horizon seed json out",
 	"figure":   "threads engines horizon seed parallel csv json",
 }
 
@@ -134,7 +143,7 @@ func (o *options) mode() string {
 		return "bench"
 	case o.fig == "native" || o.fig == "kv":
 		return o.fig
-	case o.fig == "openloop" || o.fig == "elastic":
+	case o.fig == "openloop" || o.fig == "elastic" || o.fig == "autotune":
 		return o.fig
 	}
 	return "figure"
@@ -190,11 +199,11 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	fs.BoolVar(&o.list, "list", false, "list available figures and exit")
 	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'")
-	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic defaults to its own when unset)")
+	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic and autotune default to their own when unset)")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of tables")
 	fs.BoolVar(&o.json, "json", false, "emit JSON Lines (one record per scenario/engine/threads cell), or the figure's record, instead of tables")
-	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop and elastic)")
+	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop, elastic and autotune)")
 	fs.StringVar(&o.engines, "engines", "", "comma-separated engine names (override)")
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrently measured sweep points (0 = all host cores, 1 = serial)")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
@@ -203,7 +212,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.rates, "rates", "", "comma-separated offered loads in ops/Mcycle (-fig openloop only; default 2000,8000,20000,45000,90000)")
 	fs.StringVar(&o.serve, "serve", "", "host:port for live introspection endpoints during the -fig openloop run (forces serial point order)")
 	fs.IntVar(&o.dur, "dur", 0, "wall-clock time per point in milliseconds: -fig native, each cell's budget for a warm-up round and measured rounds (default 150); -fig kv, the arrival window (default 400)")
-	fs.StringVar(&o.out, "out", "", "write the record to this file (-bench, -fig native, kv, openloop, elastic)")
+	fs.StringVar(&o.out, "out", "", "write the record to this file (-bench, -fig native, kv, openloop, elastic, autotune)")
 	fs.StringVar(&o.baseline, "baseline", "", "compare the record against this baseline record with the figure's fixed gate; exit non-zero on a regression (-bench, -fig native, kv, openloop)")
 	return fs
 }
@@ -254,6 +263,8 @@ func run(args []string) error {
 		return runOpenLoop(o)
 	case "elastic":
 		return runElastic(o)
+	case "autotune":
+		return runAutotune(o)
 	}
 	return runFigures(o)
 }
@@ -301,9 +312,17 @@ func runFigures(o *options) error {
 	return nil
 }
 
-// finish is the tail every record-producing run ends in: write -out,
-// render the table (or the record with -json), run the record's own
-// check, then compare against -baseline.
+// sidecarRecord is a record that keeps a second file beside its record
+// file (the autotuner's decision journal): -out rec.jsonl also writes
+// rec.<name>.json.
+type sidecarRecord interface {
+	Sidecar() (name string, data []byte, err error)
+}
+
+// finish is the tail every record-producing run ends in: write -out
+// (and the record's sidecar beside it), render the table (or the record
+// with -json), run the record's own check, then compare against
+// -baseline.
 func finish[R any, P interface {
 	*R
 	harness.Record
@@ -317,6 +336,17 @@ func finish[R any, P interface {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "hcfbench: wrote %s\n", o.out)
+		if sc, ok := any(rec).(sidecarRecord); ok {
+			name, side, err := sc.Sidecar()
+			if err != nil {
+				return err
+			}
+			path := strings.TrimSuffix(o.out, filepath.Ext(o.out)) + "." + name + ".json"
+			if err := os.WriteFile(path, side, 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "hcfbench: wrote %s\n", path)
+		}
 	}
 	if o.json {
 		os.Stdout.Write(data)
@@ -463,6 +493,25 @@ func runElastic(o *options) error {
 		cfg.Horizon = 0 // the figure's own, longer default
 	}
 	rep, err := harness.RunElasticFigure(threads, cfg, harness.ElasticRunConfig{})
+	if err != nil {
+		return err
+	}
+	return finish(rep, o)
+}
+
+// runAutotune is the -fig autotune pipeline: the static policy grid, the
+// tuned run and the per-segment oracle on the drifting priority queue,
+// whose check is the tuned run's floor against the paper's policy.
+func runAutotune(o *options) error {
+	threads, err := o.singleThreads(36)
+	if err != nil {
+		return err
+	}
+	cfg := o.config()
+	if !o.set["horizon"] {
+		cfg.Horizon = 0 // the figure's own, longer default
+	}
+	rep, err := harness.RunAutotune(threads, cfg)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -145,6 +146,8 @@ func TestRejectUnusedFlags(t *testing.T) {
 		{"-fig", "kv", "-seed", "3"},
 		{"-fig", "kv", "-engines", "HCF"},
 		{"-bench", "-csv", "-out", out},
+		{"-fig", "autotune", "-baseline", out},
+		{"-fig", "autotune", "-parallel", "2"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "does not apply") {
@@ -192,5 +195,39 @@ func TestBenchBaselineGate(t *testing.T) {
 	var rec harness.HostBenchReport
 	if err := rec.Decode(data); err != nil || rec.Figure != "stack" || rec.Points != 2 {
 		t.Fatalf("-out record: %+v, %v", rec, err)
+	}
+}
+
+// TestAutotuneRecordAndJournal runs -fig autotune through the shared
+// tail: -out writes the record and, beside it, the decision journal of
+// the same run.
+func TestAutotuneRecordAndJournal(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "a.jsonl")
+	if err := run([]string{"-fig", "autotune", "-threads", "4", "-horizon", "30000", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := harness.RunAutotune(4, harness.Config{Horizon: 30000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRec, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJournal, err := rep.Journal.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{
+		out: wantRec,
+		strings.TrimSuffix(out, ".jsonl") + ".journal.json": append(wantJournal, '\n'),
+	} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the same run's encoding:\n%s\nwant\n%s", path, got, want)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func TestRunElastic(t *testing.T) {
 }
 
 // TestTuneFlagRemoved pins that the autotuner report lives only in
-// hcftune: -tune is no longer a flag here.
+// hcfbench -fig autotune: -tune is no longer a flag here.
 func TestTuneFlagRemoved(t *testing.T) {
 	err := run([]string{"-tune"})
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -tune") {
@@ -107,7 +107,8 @@ func TestTuneFlagRemoved(t *testing.T) {
 }
 
 // TestMetricsTuneFlagRemoved pins that the autotuner journal export lives
-// only in hcftune: -tune is not a flag under the metrics probe either.
+// only in hcfbench -fig autotune: -tune is not a flag under the metrics
+// probe either.
 func TestMetricsTuneFlagRemoved(t *testing.T) {
 	err := run([]string{"-probe", "metrics", "-tune", "-format", "prom"})
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -tune") {

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"hcf/internal/harness"
 	"hcf/internal/metrics"
 	"hcf/internal/shard"
 	"hcf/serve"
@@ -67,7 +68,7 @@ func run(args []string, w io.Writer) error {
 // not configured on the server (404) leave their field nil.
 type snapshot struct {
 	Vars     *serve.Vars
-	Sojourn  []serve.ClassLatency
+	Sojourn  []harness.ClassSojourn
 	SLO      *metrics.SLOSnapshot
 	Shards   []metrics.GroupCounters
 	Topology *shard.Topology

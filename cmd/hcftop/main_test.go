@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hcf/internal/harness"
 	"hcf/internal/metrics"
 	"hcf/internal/route"
 	"hcf/internal/shard"
@@ -23,10 +24,10 @@ func liveServer(t *testing.T) *httptest.Server {
 	s.SetTraceHealth(func() *metrics.TraceHealth {
 		return &metrics.TraceHealth{Starts: 100, Retained: 64, Dropped: 36}
 	})
-	s.SetSojourn(func() []serve.ClassLatency {
-		return []serve.ClassLatency{
-			{Class: "insert", Count: 500, Mean: 310.5, P50: 290, P99: 900, P999: 1800, P9999: 2400, Max: 2500},
-			{Class: "find", Count: 700, Mean: 120.0, P50: 100, P99: 300, P999: 500, P9999: 600, Max: 650},
+	s.SetSojourn(func() []harness.ClassSojourn {
+		return []harness.ClassSojourn{
+			{Class: "insert", SojournStat: harness.SojournStat{Count: 500, Mean: 310.5, P50: 290, P99: 900, P999: 1800, P9999: 2400, Max: 2500}},
+			{Class: "find", SojournStat: harness.SojournStat{Count: 700, Mean: 120.0, P50: 100, P99: 300, P999: 500, P9999: 600, Max: 650}},
 		}
 	})
 	s.SetShards(func() []metrics.GroupCounters {

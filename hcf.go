@@ -282,7 +282,7 @@ func NewKV(dir string, cfg KVConfig) (*KV, error) { return kvstore.Open(dir, cfg
 // classes out of combining, revives parked speculation via scheduled
 // probes, spreads classes across publication arrays and resizes batch
 // bounds. Every change is appended to a lock-free decision Journal
-// together with the evidence that triggered it (see cmd/hcftune).
+// together with the evidence that triggered it (see hcfbench -fig autotune).
 type (
 	// Tuner rewrites a Framework's per-class policies in epochs.
 	Tuner = adaptive.Tuner

@@ -153,42 +153,3 @@ func (j *Journal) Text() string {
 	}
 	return b.String()
 }
-
-// Prometheus renders the journal's aggregate state in the Prometheus text
-// exposition format, labelled to coexist with the metrics exporter's
-// samples in one scrape file.
-func (j *Journal) Prometheus(scenario, engine string) string {
-	esc := func(s string) string {
-		s = strings.ReplaceAll(s, `\`, `\\`)
-		s = strings.ReplaceAll(s, `"`, `\"`)
-		return strings.ReplaceAll(s, "\n", `\n`)
-	}
-	base := fmt.Sprintf(`scenario="%s",engine="%s"`, esc(scenario), esc(engine))
-	type key struct{ name, rule string }
-	counts := make(map[key]uint64)
-	var order []key
-	var lastTime int64
-	for _, d := range j.Entries() {
-		name := d.Name
-		if name == "" {
-			name = fmt.Sprintf("class%d", d.Class)
-		}
-		k := key{name, d.Rule}
-		if counts[k] == 0 {
-			order = append(order, k)
-		}
-		counts[k]++
-		lastTime = d.Time
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP hcf_tuner_decisions_total Policy autotuner decisions by class and rule.\n")
-	fmt.Fprintf(&b, "# TYPE hcf_tuner_decisions_total counter\n")
-	for _, k := range order {
-		fmt.Fprintf(&b, "hcf_tuner_decisions_total{%s,class=\"%s\",rule=\"%s\"} %d\n",
-			base, esc(k.name), esc(k.rule), counts[k])
-	}
-	fmt.Fprintf(&b, "# HELP hcf_tuner_last_decision_time Timestamp of the most recent decision.\n")
-	fmt.Fprintf(&b, "# TYPE hcf_tuner_last_decision_time gauge\n")
-	fmt.Fprintf(&b, "hcf_tuner_last_decision_time{%s} %d\n", base, lastTime)
-	return b.String()
-}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -38,7 +39,15 @@ const (
 	autotunePrefill   = 8192
 	// autotuneTick is the tuner thread's virtual-time step interval.
 	autotuneTick = 1000
+	// autotuneMinRatio is the fail-closed floor of AutotuneReport.Check:
+	// the tuned run's throughput over the HCF-paper variant's. Below it
+	// the tuner is a liability on the workload it was built for.
+	autotuneMinRatio = 0.9
 )
+
+// AutotuneDefaultHorizon is the horizon RunAutotune uses when none is
+// given: the one of the checked-in bench/AUTOTUNE_sweep.jsonl.
+const AutotuneDefaultHorizon = 900_000
 
 // AutotuneStatics returns the hand-picked static trial-budget grid
 // (private/visible/combining, applied to both classes) the tuner is
@@ -65,29 +74,29 @@ var paperBudget = [3]int{-1, -1, -1}
 // the tuned run, or the synthesized oracle row.
 type AutotuneVariant struct {
 	// Name labels the variant ("HCF-static-2/3/5", "HCF-tuned", "oracle").
-	Name string `json:"name"`
+	Name string
 	// Tuned marks the autotuned run; Oracle marks the synthesized
 	// per-segment-best row (not a real single run).
-	Tuned  bool `json:"tuned,omitempty"`
-	Oracle bool `json:"oracle,omitempty"`
+	Tuned  bool
+	Oracle bool
 	// Budgets is the insert-class trial configuration the run started from.
-	Budgets [3]int `json:"insert_budgets"`
+	Budgets [3]int
 	// Ops and Throughput (ops per million cycles) cover the full horizon.
-	Ops        uint64  `json:"ops"`
-	Throughput float64 `json:"throughput"`
+	Ops        uint64
+	Throughput float64
 	// SegmentOps and SegmentThroughput split the run by drift segment.
-	SegmentOps        []uint64  `json:"segment_ops"`
-	SegmentThroughput []float64 `json:"segment_throughput"`
+	SegmentOps        []uint64
+	SegmentThroughput []float64
 	// PostDrift is the throughput over everything after the first drift
 	// point (segments 1..n) — the region where a static policy tuned for
 	// segment 0 pays for its rigidity.
-	PostDrift float64 `json:"post_drift_throughput"`
+	PostDrift float64
 	// Decisions counts journal entries (tuned variant only).
-	Decisions int `json:"decisions,omitempty"`
+	Decisions int
 	// FinalPolicy is the end-of-run policy state (tuned variant only).
-	FinalPolicy *adaptive.Snapshot `json:"final_policy,omitempty"`
+	FinalPolicy *adaptive.Snapshot
 	// InvariantViolation is non-empty if the scenario check failed.
-	InvariantViolation string `json:"invariant_violation,omitempty"`
+	InvariantViolation string
 }
 
 // AutotuneReport is the full drifting-workload comparison: every static
@@ -100,7 +109,7 @@ type AutotuneReport struct {
 	Bounds   []int64 `json:"bounds"`
 	// Segments labels the drift segments, index-aligned with SegmentOps.
 	Segments []string          `json:"segments"`
-	Variants []AutotuneVariant `json:"variants"`
+	Variants []AutotuneVariant `json:"-"`
 	// Journal is the tuned run's decision journal.
 	Journal *adaptive.Journal `json:"-"`
 }
@@ -298,6 +307,9 @@ func runAutotuneVariant(name string, budgets [3]int, tuned bool, threads int, cf
 // oracle row taking each segment's best static throughput — the bound a
 // clairvoyant per-segment configuration would achieve.
 func RunAutotune(threads int, cfg Config) (*AutotuneReport, error) {
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = AutotuneDefaultHorizon
+	}
 	cfg.normalize()
 	_, _, bounds, labels, err := autotuneWorkload(cfg.Horizon)
 	if err != nil {
@@ -446,45 +458,114 @@ func (r *AutotuneReport) Results() []Result {
 	return out
 }
 
-// JSONL renders the report as one JSON object per line: a header line
-// describing the scenario, then one line per variant per region (total,
-// each segment, post-drift) — the format checked in under bench/.
-func (r *AutotuneReport) JSONL() ([]byte, error) {
-	type header struct {
-		Scenario string   `json:"scenario"`
-		Threads  int      `json:"threads"`
-		Seed     uint64   `json:"seed"`
-		Horizon  int64    `json:"horizon"`
-		Bounds   []int64  `json:"bounds"`
-		Segments []string `json:"segments"`
-	}
-	type row struct {
-		Variant    string  `json:"variant"`
-		Tuned      bool    `json:"tuned,omitempty"`
-		Oracle     bool    `json:"oracle,omitempty"`
-		Budgets    [3]int  `json:"insert_budgets"`
-		Region     string  `json:"region"`
-		Ops        uint64  `json:"ops"`
-		Throughput float64 `json:"throughput"`
-		Decisions  int     `json:"decisions,omitempty"`
-	}
-	var rows []row
+// autotuneRow is one line of the record: one variant over one region
+// (total, each segment, post-drift).
+type autotuneRow struct {
+	Variant    string  `json:"variant"`
+	Tuned      bool    `json:"tuned,omitempty"`
+	Oracle     bool    `json:"oracle,omitempty"`
+	Budgets    [3]int  `json:"insert_budgets"`
+	Region     string  `json:"region"`
+	Ops        uint64  `json:"ops"`
+	Throughput float64 `json:"throughput"`
+	Decisions  int     `json:"decisions,omitempty"`
+	// InvariantViolation rides on the total row only.
+	InvariantViolation string `json:"invariant_violation,omitempty"`
+}
+
+// Encode renders the report as JSON Lines: a header line describing the
+// scenario, then one line per variant per region (total, each segment,
+// post-drift) — the format checked in under bench/. The decision journal
+// is the record's sidecar.
+func (r *AutotuneReport) Encode() ([]byte, error) {
+	var rows []autotuneRow
 	for _, v := range r.Variants {
-		rows = append(rows, row{v.Name, v.Tuned, v.Oracle, v.Budgets, "total", v.Ops, v.Throughput, v.Decisions})
-		for s := range v.SegmentOps {
-			rows = append(rows, row{v.Name, v.Tuned, v.Oracle, v.Budgets, fmt.Sprintf("segment%d", s), v.SegmentOps[s], v.SegmentThroughput[s], 0})
-		}
+		row := autotuneRow{Variant: v.Name, Tuned: v.Tuned, Oracle: v.Oracle, Budgets: v.Budgets}
+		total := row
+		total.Region, total.Ops, total.Throughput = "total", v.Ops, v.Throughput
+		total.Decisions, total.InvariantViolation = v.Decisions, v.InvariantViolation
+		rows = append(rows, total)
 		var postOps uint64
-		for s := 1; s < len(v.SegmentOps); s++ {
-			postOps += v.SegmentOps[s]
+		for s := range v.SegmentOps {
+			row.Region, row.Ops, row.Throughput = fmt.Sprintf("segment%d", s), v.SegmentOps[s], v.SegmentThroughput[s]
+			rows = append(rows, row)
+			if s > 0 {
+				postOps += v.SegmentOps[s]
+			}
 		}
-		rows = append(rows, row{v.Name, v.Tuned, v.Oracle, v.Budgets, "post-drift", postOps, v.PostDrift, 0})
+		row.Region, row.Ops, row.Throughput = "post-drift", postOps, v.PostDrift
+		rows = append(rows, row)
 	}
-	return encodeJSONL(header{r.Scenario, r.Threads, r.Seed, r.Horizon, r.Bounds, r.Segments}, rows)
+	return encodeJSONL(r, rows)
+}
+
+// Decode is the inverse of Encode: it regroups the rows by variant. The
+// journal and the tuned run's final policy are not in the record.
+func (r *AutotuneReport) Decode(data []byte) error {
+	*r = AutotuneReport{}
+	var rows []autotuneRow
+	if err := decodeJSONL(data, r, &rows); err != nil {
+		return err
+	}
+	for _, row := range rows {
+		v := r.Variant(row.Variant)
+		if v == nil {
+			r.Variants = append(r.Variants, AutotuneVariant{
+				Name: row.Variant, Tuned: row.Tuned, Oracle: row.Oracle, Budgets: row.Budgets,
+			})
+			v = &r.Variants[len(r.Variants)-1]
+		}
+		switch row.Region {
+		case "total":
+			v.Ops, v.Throughput = row.Ops, row.Throughput
+			v.Decisions, v.InvariantViolation = row.Decisions, row.InvariantViolation
+		case "post-drift":
+			v.PostDrift = row.Throughput
+		case fmt.Sprintf("segment%d", len(v.SegmentOps)):
+			v.SegmentOps = append(v.SegmentOps, row.Ops)
+			v.SegmentThroughput = append(v.SegmentThroughput, row.Throughput)
+		default:
+			return fmt.Errorf("harness: autotune row %s: unexpected region %q", row.Variant, row.Region)
+		}
+	}
+	return nil
+}
+
+// Sidecar is the decision journal, written beside the record.
+func (r *AutotuneReport) Sidecar() (string, []byte, error) {
+	if r.Journal == nil {
+		return "", nil, errors.New("harness: autotune report has no journal")
+	}
+	out, err := r.Journal.JSON()
+	return "journal", append(out, '\n'), err
+}
+
+// Check fails on any variant's invariant violation, and unless the
+// tuned run reaches autotuneMinRatio of the HCF-paper variant's
+// throughput.
+func (r *AutotuneReport) Check() error {
+	var fails []string
+	for _, v := range r.Variants {
+		if v.InvariantViolation != "" {
+			fails = append(fails, fmt.Sprintf("%s: invariant violation: %s", v.Name, v.InvariantViolation))
+		}
+	}
+	tuned, base := r.Tuned(), r.Variant("HCF-paper")
+	switch {
+	case tuned == nil || base == nil:
+		fails = append(fails, "the record lacks the HCF-tuned or the HCF-paper variant")
+	case tuned.Throughput < autotuneMinRatio*base.Throughput:
+		fails = append(fails, fmt.Sprintf("tuned throughput %.1f is %.2fx the HCF-paper variant's %.1f, below %.2fx",
+			tuned.Throughput, tuned.Throughput/base.Throughput, base.Throughput, autotuneMinRatio))
+	}
+	if len(fails) > 0 {
+		return errors.New(strings.Join(fails, "\n  "))
+	}
+	return nil
 }
 
 // Text renders the comparison as an aligned table plus the tuned run's
-// final policy, for terminal reports.
+// final policy and decision journal, for terminal reports.
 func (r *AutotuneReport) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d threads, seed %d, horizon %d (drift at %v)\n",
@@ -514,6 +595,9 @@ func (r *AutotuneReport) Text() string {
 			fmt.Fprintf(&b, "class %d: private=%d visible=%d combining=%d\n",
 				c.Class, c.Policy.Private, c.Policy.Visible, c.Policy.Combining)
 		}
+	}
+	if r.Journal != nil {
+		fmt.Fprintf(&b, "\ndecision journal (%d entries):\n%s", r.Journal.Len(), r.Journal.Text())
 	}
 	return b.String()
 }

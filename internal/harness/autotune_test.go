@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestAutotuneDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := rep.JSONL()
+		rows, err := rep.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestAutotuneReportShape(t *testing.T) {
 	if bs := rep.BestStatic(); bs == nil || bs.Tuned {
 		t.Fatal("BestStatic missing or tuned")
 	}
-	rows, err := rep.JSONL()
+	rows, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +106,63 @@ func TestRunAdaptiveComparison(t *testing.T) {
 	}
 	if !tunedRow {
 		t.Fatal("Results() has no HCF-tuned row")
+	}
+}
+
+// TestAutotuneCheck gives the record's check teeth on hand-made reports:
+// the tuned run must reach 0.9x the HCF-paper variant, and any variant's
+// invariant violation fails the run.
+func TestAutotuneCheck(t *testing.T) {
+	report := func(tuned float64) *AutotuneReport {
+		return &AutotuneReport{Variants: []AutotuneVariant{
+			{Name: "HCF-paper", Throughput: 1000},
+			{Name: "HCF-static-8/2/0", Throughput: 1200},
+			{Name: "HCF-tuned", Tuned: true, Throughput: tuned},
+		}}
+	}
+	if err := report(900).Check(); err != nil {
+		t.Fatalf("tuned at 0.9x failed: %v", err)
+	}
+	if err := report(890).Check(); err == nil || !strings.Contains(err.Error(), "0.89x") {
+		t.Errorf("tuned at 0.89x passed: %v", err)
+	}
+	broken := report(1100)
+	broken.Variants[1].InvariantViolation = "heap order broken"
+	if err := broken.Check(); err == nil || !strings.Contains(err.Error(), "heap order broken") {
+		t.Errorf("invariant violation passed: %v", err)
+	}
+	if err := (&AutotuneReport{Variants: report(1100).Variants[:1]}).Check(); err == nil {
+		t.Error("report without a tuned variant passed")
+	}
+}
+
+// TestAutotuneRecordRoundTrip decodes a fresh run's record back into
+// variants: every variant, region and invariant violation survives.
+func TestAutotuneRecordRoundTrip(t *testing.T) {
+	rep, err := RunAutotune(4, Config{Horizon: 30_000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Variants[2].InvariantViolation = "lost key 9"
+	data, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back AutotuneReport
+	if err := back.Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	if back.Horizon != rep.Horizon || len(back.Variants) != len(rep.Variants) {
+		t.Fatalf("decoded header/variants: %+v", back)
+	}
+	for i, v := range back.Variants {
+		w := rep.Variants[i]
+		w.FinalPolicy = nil // not in the record
+		if !reflect.DeepEqual(v, w) {
+			t.Errorf("variant %d decoded as %+v, want %+v", i, v, w)
+		}
+	}
+	if err := back.Check(); err == nil || !strings.Contains(err.Error(), "lost key 9") {
+		t.Errorf("decoded record hides the invariant violation: %v", err)
 	}
 }

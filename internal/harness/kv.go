@@ -313,7 +313,7 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	pt.Saturated = makespan > horizon+horizon/10
 	slo.Step(makespan)
 
-	pt.Sojourn, pt.ByClass = sojournOf(rec)
+	pt.Sojourn, pt.ByClass = SojournOf(rec)
 	pt.Completed = pt.Sojourn.Count
 	pt.Throughput = float64(pt.Completed) * 1e9 / float64(makespan)
 	pt.SLO, pt.SLOState = sloOf(slo)

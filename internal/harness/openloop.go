@@ -129,9 +129,9 @@ func sojournStatOf(s metrics.HistogramSnapshot) SojournStat {
 	}
 }
 
-// sojournOf summarizes a sojourn recorder: all classes merged, plus one
-// row per class that completed an operation.
-func sojournOf(rec *metrics.Recorder) (SojournStat, []ClassSojourn) {
+// SojournOf summarizes a sojourn recorder: all classes merged, plus one
+// row per class that completed an operation (the /debug/sojourn rows).
+func SojournOf(rec *metrics.Recorder) (SojournStat, []ClassSojourn) {
 	var all metrics.HistogramSnapshot
 	var byClass []ClassSojourn
 	for c, class := range rec.Classes() {
@@ -365,7 +365,7 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 	}
 	pt.MaxBacklog = max(maxBacklog, pt.EndBacklog)
 
-	pt.Sojourn, pt.ByClass = sojournOf(sojournRec)
+	pt.Sojourn, pt.ByClass = SojournOf(sojournRec)
 	pt.SLO, pt.SLOState = sloOf(slo)
 	if inst.Check != nil {
 		pt.InvariantViolation = inst.Check(env.Boot())

@@ -20,6 +20,7 @@ func TestRecordsRoundTripByteForByte(t *testing.T) {
 		{"../../bench/OPENLOOP_sweep.jsonl", &OpenLoopReport{}},
 		{"../../bench/ELASTIC_sweep.jsonl", &ElasticReport{}},
 		{"../../bench/BENCH_native.json", &NativeReport{}},
+		{"../../bench/AUTOTUNE_sweep.jsonl", &AutotuneReport{}},
 	} {
 		data, err := os.ReadFile(tc.path)
 		if err != nil {

@@ -49,14 +49,8 @@ func (s *Server) ObserveOpenLoop(v harness.OpenLoopView) {
 		return service.Counters().ByGroup
 	})
 	sojourn := v.Sojourn
-	s.SetSojourn(func() []ClassLatency {
-		classes := sojourn.Classes()
-		rows := make([]ClassLatency, 0, len(classes))
-		for c, class := range classes {
-			if snap := sojourn.ClassHistogram(c); snap.Count > 0 {
-				rows = append(rows, classLatencyOf(class, snap))
-			}
-		}
+	s.SetSojourn(func() []harness.ClassSojourn {
+		_, rows := harness.SojournOf(sojourn)
 		return rows
 	})
 	if col != nil {

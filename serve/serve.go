@@ -23,7 +23,8 @@
 // or post-run, with explicit providers:
 //
 //	srv.SetReport(func() *metrics.Report { return &rep })
-//	srv.SetJournal(tuner.Journal())
+//	at, _ := harness.RunAutotune(36, harness.Config{}) // hcfbench -fig autotune's run
+//	srv.SetJournal(at.Journal)
 //
 // Endpoints (all JSON unless ?format says otherwise):
 //
@@ -35,7 +36,7 @@
 //	                 with SetTopology (elastic engines) the payload is
 //	                 {"topology": ..., "counters": [...]} adding ring
 //	                 epoch, slot ownership and split/merge totals
-//	/debug/sojourn   per-class sojourn latency through p9999
+//	/debug/sojourn   per-class sojourn latency through p9999 (harness.ClassSojourn rows)
 //	/debug/hotlines  trace conflict attribution (published at tick cadence)
 //	/debug/journal   autotuner decision journal (?n=K tails the last K)
 //	/debug/vars      cheap scalar gauges: now, backlog, trace health
@@ -53,39 +54,11 @@ import (
 	"sync/atomic"
 
 	"hcf/internal/adaptive"
+	"hcf/internal/harness"
 	"hcf/internal/metrics"
 	"hcf/internal/shard"
 	"hcf/internal/trace"
 )
-
-// ClassLatency is one row of the /debug/sojourn endpoint: a per-class
-// latency distribution carried through the deep tail.
-type ClassLatency struct {
-	Class string  `json:"class"`
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   uint64  `json:"p50"`
-	P90   uint64  `json:"p90"`
-	P99   uint64  `json:"p99"`
-	P999  uint64  `json:"p999"`
-	P9999 uint64  `json:"p9999"`
-	Max   uint64  `json:"max"`
-}
-
-// classLatencyOf summarizes one histogram snapshot.
-func classLatencyOf(class string, s metrics.HistogramSnapshot) ClassLatency {
-	return ClassLatency{
-		Class: class,
-		Count: s.Count,
-		Mean:  s.Mean(),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-		P999:  s.Quantile(0.999),
-		P9999: s.Quantile(0.9999),
-		Max:   s.Max,
-	}
-}
 
 // Vars is the /debug/vars payload: cheap scalar gauges about the run.
 type Vars struct {
@@ -113,7 +86,7 @@ type Server struct {
 	slo      func() *metrics.SLOSnapshot
 	shards   func() []metrics.GroupCounters
 	topology func() *shard.Topology
-	sojourn  func() []ClassLatency
+	sojourn  func() []harness.ClassSojourn
 	health   func() *metrics.TraceHealth
 	backlog  func() int64
 	journal  *adaptive.Journal
@@ -231,7 +204,7 @@ func (s *Server) SetTopology(fn func() *shard.Topology) {
 }
 
 // SetSojourn installs the /debug/sojourn provider.
-func (s *Server) SetSojourn(fn func() []ClassLatency) {
+func (s *Server) SetSojourn(fn func() []harness.ClassSojourn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sojourn = fn
@@ -398,7 +371,7 @@ func (s *Server) handleSojourn(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := fn()
 	if rows == nil {
-		rows = []ClassLatency{}
+		rows = []harness.ClassSojourn{}
 	}
 	writeJSON(w, rows)
 }

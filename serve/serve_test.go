@@ -83,8 +83,9 @@ func TestEndpointsWithProviders(t *testing.T) {
 	s.SetShards(func() []metrics.GroupCounters {
 		return []metrics.GroupCounters{{Group: "shard0", Ops: 7}}
 	})
-	s.SetSojourn(func() []ClassLatency {
-		return []ClassLatency{classLatencyOf("a", rec.ClassHistogram(0))}
+	s.SetSojourn(func() []harness.ClassSojourn {
+		_, rows := harness.SojournOf(rec)
+		return rows[:1] // class a's row
 	})
 	s.SetJournal(&adaptive.Journal{})
 	s.PublishHotLines([]trace.HotLine{{Line: 42, Aborts: 3, TopWriter: 1, TopWriterAborts: 2}})
@@ -135,7 +136,7 @@ func TestEndpointsWithProviders(t *testing.T) {
 	}
 
 	code, body = get(t, h, "/debug/sojourn")
-	var rows []ClassLatency
+	var rows []harness.ClassSojourn
 	if err := json.Unmarshal([]byte(body), &rows); err != nil || code != 200 ||
 		len(rows) != 1 || rows[0].Class != "a" || rows[0].Count != 1 {
 		t.Fatalf("sojourn: code %d err %v body %q", code, err, body)
@@ -357,7 +358,7 @@ func TestOpenLoopBitIdentityWithServer(t *testing.T) {
 	if rep.Totals.Ops == 0 {
 		t.Fatal("mid-run metrics snapshot has zero ops")
 	}
-	var rows []ClassLatency
+	var rows []harness.ClassSojourn
 	if err := json.Unmarshal([]byte(probe.bodies["/debug/sojourn"]), &rows); err != nil {
 		t.Fatalf("mid-run sojourn: %v", err)
 	}
