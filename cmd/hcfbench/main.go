@@ -459,7 +459,7 @@ func runOpenLoop(o *options) error {
 			rates = append(rates, r)
 		}
 	}
-	ol := harness.OpenLoopConfig{Interval: max(o.horizon/20, 1)}
+	var ol harness.OpenLoopConfig
 	if o.serve != "" {
 		// Live introspection: the sweep runs its points serially so the
 		// observer always describes the point in flight. Results are
@@ -492,7 +492,7 @@ func runElastic(o *options) error {
 	if !o.set["horizon"] {
 		cfg.Horizon = 0 // the figure's own, longer default
 	}
-	rep, err := harness.RunElasticFigure(threads, cfg, harness.ElasticRunConfig{})
+	rep, err := harness.RunElasticFigure(threads, cfg)
 	if err != nil {
 		return err
 	}

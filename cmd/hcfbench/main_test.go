@@ -56,27 +56,36 @@ func TestRunTinyFigure(t *testing.T) {
 	}
 }
 
-// TestRunJSONL checks -json emits one parseable record per
-// (scenario, engine, threads) cell.
-func TestRunJSONL(t *testing.T) {
+// captureRun runs the command with args and returns what it printed.
+func captureRun(t *testing.T, args ...string) string {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = w
-	runErr := run([]string{"-fig", "stack", "-threads", "2,3", "-horizon", "5000",
-		"-engines", "Lock,HCF", "-json"})
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	runErr := run(args)
 	os.Stdout = old
 	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := <-done
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	return string(out)
+}
+
+// TestRunJSONL checks -json emits one parseable record per
+// (scenario, engine, threads) cell.
+func TestRunJSONL(t *testing.T) {
+	out := captureRun(t, "-fig", "stack", "-threads", "2,3", "-horizon", "5000",
+		"-engines", "Lock,HCF", "-json")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // 2 thread counts x 2 engines
 		t.Fatalf("got %d JSONL records, want 4:\n%s", len(lines), out)
 	}
@@ -90,6 +99,21 @@ func TestRunJSONL(t *testing.T) {
 				t.Errorf("record missing %q: %s", key, line)
 			}
 		}
+	}
+}
+
+// TestOpenLoopIntervalFromHorizon pins that the sampler interval follows
+// the normalized horizon: -horizon 0 runs the default 200000 cycles, so
+// the interval is a twentieth of that, not one cycle.
+func TestOpenLoopIntervalFromHorizon(t *testing.T) {
+	out := captureRun(t, "-fig", "openloop", "-horizon", "0", "-rates", "2000",
+		"-engines", "HCF", "-threads", "4", "-json")
+	var hdr harness.OpenLoopReport
+	if err := json.Unmarshal([]byte(out[:strings.IndexByte(out, '\n')]), &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Horizon != 200_000 || hdr.Interval != 10_000 {
+		t.Fatalf("horizon %d interval %d, want 200000 and 10000", hdr.Horizon, hdr.Interval)
 	}
 }
 
@@ -122,39 +146,44 @@ func TestFlagSet(t *testing.T) {
 	}
 }
 
-// TestRejectUnusedFlags checks that a flag the selected run ignores is
-// an error before anything runs: none of these creates its -out file.
+// TestRejectUnusedFlags checks that a flag the selected run ignores, or
+// an elastic horizon too short to cut into windows, is an error before
+// anything runs: none of these creates its -out file.
 func TestRejectUnusedFlags(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "rec")
-	for _, args := range [][]string{
-		{"-fig", "openloop", "-csv"},
-		{"-fig", "elastic", "-csv"},
-		{"-fig", "native", "-csv"},
-		{"-fig", "stack", "-baseline", out},
-		{"-fig", "stack", "-out", out},
-		{"-fig", "all", "-out", out},
-		{"-fig", "stack", "-rates", "1000"},
-		{"-fig", "native", "-rates", "1000"},
-		{"-fig", "stack", "-serve", "127.0.0.1:0"},
-		{"-fig", "kv", "-serve", "127.0.0.1:0"},
-		{"-fig", "stack", "-dur", "10"},
-		{"-fig", "openloop", "-dur", "10"},
-		{"-fig", "elastic", "-dur", "10"},
-		{"-bench", "-dur", "10"},
-		{"-fig", "elastic", "-baseline", out},
-		{"-fig", "native", "-horizon", "5000"},
-		{"-fig", "kv", "-seed", "3"},
-		{"-fig", "kv", "-engines", "HCF"},
-		{"-bench", "-csv", "-out", out},
-		{"-fig", "autotune", "-baseline", out},
-		{"-fig", "autotune", "-parallel", "2"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "openloop", "-csv"}, "does not apply"},
+		{[]string{"-fig", "elastic", "-csv"}, "does not apply"},
+		{[]string{"-fig", "native", "-csv"}, "does not apply"},
+		{[]string{"-fig", "stack", "-baseline", out}, "does not apply"},
+		{[]string{"-fig", "stack", "-out", out}, "does not apply"},
+		{[]string{"-fig", "all", "-out", out}, "does not apply"},
+		{[]string{"-fig", "stack", "-rates", "1000"}, "does not apply"},
+		{[]string{"-fig", "native", "-rates", "1000"}, "does not apply"},
+		{[]string{"-fig", "stack", "-serve", "127.0.0.1:0"}, "does not apply"},
+		{[]string{"-fig", "kv", "-serve", "127.0.0.1:0"}, "does not apply"},
+		{[]string{"-fig", "stack", "-dur", "10"}, "does not apply"},
+		{[]string{"-fig", "openloop", "-dur", "10"}, "does not apply"},
+		{[]string{"-fig", "elastic", "-dur", "10"}, "does not apply"},
+		{[]string{"-bench", "-dur", "10"}, "does not apply"},
+		{[]string{"-fig", "elastic", "-baseline", out}, "does not apply"},
+		{[]string{"-fig", "native", "-horizon", "5000"}, "does not apply"},
+		{[]string{"-fig", "kv", "-seed", "3"}, "does not apply"},
+		{[]string{"-fig", "kv", "-engines", "HCF"}, "does not apply"},
+		{[]string{"-bench", "-csv", "-out", out}, "does not apply"},
+		{[]string{"-fig", "autotune", "-baseline", out}, "does not apply"},
+		{[]string{"-fig", "autotune", "-parallel", "2"}, "does not apply"},
+		{[]string{"-fig", "elastic", "-horizon", "3", "-out", out}, "minimum of 16 cycles"},
 	} {
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "does not apply") {
-			t.Errorf("%v: got %v, want a rejected flag", args, err)
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
 		}
 		if _, err := os.Stat(out); err == nil {
-			t.Fatalf("%v: wrote %s before rejecting", args, out)
+			t.Fatalf("%v: wrote %s before rejecting", tc.args, out)
 		}
 	}
 }

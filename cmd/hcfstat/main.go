@@ -93,7 +93,8 @@ var probes = map[string]struct {
 }
 
 // scenarios maps each -scenario to the flags it reads and how to build it.
-// Elastic has no builder: it runs open-loop through RunPointElastic.
+// Elastic has no builder: RunPointElastic runs it through the open-loop
+// driver, at the elastic figure's rate, with the rebalancer on.
 var scenarios = map[string]struct {
 	flags string
 	build func(o *options) harness.Scenario
@@ -233,13 +234,16 @@ func (o *options) measure() (pt point, err error) {
 		return pt, err
 	}
 	// The elastic runner has its own longer default horizon: forward
-	// -horizon only when it was set.
-	if !slices.Contains(o.set, "horizon") {
+	// -horizon only when it was set to a positive value, as -fig elastic
+	// does. RunPointElastic rejects a horizon too short to cut into
+	// windows before anything runs.
+	if !slices.Contains(o.set, "horizon") || cfg.Horizon <= 0 {
 		cfg.Horizon = harness.ElasticDefaultHorizon
 	}
 	sc := harness.ElasticScenario(o.find, harness.ElasticBuckets,
 		harness.ElasticMaxShards, harness.ElasticInitialShards, o.hot, cfg.Horizon)
-	ep, err := harness.RunPointElastic(sc, "elastic", true, o.threads, cfg, harness.ElasticRunConfig{})
+	ep, err := harness.RunPointElastic(sc, "elastic", true, o.threads, cfg,
+		harness.OpenLoopConfig{Rate: harness.ElasticDefaultRate})
 	pt.elastic, pt.InvariantViolation = &ep, ep.InvariantViolation
 	return pt, err
 }

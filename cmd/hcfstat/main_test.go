@@ -388,6 +388,7 @@ func TestRejectUnreadFlags(t *testing.T) {
 		{[]string{"-scenario", "pqueue", "-theta", "0.5"}, "-theta does not apply"},
 		{[]string{"-scenario", "elastic", "-engine", "HCF"}, "-engine does not apply"},
 		{[]string{"-probe", "metrics", "-scenario", "elastic"}, "only under -probe counters"},
+		{[]string{"-scenario", "elastic", "-hot", "90", "-horizon", "3"}, "minimum of 16 cycles"},
 		{[]string{"-probe", "counters", "-format", "csv"}, "unknown format"},
 		{[]string{"-probe", "metrics", "-format", "chrome"}, "unknown format"},
 		{[]string{"-probe", "trace", "-format", "prom"}, "unknown format"},

@@ -3,32 +3,10 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
-	"sort"
 	"strings"
 
-	"hcf/internal/engine"
-	"hcf/internal/memsim"
 	"hcf/internal/shard"
-	"hcf/internal/workload"
 )
-
-// ElasticRunConfig tunes the elastic (hot-shard healing) figure: an
-// open-loop run at one offered rate whose sojourn series is cut into
-// fixed windows so the p99 verdict can be watched degrading when the
-// skew lands on one shard and recovering after the rebalancer splits it.
-type ElasticRunConfig struct {
-	// Rate is the aggregate offered load in ops per million cycles
-	// (default ElasticDefaultRate).
-	Rate float64
-	// Window is the verdict/rebalancer cadence in cycles (default
-	// Horizon/16).
-	Window int64
-	// SLOThreshold is the per-window sojourn p99 objective in cycles
-	// (default DefaultOpenLoopSLOThreshold). A window is "ok" iff its
-	// p99 is at or under the threshold.
-	SLOThreshold int64
-}
 
 // elasticGate is the healing check's post-heal throughput floor, as a
 // fraction of the balanced run's post-phase throughput.
@@ -54,16 +32,19 @@ const (
 	ElasticDefaultHorizon = 1_600_000
 )
 
-func (c *ElasticRunConfig) normalize(horizon int64) {
-	if c.Rate <= 0 {
-		c.Rate = ElasticDefaultRate
+// elasticWindows is how many verdict windows an elastic run's horizon
+// is cut into (the rebalancer steps at the same cadence). It is also the
+// shortest horizon an elastic run accepts: a window of one cycle.
+const elasticWindows = 16
+
+// elasticWindow is the verdict window of an elastic run over horizon
+// cycles, or an error naming the minimum when the horizon is too short
+// to cut.
+func elasticWindow(horizon int64) (int64, error) {
+	if horizon < elasticWindows {
+		return 0, fmt.Errorf("harness: elastic horizon %d is below the minimum of %d cycles", horizon, elasticWindows)
 	}
-	if c.Window <= 0 {
-		c.Window = max(horizon/16, 1)
-	}
-	if c.SLOThreshold <= 0 {
-		c.SLOThreshold = DefaultOpenLoopSLOThreshold
-	}
+	return horizon / elasticWindows, nil
 }
 
 // ElasticWindow is one fixed time slice of an elastic run.
@@ -115,136 +96,63 @@ type ElasticPoint struct {
 	InvariantViolation string                    `json:"invariant_violation,omitempty"`
 }
 
-// RunPointElastic measures one mode of the elastic figure: open-loop
-// arrivals exactly as RunPointOpenLoop (same schedules, same rng
-// streams), operations drawn time-aware via Instance.NextOpAt so the
-// skew can drift, and — when rebalance is set — thread 0 stepping a
-// shard.Rebalancer once per window so topology decisions are part of
-// the measured run (their lock-the-world cost is charged to the clock).
-func RunPointElastic(sc Scenario, mode string, rebalance bool, threads int, cfg Config, ec ElasticRunConfig) (ElasticPoint, error) {
+// RunPointElastic measures one mode of the elastic figure on the HCF-E
+// engine through the open-loop driver: arrivals, schedules and rng
+// streams exactly as RunPointOpenLoop, operations drawn time-aware via
+// Instance.NextOpAt so the skew can drift, and — when rebalance is set —
+// thread 0 stepping a shard.Rebalancer once per window so topology
+// decisions are part of the measured run (their lock-the-world cost is
+// charged to the clock). The run's sojourn is cut into horizon/16
+// windows by completion time; each window's p99, like the post-phase
+// p99 and the Sojourn tails, is the log2-bucketed estimate of a metrics
+// histogram, judged against DefaultOpenLoopSLOThreshold.
+func RunPointElastic(sc Scenario, mode string, rebalance bool, threads int, cfg Config, ol OpenLoopConfig) (ElasticPoint, error) {
 	cfg.normalize()
-	ec.normalize(cfg.Horizon)
-
-	perRate := ec.Rate / float64(threads)
-	arrivals := make([][]int64, threads)
-	var totalArrivals uint64
-	for t := 0; t < threads; t++ {
-		gen, err := workload.NewPoisson(perRate)
-		if err != nil {
-			return ElasticPoint{}, err
-		}
-		r := rand.New(rand.NewPCG(cfg.Seed^0xA17ECA11, uint64(t)+1))
-		arrivals[t] = workload.GenSchedule(gen, cfg.Horizon, r)
-		totalArrivals += uint64(len(arrivals[t]))
-	}
-
-	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost, CapacityHint: cfg.CapacityHint})
-	inst := sc.Setup(env, cfg.Seed)
-	if inst.Elastic == nil {
-		return ElasticPoint{}, fmt.Errorf("harness: scenario %q has no elastic sharding plan", sc.Name)
-	}
-	eng, err := BuildEngine(ElasticEngineName, env, inst, cfg)
+	window, err := elasticWindow(cfg.Horizon)
 	if err != nil {
 		return ElasticPoint{}, err
 	}
-	el, ok := eng.(*shard.Elastic)
-	if !ok {
-		return ElasticPoint{}, fmt.Errorf("harness: engine %q is not elastic", ElasticEngineName)
-	}
-	var rb *shard.Rebalancer
-	if rebalance {
-		rb = shard.NewRebalancer(el, inst.Elastic.Rebalance)
-	}
-	nextOp := inst.NextOpAt
-	if nextOp == nil {
-		nextOp = func(now int64, r *rand.Rand) engine.Op { return inst.NextOp(r) }
-	}
-
-	type sample struct{ done, sojourn int64 }
-	samples := make([][]sample, threads)
-	opWork := env.Cost().OpWork
-	env.ResetStats()
-	eng.ResetMetrics()
-	env.Run(func(th *memsim.Thread) {
-		t := th.ID()
-		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(t)+1))
-		buf := make([]sample, 0, len(arrivals[t]))
-		nextStep := ec.Window
-		for _, intended := range arrivals[t] {
-			th.IdleUntil(intended)
-			th.Work(opWork)
-			op := nextOp(intended, rng)
-			eng.Execute(th, op)
-			done := th.Now()
-			buf = append(buf, sample{done, done - intended})
-			if t == 0 && rb != nil && done >= nextStep {
-				rb.Step(th)
-				// One step per crossing; skip windows thread 0 idled past.
-				nextStep = (th.Now()/ec.Window + 1) * ec.Window
-			}
-		}
-		samples[t] = buf
-	})
-
-	pt := ElasticPoint{
-		Scenario: sc.Name,
-		Engine:   el.Name(),
-		Mode:     mode,
-		Threads:  threads,
-		Rate:     ec.Rate,
-		Arrivals: totalArrivals,
-		Horizon:  cfg.Horizon,
-		FirstBad: -1,
-		LastBad:  -1,
-	}
-	for t := 0; t < threads; t++ {
-		pt.Completed += uint64(len(samples[t]))
-		if now := env.Now(t); now > pt.Makespan {
-			pt.Makespan = now
-		}
-	}
-	span := max(pt.Makespan, cfg.Horizon)
-	if span > 0 {
-		pt.Throughput = float64(pt.Completed) * 1e6 / float64(span)
-	}
-	pt.Saturated = pt.Makespan > cfg.Horizon+cfg.Horizon/10
-
-	// Cut the sojourn series into fixed windows by completion time.
-	nw := int((span + ec.Window - 1) / ec.Window)
-	perWin := make([][]int64, nw)
-	var all []int64
 	postStart := cfg.Horizon - cfg.Horizon/4
-	var post []int64
-	for t := range samples {
-		for _, s := range samples[t] {
-			w := int(s.done / ec.Window)
-			if w >= nw {
-				w = nw - 1
-			}
-			perWin[w] = append(perWin[w], s.sojourn)
-			all = append(all, s.sojourn)
-			if s.done > postStart && s.done <= cfg.Horizon {
-				post = append(post, s.sojourn)
-			}
-		}
+	run, err := runOpenLoop(sc, ElasticEngineName, threads, cfg, ol,
+		&elasticCut{window: window, postStart: postStart, rebalance: rebalance})
+	if err != nil {
+		return ElasticPoint{}, err
 	}
-	pt.Sojourn = sojournStatFromSamples(all)
-	pt.PostP99 = quantileOf(post, 0.99)
-	pt.PostThroughput = float64(len(post)) * 1e6 / float64(cfg.Horizon-postStart)
+	op := run.pt
+	pt := ElasticPoint{
+		Scenario:           op.Scenario,
+		Engine:             op.Engine,
+		Mode:               mode,
+		Threads:            threads,
+		Rate:               op.Rate,
+		Arrivals:           op.Arrivals,
+		Completed:          op.Completed,
+		Horizon:            op.Horizon,
+		Makespan:           op.Makespan,
+		Throughput:         op.Throughput,
+		Saturated:          op.Saturated,
+		Sojourn:            op.Sojourn,
+		PostThroughput:     float64(run.post.Count) * 1e6 / float64(cfg.Horizon-postStart),
+		PostP99:            run.post.Quantile(0.99),
+		FirstBad:           -1,
+		LastBad:            -1,
+		InvariantViolation: op.InvariantViolation,
+	}
+	span := max(op.Makespan, op.Horizon)
 	lastNonEmpty := -1
-	for w := 0; w < nw; w++ {
-		start := int64(w) * ec.Window
-		end := min(start+ec.Window, span)
+	for w := range run.windows {
+		start := int64(w) * window
+		end := min(start+window, span)
 		win := ElasticWindow{
 			Start: start,
 			End:   end,
-			Ops:   uint64(len(perWin[w])),
-			P99:   quantileOf(perWin[w], 0.99),
+			Ops:   run.windows[w].Count,
+			P99:   run.windows[w].Quantile(0.99),
 		}
 		if end > start {
 			win.Throughput = float64(win.Ops) * 1e6 / float64(end-start)
 		}
-		win.OK = int64(win.P99) <= ec.SLOThreshold
+		win.OK = win.P99 <= DefaultOpenLoopSLOThreshold
 		if win.Ops > 0 {
 			lastNonEmpty = w
 			if !win.OK {
@@ -259,64 +167,12 @@ func RunPointElastic(sc Scenario, mode string, rebalance bool, threads int, cfg 
 	}
 	pt.Healed = pt.BadWindows > 0 && lastNonEmpty >= 0 && pt.Windows[lastNonEmpty].OK
 
-	topo := el.Topology()
+	topo := run.eng.(*shard.Elastic).Topology()
 	pt.Topology = &topo
-	if rb != nil {
-		pt.Decisions = rb.Journal().Entries()
-	}
-	if inst.Check != nil {
-		pt.InvariantViolation = inst.Check(env.Boot())
+	if run.rb != nil {
+		pt.Decisions = run.rb.Journal().Entries()
 	}
 	return pt, nil
-}
-
-// sojournStatFromSamples computes the deep-tail summary directly from
-// raw samples (the windowed runner keeps them anyway; no recorder
-// histogram needed, so quantiles here are exact, not bucketed).
-func sojournStatFromSamples(s []int64) SojournStat {
-	if len(s) == 0 {
-		return SojournStat{}
-	}
-	sorted := append([]int64(nil), s...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum float64
-	for _, v := range sorted {
-		sum += float64(v)
-	}
-	q := func(p float64) uint64 { return quantileSorted(sorted, p) }
-	return SojournStat{
-		Count: uint64(len(sorted)),
-		Mean:  sum / float64(len(sorted)),
-		P50:   q(0.50),
-		P90:   q(0.90),
-		P99:   q(0.99),
-		P999:  q(0.999),
-		P9999: q(0.9999),
-		Max:   uint64(sorted[len(sorted)-1]),
-	}
-}
-
-func quantileOf(s []int64, p float64) uint64 {
-	if len(s) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), s...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantileSorted(sorted, p)
-}
-
-func quantileSorted(sorted []int64, p float64) uint64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return uint64(sorted[i])
 }
 
 // ElasticReport is the three-mode healing comparison.
@@ -340,12 +196,15 @@ type ElasticReport struct {
 // concurrently when cfg.Parallel allows; each owns a fresh
 // deterministic environment, so results are identical at any
 // parallelism.
-func RunElasticFigure(threads int, cfg Config, ec ElasticRunConfig) (*ElasticReport, error) {
+func RunElasticFigure(threads int, cfg Config) (*ElasticReport, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = ElasticDefaultHorizon
 	}
-	cfg.normalize()
-	ec.normalize(cfg.Horizon)
+	window, err := elasticWindow(cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	ol := OpenLoopConfig{Rate: ElasticDefaultRate}
 	balanced := ElasticScenario(40, ElasticBuckets, ElasticMaxShards, ElasticInitialShards, 0, cfg.Horizon)
 	skewed := ElasticScenario(40, ElasticBuckets, ElasticMaxShards, ElasticInitialShards, ElasticHotPct, cfg.Horizon)
 	modes := []struct {
@@ -363,14 +222,14 @@ func RunElasticFigure(threads int, cfg Config, ec ElasticRunConfig) (*ElasticRep
 		Threads:      threads,
 		Seed:         cfg.Seed,
 		Horizon:      cfg.Horizon,
-		Rate:         ec.Rate,
-		Window:       ec.Window,
-		SLOThreshold: ec.SLOThreshold,
+		Rate:         ol.Rate,
+		Window:       window,
+		SLOThreshold: DefaultOpenLoopSLOThreshold,
 		Gate:         elasticGate,
 		Points:       make([]ElasticPoint, len(modes)),
 	}
-	err := forEachPoint(len(modes), cfg.Parallel, func(i int) (err error) {
-		rep.Points[i], err = RunPointElastic(modes[i].sc, modes[i].mode, modes[i].rebalance, threads, cfg, ec)
+	err = forEachPoint(len(modes), cfg.Parallel, func(i int) (err error) {
+		rep.Points[i], err = RunPointElastic(modes[i].sc, modes[i].mode, modes[i].rebalance, threads, cfg, ol)
 		return err
 	})
 	if err != nil {

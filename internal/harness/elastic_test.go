@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func TestElasticFigureRegistered(t *testing.T) {
 // degraded, the rebalancer splits, the window verdict flips back, and
 // post-heal throughput clears the gate against the balanced run.
 func TestElasticFigureHeals(t *testing.T) {
-	rep, err := RunElasticFigure(36, Config{Seed: 1}, ElasticRunConfig{})
+	rep, err := RunElasticFigure(36, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestElasticPointDeterministic(t *testing.T) {
 	const horizon = 200_000
 	sc := ElasticScenario(40, 1024, 4, 2, 90, horizon)
 	run := func() []byte {
-		p, err := RunPointElastic(sc, "elastic", true, 8, Config{Seed: 3, Horizon: horizon}, ElasticRunConfig{Rate: 8000})
+		p, err := RunPointElastic(sc, "elastic", true, 8, Config{Seed: 3, Horizon: horizon}, OpenLoopConfig{Rate: 8000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,10 +85,31 @@ func TestElasticPointDeterministic(t *testing.T) {
 	}
 }
 
+// TestElasticFigureParallelBitIdentical mirrors the open-loop sweep's
+// determinism gate: the three modes encode to the same bytes whether
+// they run serially or concurrently across host cores.
+func TestElasticFigureParallelBitIdentical(t *testing.T) {
+	encode := func(par int) []byte {
+		rep, err := RunElasticFigure(4, Config{Seed: 2, Horizon: 160_000, Parallel: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := rep.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	serial, parallel := encode(1), encode(0)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("serial and parallel elastic figures differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
 func TestElasticJSONLRoundTrip(t *testing.T) {
 	const horizon = 200_000
 	sc := ElasticScenario(40, 1024, 4, 2, 0, horizon)
-	p, err := RunPointElastic(sc, "balanced", false, 4, Config{Seed: 5, Horizon: horizon}, ElasticRunConfig{Rate: 4000})
+	p, err := RunPointElastic(sc, "balanced", false, 4, Config{Seed: 5, Horizon: horizon}, OpenLoopConfig{Rate: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,7 +249,7 @@ func RunFigure(f Figure, cfg Config) ([]Result, error) {
 		// rebuilds it against cfg.Horizon so the drift schedule scales.
 		var results []Result
 		for _, th := range f.Threads {
-			rep, err := RunElasticFigure(th, cfg, ElasticRunConfig{})
+			rep, err := RunElasticFigure(th, cfg)
 			if err != nil {
 				return nil, err
 			}

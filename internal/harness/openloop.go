@@ -7,8 +7,10 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"hcf/internal/engine"
 	"hcf/internal/memsim"
 	"hcf/internal/metrics"
+	"hcf/internal/shard"
 	"hcf/internal/trace"
 	"hcf/internal/workload"
 )
@@ -22,16 +24,8 @@ import (
 // would grade its own homework by only timing the ops it got around to.
 type OpenLoopConfig struct {
 	// Rate is the aggregate offered load in operations per million cycles,
-	// split evenly across threads.
+	// split evenly across threads into per-thread Poisson arrivals.
 	Rate float64
-	// Arrivals optionally overrides the arrival process for each thread
-	// (built with the per-thread rate via the factory). Nil uses Poisson.
-	Arrivals func(perThreadRate float64) (workload.ArrivalGen, error)
-	// Interval is the sampler interval in cycles (default Horizon/20).
-	Interval int64
-	// SLO configures burn-rate evaluation over sojourn times; nil uses
-	// DefaultOpenLoopSLO.
-	SLO *metrics.SLOConfig
 	// TraceLimit, when positive, instruments the engine with a flight
 	// recorder of that many events per thread so trace health (and hot
 	// lines, via the observer) feed the live introspection endpoints.
@@ -43,12 +37,12 @@ type OpenLoopConfig struct {
 	Observer OpenLoopObserver
 }
 
-// DefaultOpenLoopSLOThreshold is the default sojourn objective: 99% of
-// operations (all classes) complete within this many cycles.
+// DefaultOpenLoopSLOThreshold is the sojourn objective: 99% of operations
+// (all classes) complete within this many cycles.
 const DefaultOpenLoopSLOThreshold = 20_000
 
-// DefaultOpenLoopSLO is the objective used when OpenLoopConfig.SLO is nil.
-func DefaultOpenLoopSLO() metrics.SLOConfig {
+// openLoopSLO is the objective every open-loop run evaluates.
+func openLoopSLO() metrics.SLOConfig {
 	return metrics.SLOConfig{
 		Objectives: []metrics.Objective{
 			{Threshold: DefaultOpenLoopSLOThreshold, Target: 0.99},
@@ -56,15 +50,9 @@ func DefaultOpenLoopSLO() metrics.SLOConfig {
 	}
 }
 
-func (c *OpenLoopConfig) normalize(horizon int64) {
-	if c.Interval <= 0 {
-		c.Interval = max(horizon/20, 1)
-	}
-	if c.SLO == nil {
-		slo := DefaultOpenLoopSLO()
-		c.SLO = &slo
-	}
-}
+// openLoopInterval is the sampler interval of an open-loop run: a
+// twentieth of its (normalized) horizon.
+func openLoopInterval(horizon int64) int64 { return max(horizon/20, 1) }
 
 // OpenLoopView is everything a live observer may read during an open-loop
 // run. All fields are safe for concurrent reads while the run progresses:
@@ -82,8 +70,7 @@ type OpenLoopView struct {
 	Sojourn *metrics.Recorder
 	// Sampler emits the interval series (with backlog gauges) over Service.
 	Sampler *metrics.Sampler
-	// SLO is the burn-rate tracker over Sojourn; nil only if SLO evaluation
-	// is disabled.
+	// SLO is the burn-rate tracker over Sojourn.
 	SLO *metrics.SLOTracker
 	// Trace is the flight recorder; nil unless TraceLimit > 0. Only the
 	// counter methods (Starts/Retained/Dropped) are safe mid-run — snapshot
@@ -204,34 +191,78 @@ type OpenLoopPoint struct {
 }
 
 // RunPointOpenLoop measures one engine under one offered load: per-thread
-// Poisson (or custom) arrival schedules over [0, Horizon), every arrival
-// executed in order with sojourn measured from its intended start, and the
-// queue drained past the horizon so queued operations are charged their
-// full wait. Thread 0 drives the sampler, SLO evaluation, and observer
-// ticks, all at zero simulated cost — results are bit-identical for a
-// given (cfg.Seed, rate) with or without observers attached.
+// Poisson arrival schedules over [0, Horizon), every arrival executed in
+// order with sojourn measured from its intended start, and the queue
+// drained past the horizon so queued operations are charged their full
+// wait. Thread 0 drives the sampler, SLO evaluation, and observer ticks,
+// all at zero simulated cost — results are bit-identical for a given
+// (cfg.Seed, rate) with or without observers attached.
 func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol OpenLoopConfig) (OpenLoopPoint, *metrics.Report, error) {
+	run, err := runOpenLoop(sc, engineName, threads, cfg, ol, nil)
+	if err != nil {
+		return OpenLoopPoint{}, nil, err
+	}
+	return run.pt, run.report, nil
+}
+
+// elasticCut is what the elastic figure asks of the open-loop driver:
+// sojourn cut by completion time into windows of window cycles and over
+// the post phase (postStart, horizon], and, with rebalance, thread 0
+// stepping a shard.Rebalancer at each window crossing.
+type elasticCut struct {
+	window, postStart int64
+	rebalance         bool
+}
+
+// cutShare is one thread's part of an elasticCut. A thread's completion
+// times only grow, so its window list grows by appending.
+type cutShare struct {
+	windows []*metrics.Histogram
+	post    metrics.Histogram
+}
+
+// record files one completion's sojourn under its window and, when it
+// completed in (postStart, horizon], under the post phase.
+func (s *cutShare) record(cut *elasticCut, horizon, done, sojourn int64) {
+	w := int(done / cut.window)
+	for len(s.windows) <= w {
+		s.windows = append(s.windows, new(metrics.Histogram))
+	}
+	s.windows[w].Record(sojourn)
+	if done > cut.postStart && done <= horizon {
+		s.post.Record(sojourn)
+	}
+}
+
+// openLoopRun is a finished open-loop run before it is shaped into a
+// point.
+type openLoopRun struct {
+	pt     OpenLoopPoint
+	report *metrics.Report
+	eng    engine.Engine
+	// rb is the rebalancer the cut asked for; windows and post hold the
+	// cut's merged sojourn histograms. All are empty without a cut.
+	rb      *shard.Rebalancer
+	windows []metrics.HistogramSnapshot
+	post    metrics.HistogramSnapshot
+}
+
+// runOpenLoop is the one open-loop run loop: RunPointOpenLoop is a run
+// without a cut, RunPointElastic one with.
+func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol OpenLoopConfig, cut *elasticCut) (*openLoopRun, error) {
 	cfg.normalize()
-	ol.normalize(cfg.Horizon)
 	if ol.Rate <= 0 {
-		return OpenLoopPoint{}, nil, fmt.Errorf("harness: open-loop rate must be positive, got %v", ol.Rate)
+		return nil, fmt.Errorf("harness: open-loop rate must be positive, got %v", ol.Rate)
 	}
 
 	// Per-thread arrival schedules, generated up front (host-side).
-	perRate := ol.Rate / float64(threads)
+	gen, err := workload.NewPoisson(ol.Rate / float64(threads))
+	if err != nil {
+		return nil, err
+	}
 	arrivals := make([][]int64, threads)
 	var totalArrivals uint64
 	for t := 0; t < threads; t++ {
-		var gen workload.ArrivalGen
-		var err error
-		if ol.Arrivals != nil {
-			gen, err = ol.Arrivals(perRate)
-		} else {
-			gen, err = workload.NewPoisson(perRate)
-		}
-		if err != nil {
-			return OpenLoopPoint{}, nil, err
-		}
 		r := rand.New(rand.NewPCG(cfg.Seed^0xA17ECA11, uint64(t)+1))
 		arrivals[t] = workload.GenSchedule(gen, cfg.Horizon, r)
 		totalArrivals += uint64(len(arrivals[t]))
@@ -241,11 +272,23 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 	inst := sc.Setup(env, cfg.Seed)
 	eng, err := BuildEngine(engineName, env, inst, cfg)
 	if err != nil {
-		return OpenLoopPoint{}, nil, err
+		return nil, err
+	}
+	run := &openLoopRun{eng: eng}
+	if cut != nil && cut.rebalance {
+		el, ok := eng.(*shard.Elastic)
+		if !ok {
+			return nil, fmt.Errorf("harness: engine %q has no topology to rebalance", engineName)
+		}
+		run.rb = shard.NewRebalancer(el, inst.Elastic.Rebalance)
+	}
+	nextOp := inst.NextOpAt
+	if nextOp == nil {
+		nextOp = func(_ int64, r *rand.Rand) engine.Op { return inst.NextOp(r) }
 	}
 	serviceRec, err := Instrument(eng, &inst, threads)
 	if err != nil {
-		return OpenLoopPoint{}, nil, err
+		return nil, err
 	}
 	sojournRec, err := metrics.New(metrics.Config{
 		Shards:   threads + 1,
@@ -254,22 +297,22 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 		TimeUnit: "cycles",
 	})
 	if err != nil {
-		return OpenLoopPoint{}, nil, err
+		return nil, err
 	}
 	var col *trace.Collector
 	if ol.TraceLimit > 0 {
 		if col, err = InstrumentTrace(eng, ol.TraceLimit); err != nil {
-			return OpenLoopPoint{}, nil, err
+			return nil, err
 		}
 	}
-	slo, err := metrics.NewSLOTracker(sojournRec, *ol.SLO)
+	slo, err := metrics.NewSLOTracker(sojournRec, openLoopSLO())
 	if err != nil {
-		return OpenLoopPoint{}, nil, err
+		return nil, err
 	}
 
 	env.ResetStats()
 	eng.ResetMetrics()
-	sampler := metrics.NewSampler(serviceRec, ol.Interval)
+	sampler := metrics.NewSampler(serviceRec, openLoopInterval(cfg.Horizon))
 
 	// Completed counters are atomics so the live backlog gauge can be read
 	// from host goroutines (the introspection server) mid-run.
@@ -307,21 +350,33 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 		})
 	}
 
+	var shares []cutShare
+	if cut != nil {
+		shares = make([]cutShare, threads)
+	}
 	opWork := env.Cost().OpWork
 	completedByHorizon := make([]uint64, threads)
 	env.Run(func(th *memsim.Thread) {
 		t := th.ID()
 		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(t)+1))
+		var nextStep int64
+		if cut != nil {
+			nextStep = cut.window
+		}
 		for _, intended := range arrivals[t] {
 			th.IdleUntil(intended) // park until the intended start
 			th.Work(opWork)
-			op := inst.NextOp(rng)
+			op := nextOp(intended, rng)
 			eng.Execute(th, op)
 			done := th.Now()
-			sojournRec.RecordOp(t, op.Class(), 0, done-intended)
+			sojourn := done - intended
+			sojournRec.RecordOp(t, op.Class(), 0, sojourn)
 			completed[t].Add(1)
 			if done <= cfg.Horizon {
 				completedByHorizon[t]++
+			}
+			if cut != nil {
+				shares[t].record(cut, cfg.Horizon, done, sojourn)
 			}
 			if t == 0 {
 				lastTick.Store(done)
@@ -330,6 +385,12 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 					if ol.Observer != nil {
 						ol.Observer.OpenLoopTick(done)
 					}
+				}
+				if run.rb != nil && done >= nextStep {
+					// The step's lock-the-world cost is charged to the clock.
+					run.rb.Step(th)
+					// One step per crossing; skip windows thread 0 idled past.
+					nextStep = (th.Now()/cut.window + 1) * cut.window
 				}
 			}
 		}
@@ -381,7 +442,23 @@ func RunPointOpenLoop(sc Scenario, engineName string, threads int, cfg Config, o
 			Dropped:  col.Dropped(),
 		}
 	}
-	return pt, &report, nil
+	run.pt, run.report = pt, &report
+
+	if cut != nil {
+		// Merge the threads' windows; a completion at exactly the span
+		// lands in the last window.
+		run.windows = make([]metrics.HistogramSnapshot, (span+cut.window-1)/cut.window)
+		last := len(run.windows) - 1
+		for t := range shares {
+			for w, h := range shares[t].windows {
+				snap := h.Snapshot()
+				run.windows[min(w, last)].Merge(&snap)
+			}
+			snap := shares[t].post.Snapshot()
+			run.post.Merge(&snap)
+		}
+	}
+	return run, nil
 }
 
 // OpenLoopReport is a full offered-load sweep: every engine at every rate.
@@ -404,7 +481,6 @@ type OpenLoopReport struct {
 // the point in flight.
 func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, threads int, cfg Config, ol OpenLoopConfig) (*OpenLoopReport, error) {
 	cfg.normalize()
-	ol.normalize(cfg.Horizon)
 	if err := ValidateEngineNames(engineNames); err != nil {
 		return nil, err
 	}
@@ -424,7 +500,7 @@ func RunOpenLoopSweep(sc Scenario, engineNames []string, rates []float64, thread
 		Threads:  threads,
 		Seed:     cfg.Seed,
 		Horizon:  cfg.Horizon,
-		Interval: ol.Interval,
+		Interval: openLoopInterval(cfg.Horizon),
 		Rates:    rates,
 		Points:   make([]OpenLoopPoint, len(pts)),
 	}

@@ -365,6 +365,38 @@ func TestOpenLoopBitIdentityWithServer(t *testing.T) {
 	if len(rows) == 0 || rows[0].Count == 0 {
 		t.Fatal("mid-run sojourn snapshot empty")
 	}
+
+	// The elastic figure runs through the same driver: HCF-E with its
+	// rebalancer stepping, served and polled, matches its bare run too.
+	esc := harness.ElasticScenario(40, 1024, 4, 2, 90, cfg.Horizon)
+	eol := harness.OpenLoopConfig{Rate: 8000}
+	bareEl, err := harness.RunPointElastic(esc, "elastic", true, 8, cfg, eol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elProbe := &tickProbe{
+		Server: srv, base: "http://" + addr, t: t, bodies: map[string]string{},
+		eps: []string{"/debug/metrics", "/debug/shards", "/debug/sojourn", "/debug/vars"},
+	}
+	eol.Observer = elProbe
+	servedEl, err := harness.RunPointElastic(esc, "elastic", true, 8, cfg, eol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elProbe.midRun == 0 {
+		t.Fatal("no mid-run endpoint responses during the elastic run")
+	}
+	if len(bareEl.Decisions) == 0 {
+		t.Fatal("the rebalancer never stepped during the elastic run")
+	}
+	bareJSON, _ = json.Marshal(bareEl)
+	servedJSON, _ = json.Marshal(servedEl)
+	if string(bareJSON) != string(servedJSON) {
+		t.Fatalf("server perturbation on elastic run:\n%s\nvs\n%s", bareJSON, servedJSON)
+	}
+	if err := json.Unmarshal([]byte(elProbe.bodies["/debug/vars"]), &v); err != nil || v.Engine != harness.ElasticEngineName {
+		t.Fatalf("mid-run vars during the elastic run: %+v, %v", v, err)
+	}
 }
 
 // TestOpenLoopShardedEndpoints runs the sharded engine (which has no trace
