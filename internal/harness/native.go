@@ -80,6 +80,10 @@ type NativePoint struct {
 	ReadPct    int     `json:"read_pct"`
 	Ops        uint64  `json:"ops"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
+	// CombiningDegree is the HCF engine's operations per combining
+	// session over the measured rounds (0 when no session ran, and for
+	// the stdlib engines).
+	CombiningDegree float64 `json:"combining_degree,omitempty"`
 }
 
 // NativeReport is the machine-readable record of one sweep
@@ -121,9 +125,11 @@ func (c nativeClient) run(stream []uint64) {
 }
 
 // nativeEngine builds per-goroutine clients over one shared structure.
+// metrics, set for the HCF engines, reads the framework's counters.
 type nativeEngine struct {
-	name   string
-	client func() nativeClient
+	name    string
+	client  func() nativeClient
+	metrics func() native.Metrics
 }
 
 // nativeWorkload is one (structure, mix) row of the sweep. handles is
@@ -175,7 +181,7 @@ func hashWorkload(readPct int) (nativeWorkload, error) {
 				del:     func(k uint64) { mh.Delete(k) },
 				release: mh.Release,
 			}
-		}},
+		}, metrics: nm.Framework().Metrics},
 		{name: NativeEngineMutex, client: func() nativeClient {
 			return nativeClient{
 				read:  func(k uint64) { mm.Lock(); _ = mm.m[k]; mm.Unlock() },
@@ -287,7 +293,7 @@ func pqWorkload(readPct int) (nativeWorkload, error) {
 				del:     func(uint64) { ph.ExtractMin() },
 				release: ph.Release,
 			}
-		}},
+		}, metrics: np.Framework().Metrics},
 		{name: NativeEngineMutex, client: func() nativeClient {
 			return nativeClient{
 				read:  func(uint64) { mh.peekMin() },
@@ -300,12 +306,17 @@ func pqWorkload(readPct int) (nativeWorkload, error) {
 
 // measureCell runs one engine over a cell's streams, one client per
 // stream: a warm-up round, then measured rounds while the next one
-// still fits the budget. It returns the measured operations and the
-// median round rate in ops/s.
-func measureCell(eng nativeEngine, streams [][]uint64, budget time.Duration) (uint64, float64) {
+// still fits the budget. It returns the measured operations, the median
+// round rate in ops/s, and the measured rounds' combining degree (0 for
+// engines without framework metrics).
+func measureCell(eng nativeEngine, streams [][]uint64, budget time.Duration) (uint64, float64, float64) {
 	roundOps := len(streams) * len(streams[0])
 	var rates []float64
+	var before native.Metrics
 	roundLoop(budget, 2, func(r int) {
+		if r == 1 && eng.metrics != nil {
+			before = eng.metrics()
+		}
 		// Native clients cannot fail.
 		wall, _ := runClients(len(streams), func(i int, _ time.Time) error {
 			c := eng.client()
@@ -319,7 +330,14 @@ func measureCell(eng nativeEngine, streams [][]uint64, budget time.Duration) (ui
 			rates = append(rates, float64(roundOps)/wall.Seconds())
 		}
 	})
-	return uint64(roundOps * len(rates)), median(rates)
+	degree := 0.0
+	if eng.metrics != nil {
+		after := eng.metrics()
+		if s := after.CombinerSessions - before.CombinerSessions; s > 0 {
+			degree = float64(after.CombinedOps-before.CombinedOps) / float64(s)
+		}
+	}
+	return uint64(roundOps * len(rates)), median(rates), degree
 }
 
 // RunNativeSweep measures every (structure, engine, goroutines, mix)
@@ -369,11 +387,11 @@ func RunNativeSweep(opts NativeOptions) (*NativeReport, error) {
 				streams[i] = drawOps(nativeRoundOps/g, w.keys, mix, rand.New(rand.NewPCG(seed, uint64(i))))
 			}
 			for _, eng := range w.engines {
-				ops, rate := measureCell(eng, streams, opts.Duration)
+				ops, rate, degree := measureCell(eng, streams, opts.Duration)
 				rep.Points = append(rep.Points, NativePoint{
 					Structure: w.structure, Engine: eng.name,
 					Goroutines: g, ReadPct: w.readPct,
-					Ops: ops, OpsPerSec: rate,
+					Ops: ops, OpsPerSec: rate, CombiningDegree: degree,
 				})
 			}
 		}
@@ -403,16 +421,20 @@ func (r *NativeReport) Text() string {
 			for _, q := range row {
 				fmt.Fprintf(&buf, "%10s", q.Engine)
 			}
-			fmt.Fprintf(&buf, "%12s\n", "HCF/Mutex")
+			fmt.Fprintf(&buf, "%12s%9s\n", "HCF/Mutex", "HCF deg")
 		}
 		fmt.Fprintf(&buf, "%8d", p.Goroutines)
 		rate := map[string]float64{}
+		var degree float64
 		for _, q := range row {
 			fmt.Fprintf(&buf, "%10.2f", q.OpsPerSec/1e6)
 			rate[q.Engine] = q.OpsPerSec
+			if q.Engine == NativeEngineHCF {
+				degree = q.CombiningDegree
+			}
 		}
 		if mx := rate[NativeEngineMutex]; mx > 0 {
-			fmt.Fprintf(&buf, "%11.2fx", rate[NativeEngineHCF]/mx)
+			fmt.Fprintf(&buf, "%11.2fx%9.2f", rate[NativeEngineHCF]/mx, degree)
 		}
 		fmt.Fprintln(&buf)
 		i = j

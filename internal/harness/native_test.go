@@ -41,7 +41,7 @@ func TestRunNativeSweepSmoke(t *testing.T) {
 		t.Fatalf("round trip lost points: %d != %d", len(back.Points), len(rep.Points))
 	}
 	text := rep.Text()
-	for _, want := range []string{NativeEngineHCF, NativeEngineMutex, "HCF/Mutex", NativeStructPQ} {
+	for _, want := range []string{NativeEngineHCF, NativeEngineMutex, "HCF/Mutex", "HCF deg", NativeStructPQ} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered report missing %q:\n%s", want, text)
 		}

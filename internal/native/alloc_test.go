@@ -55,3 +55,32 @@ func TestCombinedApplyAllocFree(t *testing.T) {
 		h.Release()
 	}
 }
+
+func TestSpecWriteHelpAllocFree(t *testing.T) {
+	// A spec write that finds another handle's operation announced claims
+	// it, applies it and publishes it before its release; the owner's
+	// side (collect, free the slot, drain the wake token) is replayed by
+	// hand so every run finds the slot announced again.
+	pols, _ := counterPolicies(8)
+	f, err := New(Config{Policies: pols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, other := f.MustHandle(), f.MustHandle()
+	defer h.Release()
+	defer other.Release()
+	s := &f.slots[other.id]
+	requireZeroAllocs(t, "spec write that helps an announced op", func() {
+		s.op = Op{Class: 0, A: 1}
+		s.status.Store(slotAnnounced)
+		h.Execute(Op{Class: 0, A: 1})
+		if s.status.Load() != slotDone {
+			t.Fatal("announced op not helped by the spec writer")
+		}
+		s.status.Store(slotFree)
+		drainPark(s)
+	})
+	if m := f.Metrics(); m.SpecWriteHits == 0 || m.CombinerSessions == 0 || m.CombinedOps != 2*m.CombinerSessions {
+		t.Fatalf("help path not exercised: %+v", m)
+	}
+}

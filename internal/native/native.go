@@ -18,20 +18,26 @@
 //     optimistically — load the version (even = no writer), run the
 //     operation over the atomic cells of its read set, and validate that
 //     the version did not change. Update classes attempt a budgeted
-//     CAS-acquire of the same word (even v -> odd v+1), apply, and
-//     publish (store v+2). Both abort to the combining path when the
-//     budget is exhausted.
+//     CAS-acquire of the same word (even v -> odd v+1), apply, help
+//     (below), and publish (store v+2). A lost CAS race spends one
+//     trial; an update that finds the word held (odd) announces at
+//     once, since the holder will help it, and competing for the word
+//     would only cost a yield and another CAS. Reads abort to the
+//     combining path when the budget is exhausted.
 //
 //   - Announce + combining. The owner publishes its operation in a
-//     cache-padded per-handle publication slot and spins briefly; the
-//     first thread to acquire the seqlock word becomes the combiner,
-//     claims every announced operation its ShouldHelp accepts, applies
-//     them in MaxBatch-bounded batches (RunMulti or one-by-one), and
-//     publishes each result back through the slot's status word.
+//     cache-padded per-handle publication slot and spins briefly.
+//     Whoever holds the seqlock word combines before releasing it: a
+//     speculative writer after applying its own operation, or the first
+//     announced owner to acquire the word, which becomes the combiner.
+//     Either one claims every announced operation its ShouldHelp
+//     accepts, applies them in MaxBatch-bounded batches (RunMulti or
+//     one-by-one), and publishes each result back through the slot's
+//     status word.
 //
-//   - Parking. A waiter whose operation has been claimed by a combiner
-//     parks on a buffered per-slot channel (the futex stand-in); the
-//     combiner posts a wake token after the Done transition. Waiters
+//   - Parking. A waiter whose operation has been claimed by a seqlock
+//     holder parks on a buffered per-slot channel (the futex stand-in);
+//     the holder posts a wake token after the Done transition. Waiters
 //     whose operations are merely announced never park — they stay
 //     runnable so one of them can always become the combiner.
 //
@@ -73,8 +79,8 @@ import (
 
 // Publication-slot status values, mirroring internal/phases' descriptor
 // protocol (Free -> Announced -> Claimed -> Done -> Free). The owner
-// performs Free->Announced and Done->Free; only the combiner — which
-// holds the seqlock — performs Announced->Claimed->Done.
+// performs Free->Announced and Done->Free; only a seqlock holder — a
+// combiner or a CAS-won writer — performs Announced->Claimed->Done.
 const (
 	slotFree uint32 = iota
 	slotAnnounced
@@ -142,7 +148,11 @@ type Policy struct {
 	// speculative read set and must live in atomic cells; state outside
 	// every ReadOnly class's read set may be plain memory.
 	ReadOnly bool
-	// TryPrivate budgets the speculative attempts before announcing.
+	// TryPrivate budgets the speculative attempts before announcing. A
+	// read attempt fails when a writer intervenes. An update attempt
+	// fails when its CAS loses a race and retries; an update that finds
+	// the seqlock held announces at once, because the holder helps
+	// announced operations before it releases.
 	TryPrivate int
 	// MaxBatch bounds operations per RunMulti call (0 = default 8).
 	MaxBatch int
@@ -247,6 +257,8 @@ type Metrics struct {
 	// Ops is the number of completed operations.
 	Ops uint64 `json:"ops"`
 	// SpecAttempts counts speculative attempts; SpecAborts the failures.
+	// An update that finds the seqlock held counts one of each and
+	// announces.
 	SpecAttempts uint64 `json:"spec_attempts"`
 	SpecAborts   uint64 `json:"spec_aborts"`
 	// SpecReadHits / SpecWriteHits count operations completed by
@@ -259,10 +271,15 @@ type Metrics struct {
 	// (speculative write acquisitions are counted in SpecWriteHits).
 	LockAcquisitions uint64 `json:"lock_acquisitions"`
 	// CombinerSessions / CombinedOps mirror the combining-degree
-	// statistics: operations applied per combining pass.
+	// statistics: operations applied per combining pass. Every combiner
+	// pass counts. A CAS-won writer's pass counts only when it claims
+	// k >= 1 announced operations, as 1+k ops (its own first). Every
+	// announced operation is applied in exactly one pass, so
+	// CombinedOps - Announces is the number of writer passes.
 	CombinerSessions uint64 `json:"combiner_sessions"`
 	CombinedOps      uint64 `json:"combined_ops"`
-	// Helped counts operations completed by another handle's combiner.
+	// Helped counts operations completed by another handle's pass (a
+	// combiner's or a CAS-won writer's).
 	Helped uint64 `json:"helped"`
 	// Parks counts waits that gave up spinning and blocked on the slot
 	// channel.
@@ -499,7 +516,7 @@ func (h *Handle) Release() {
 // Execute runs op to completion and returns its result. It is
 // linearizable: the operation takes effect exactly once, at some instant
 // between invocation and return — at its validated read version, inside
-// its CAS-acquired critical section, or inside the combiner's.
+// its CAS-acquired critical section, or inside another seqlock holder's.
 func (h *Handle) Execute(op Op) uint64 {
 	f := h.fw
 	pol := &f.policies[op.Class]
@@ -512,7 +529,7 @@ func (h *Handle) Execute(op Op) uint64 {
 			return res
 		}
 	} else {
-		if res, ok := h.specWrite(pol, op, trials, tm); ok {
+		if res, ok := h.specWrite(pol, b, op, trials, tm); ok {
 			return res
 		}
 	}
@@ -545,16 +562,18 @@ func (h *Handle) specRead(pol *Policy, op Op, trials int, tm *Metrics) (uint64, 
 }
 
 // specWrite is the CAS-acquire speculation path: budgeted attempts to
-// take the seqlock word and apply the single operation.
-func (h *Handle) specWrite(pol *Policy, op Op, trials int, tm *Metrics) (uint64, bool) {
+// take the seqlock word, apply the single operation, and help the
+// operations announced meanwhile before the release. A held word ends
+// speculation at once (its holder will help); a lost CAS race spends
+// one trial.
+func (h *Handle) specWrite(pol *Policy, b *nbudget, op Op, trials int, tm *Metrics) (uint64, bool) {
 	f := h.fw
 	for i := 0; i < trials; i++ {
 		tm.SpecAttempts++
 		v := f.seq.Load()
 		if v&1 != 0 {
 			tm.SpecAborts++
-			runtime.Gosched()
-			continue
+			return 0, false
 		}
 		if !f.seq.CompareAndSwap(v, v+1) {
 			tm.SpecAborts++
@@ -563,6 +582,9 @@ func (h *Handle) specWrite(pol *Policy, op Op, trials int, tm *Metrics) (uint64,
 		res := pol.Run(op)
 		if f.witness != nil {
 			f.witness(v+1, 0, op, res)
+		}
+		if f.announcedBesides(h.id) {
+			h.session(pol, b, op, v+1, false, tm)
 		}
 		f.seq.Store(v + 2)
 		tm.SpecWriteHits++
@@ -638,19 +660,17 @@ func wake(s *slot) {
 // odd version vodd. It reports the owner's result, or ok=false when a
 // previous combiner already completed the owner's operation.
 func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) (uint64, bool) {
-	f := h.fw
-	own := &f.slots[h.id]
+	own := &h.fw.slots[h.id]
 	tm.LockAcquisitions++
 	if own.status.Load() != slotAnnounced {
-		// Claimed cannot be observed here — a combiner finishes every
-		// claimed operation before releasing the seqlock — so the slot is
-		// Done: a previous combiner beat us between our last status check
+		// Claimed cannot be observed here — every seqlock holder finishes
+		// the operations it claimed before releasing — so the slot is
+		// Done: a previous holder beat us between our last status check
 		// and the acquisition.
 		return 0, false
 	}
 	// De-announce our own operation; we apply it ourselves.
 	own.status.Store(slotFree)
-	tm.CombinerSessions++
 
 	// Group-commit delay: let concurrent owners announce before the
 	// claim sweep so they ride this batch's RunMulti (and share its
@@ -660,12 +680,32 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 	if delayed {
 		start = h.commitDelay(pol.CombineDelay, b.delayBudget())
 	}
+	ownRes, joiners := h.session(pol, b, own.op, vodd, true, tm)
+	if delayed {
+		b.observeSession(int64(time.Since(epoch)-start), joiners)
+	}
+	return ownRes, true
+}
 
+// session is the combining pass every seqlock holder runs at odd version
+// vodd on behalf of its operation mine: claim each other handle's
+// announced operation that pol.ShouldHelp accepts, apply the batch in
+// MaxBatch-bounded RunMulti (or one-by-one) calls, and publish each
+// result through its slot. With self, mine is the handle's own
+// de-announced operation and leads the batch (a combiner); without, the
+// holder already applied mine at intra 0 (a CAS-won writer). It returns
+// the handle's own result (with self) and how many claimed operations
+// belong to delay classes. A pass that applies nothing counts no
+// metrics.
+func (h *Handle) session(pol *Policy, b *nbudget, mine Op, vodd uint64, self bool, tm *Metrics) (ownRes uint64, joiners int) {
+	f := h.fw
 	sc := &h.sc
 	sc.pend = sc.pend[:0]
-	sc.pend = append(sc.pend, h.id)
-	mine := own.op
-	joiners := 0
+	intra := 1
+	if self {
+		sc.pend = append(sc.pend, h.id)
+		intra = 0
+	}
 	used := int(f.used.Load())
 	for id := 0; id < used; id++ {
 		if id == int(h.id) {
@@ -680,15 +720,17 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 		}
 		os.status.Store(slotClaimed)
 		sc.pend = append(sc.pend, int32(id))
-		if delayed && f.policies[os.op.Class].CombineDelay > 0 {
+		if f.policies[os.op.Class].CombineDelay > 0 {
 			joiners++
 		}
 	}
-	tm.CombinedOps += uint64(len(sc.pend))
+	if len(sc.pend) == 0 {
+		return 0, 0
+	}
+	tm.CombinerSessions++
+	tm.CombinedOps += uint64(intra + len(sc.pend))
 
 	maxBatch := int(b.maxBatch.Load())
-	ownRes := uint64(0)
-	intra := 0
 	for len(sc.pend) > 0 {
 		n := len(sc.pend)
 		if n > maxBatch {
@@ -741,10 +783,7 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 		}
 		sc.pend = append(keep, sc.pend[n:]...)
 	}
-	if delayed {
-		b.observeSession(int64(time.Since(epoch)-start), joiners)
-	}
-	return ownRes, true
+	return ownRes, joiners
 }
 
 // commitDelay yields up to maxYields times, stopping once the wait has
@@ -765,6 +804,20 @@ func (h *Handle) commitDelay(maxYields int, budget time.Duration) time.Duration 
 // epoch anchors the session timer: time.Since(epoch) reads only the
 // monotonic clock, about half the cost of time.Now.
 var epoch = time.Now()
+
+// announcedBesides reports whether any registered slot but self is
+// announced: whether a CAS-won writer has anyone to help. Checking
+// before the session keeps a writer that helps nobody from paying for
+// the session's call inside its critical section.
+func (f *Framework) announcedBesides(self int32) bool {
+	used := f.used.Load()
+	for id := int32(0); id < used; id++ {
+		if id != self && f.slots[id].status.Load() == slotAnnounced {
+			return true
+		}
+	}
+	return false
+}
 
 // othersAnnounced reports whether every registered slot but self is
 // announced, so no further owner can join the coming batch.

@@ -109,8 +109,20 @@ func stressGoroutines() int {
 
 // TestStressHashtableLinearizable hammers one table with a mixed
 // get/put/delete load over a tiny keyspace (maximal conflict, frequent
-// speculation aborts) and checks the full witnessed history.
+// speculation aborts) and checks the full witnessed history. It runs
+// twice: once with every update forced through the combiner, and once
+// at the shipped speculation budget, where CAS-acquired writers help
+// the operations announced while they hold the seqlock.
 func TestStressHashtableLinearizable(t *testing.T) {
+	t.Run("combining-only", func(t *testing.T) { stressHashtable(t, 0) })
+	t.Run("default-budget", func(t *testing.T) { stressHashtable(t, pubnative.DefaultTryPrivate) })
+}
+
+// stressHashtable gives gets one speculative attempt and updates
+// writeBudget. With no update budget the slot protocol is hammered even
+// on boxes where speculation would otherwise always win (e.g. a single
+// CPU).
+func stressHashtable(t *testing.T, writeBudget int) {
 	const keyspace, opsPer = 128, 3000
 	goroutines := stressGoroutines()
 	tb := hashtable.New(1 << 10)
@@ -118,13 +130,11 @@ func TestStressHashtableLinearizable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reads keep their speculation budget; updates go straight to the
-	// combiner so the slot protocol is hammered even on boxes where
-	// speculation would otherwise always win (e.g. a single CPU).
-	fw.SetTryPrivate(hashtable.ClassPut, 0)
-	fw.SetTryPrivate(hashtable.ClassDelete, 0)
+	fw.SetTryPrivate(hashtable.ClassPut, writeBudget)
+	fw.SetTryPrivate(hashtable.ClassDelete, writeBudget)
 	rec := &witness.Recorder{}
 	fw.SetWitness(bridge(rec))
+	returned := make([][]outcome, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -135,14 +145,16 @@ func TestStressHashtableLinearizable(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(g), 0xDECAF))
 			for i := 0; i < opsPer; i++ {
 				k := rng.Uint64N(keyspace)
+				var op native.Op
 				switch rng.IntN(4) {
 				case 0:
-					h.Execute(hashtable.PutOp(k, rng.Uint64()>>1))
+					op = hashtable.PutOp(k, rng.Uint64()>>1)
 				case 1:
-					h.Execute(hashtable.DeleteOp(k))
+					op = hashtable.DeleteOp(k)
 				default:
-					h.Execute(hashtable.GetOp(k))
+					op = hashtable.GetOp(k)
 				}
+				returned[g] = append(returned[g], outcome{op, h.Execute(op)})
 			}
 		}(g)
 	}
@@ -151,8 +163,11 @@ func TestStressHashtableLinearizable(t *testing.T) {
 	if err := witness.Check(rec, model, goroutines*opsPer, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkReturned(t, rec, returned)
 	m := fw.Metrics()
-	if m.CombinerSessions == 0 {
+	if writeBudget > 0 {
+		requireWriterSessions(t, m)
+	} else if m.CombinerSessions == 0 {
 		t.Fatalf("stress never reached the combiner: %+v", m)
 	}
 }
@@ -185,6 +200,7 @@ func stressPQueue(t *testing.T, readBudget, writeBudget int) {
 	fw.SetTryPrivate(pqueue.ClassExtractMin, writeBudget)
 	rec := &witness.Recorder{}
 	fw.SetWitness(bridge(rec))
+	returned := make([][]outcome, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -194,14 +210,16 @@ func stressPQueue(t *testing.T, readBudget, writeBudget int) {
 			defer h.Release()
 			rng := rand.New(rand.NewPCG(uint64(g), 0xFACADE))
 			for i := 0; i < opsPer; i++ {
+				var op native.Op
 				switch rng.IntN(4) {
 				case 0, 1:
-					h.Execute(pqueue.InsertOp(rng.Uint64N(1 << 20)))
+					op = pqueue.InsertOp(rng.Uint64N(1 << 20))
 				case 2:
-					h.Execute(pqueue.ExtractMinOp())
+					op = pqueue.ExtractMinOp()
 				default:
-					h.Execute(pqueue.PeekMinOp())
+					op = pqueue.PeekMinOp()
 				}
+				returned[g] = append(returned[g], outcome{op, h.Execute(op)})
 			}
 		}(g)
 	}
@@ -210,11 +228,56 @@ func stressPQueue(t *testing.T, readBudget, writeBudget int) {
 	if err := witness.Check(rec, model, goroutines*opsPer, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkReturned(t, rec, returned)
 	m := fw.Metrics()
 	if m.SpecReadHits == 0 {
 		t.Fatalf("no PeekMin completed speculatively: %+v", m)
 	}
-	if writeBudget > 0 && m.SpecWriteHits == 0 {
-		t.Fatalf("no update completed as a CAS-acquired writer: %+v", m)
+	if writeBudget > 0 {
+		if m.SpecWriteHits == 0 {
+			t.Fatalf("no update completed as a CAS-acquired writer: %+v", m)
+		}
+		requireWriterSessions(t, m)
+	}
+}
+
+// outcome is one operation with the result its caller got back.
+type outcome struct {
+	op  native.Op
+	res uint64
+}
+
+// checkReturned fails unless the callers got back exactly the results
+// the witness recorded, as multisets of (operation, result): the witness
+// checks what the seqlock holders applied, this checks what they
+// published to the owners.
+func checkReturned(t *testing.T, rec *witness.Recorder, returned [][]outcome) {
+	t.Helper()
+	count := map[outcome]int{}
+	for _, e := range rec.Entries() {
+		count[outcome{e.Op.(wOp).op, e.Result}]++
+	}
+	for _, rs := range returned {
+		for _, r := range rs {
+			count[r]--
+		}
+	}
+	for w, n := range count {
+		if n != 0 {
+			t.Fatalf("op %+v result %d: witnessed minus returned = %d", w.op, w.res, n)
+		}
+	}
+}
+
+// requireWriterSessions fails unless some CAS-won writer helped an
+// announced operation. Every announced operation is applied once in some
+// session, and a writer's session also counts its own operation, so
+// CombinedOps - Announces is the number of writer sessions. On a single
+// P nobody runs while a writer holds the seqlock, so nobody announces
+// into its session and the check has nothing to see.
+func requireWriterSessions(t *testing.T, m native.Metrics) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) > 1 && m.CombinedOps <= m.Announces {
+		t.Fatalf("no CAS-won writer session claimed an announced op: %+v", m)
 	}
 }

@@ -6,8 +6,10 @@
 // Read-only operation classes speculate with validated optimistic reads;
 // update classes speculate with a budgeted CAS-acquire of the same word;
 // both fall back to flat combining through cache-padded publication
-// slots, where one thread batches every announced operation under the
-// lock. Per-class policies carry the same knobs as the simulated
+// slots. Whoever holds the lock, a speculative writer that won it or a
+// combiner, applies the announced operations its ShouldHelp accepts
+// before releasing it, and an update that finds the lock held announces
+// at once. Per-class policies carry the same knobs as the simulated
 // framework — TryPrivate budget, MaxBatch, ShouldHelp, RunMulti — so
 // configurations transfer between the two backends.
 //
