@@ -447,19 +447,13 @@ func (o *options) writeTrace(w io.Writer, pt point) error {
 }
 
 // serveReport exposes the finished report (and, when the run was traced,
-// its hot lines and health) on the introspection endpoints and blocks
-// until the process is interrupted — a scrape target for Prometheus
+// its hot lines) on the introspection endpoints and blocks until the
+// process is interrupted — a scrape target for Prometheus
 // (/debug/metrics?format=prom) or a browse target for curl/hcftop.
 func serveReport(addr string, report *metrics.Report, col *trace.Collector) error {
 	srv := serve.New()
-	srv.SetMeta(report.Scenario, report.Engine, report.Threads)
-	srv.SetReport(func() *metrics.Report { return report })
-	srv.SetShards(func() []metrics.GroupCounters { return report.Totals.ByGroup })
-	if report.SLO != nil {
-		srv.SetSLO(func() *metrics.SLOSnapshot { return report.SLO })
-	}
+	srv.Attach(serve.Source{Report: func() *metrics.Report { return report }})
 	if col != nil {
-		srv.SetTraceHealth(func() *metrics.TraceHealth { return report.Trace })
 		srv.PublishHotLines(col.HotLines(32))
 	}
 	bound, err := srv.Start(addr)

@@ -24,7 +24,6 @@ import (
 
 	"hcf/internal/harness"
 	"hcf/internal/metrics"
-	"hcf/internal/shard"
 	"hcf/serve"
 )
 
@@ -65,35 +64,13 @@ func run(args []string, w io.Writer) error {
 }
 
 // snapshot is one poll of the introspection endpoints. Endpoints that are
-// not configured on the server (404) leave their field nil.
+// not configured on the server (404) leave their field zero.
 type snapshot struct {
-	Vars     *serve.Vars
-	Sojourn  []harness.ClassSojourn
-	SLO      *metrics.SLOSnapshot
-	Shards   []metrics.GroupCounters
-	Topology *shard.Topology
-	When     time.Time
-}
-
-// decodeShards accepts both /debug/shards payload shapes: the bare
-// counters array a static sharded engine serves, and the
-// {"topology": ..., "counters": [...]} object an elastic engine serves.
-func (s *snapshot) decodeShards(raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	if raw[0] == '[' {
-		return json.Unmarshal(raw, &s.Shards)
-	}
-	var obj struct {
-		Topology *shard.Topology         `json:"topology"`
-		Counters []metrics.GroupCounters `json:"counters"`
-	}
-	if err := json.Unmarshal(raw, &obj); err != nil {
-		return err
-	}
-	s.Topology, s.Shards = obj.Topology, obj.Counters
-	return nil
+	Vars    *serve.Vars
+	Sojourn []harness.ClassSojourn
+	SLO     *metrics.SLOSnapshot
+	Shards  serve.Shards
+	When    time.Time
 }
 
 // getJSON decodes endpoint ep into out; a 404 is not an error (the
@@ -132,11 +109,7 @@ func fetch(client *http.Client, base string) (*snapshot, error) {
 	if len(slo.Objectives) > 0 {
 		s.SLO = &slo
 	}
-	var rawShards json.RawMessage
-	if err := getJSON(client, base, "/debug/shards", &rawShards); err != nil {
-		return nil, err
-	}
-	if err := s.decodeShards(rawShards); err != nil {
+	if err := getJSON(client, base, "/debug/shards", &s.Shards); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -190,16 +163,16 @@ func render(s *snapshot) string {
 		}
 	}
 
-	if len(s.Shards) > 0 || s.Topology != nil {
+	if len(s.Shards.Counters) > 0 || s.Shards.Topology != nil {
 		b.WriteString("\nshards:\n")
-		if t := s.Topology; t != nil {
+		if t := s.Shards.Topology; t != nil {
 			fmt.Fprintf(&b, "  topology: epoch=%d active=%d/%d splits=%d merges=%d moved=%d reroutes=%d\n",
 				t.Ring.Epoch, t.Ring.Active, t.Provisioned, t.Splits, t.Merges, t.MovedKeys, t.Reroutes)
 		}
-		if len(s.Shards) > 0 {
+		if len(s.Shards.Counters) > 0 {
 			fmt.Fprintf(&b, "  %-8s %10s %10s %10s %10s %10s\n",
 				"shard", "ops", "commits", "aborts", "sessions", "combined")
-			for _, g := range s.Shards {
+			for _, g := range s.Shards.Counters {
 				fmt.Fprintf(&b, "  %-8s %10d %10d %10d %10d %10d\n",
 					g.Group, g.Ops, g.Commits, g.Aborts, g.CombinerSessions, g.CombinedOps)
 			}

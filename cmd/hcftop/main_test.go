@@ -14,28 +14,10 @@ import (
 	"hcf/serve"
 )
 
-// liveServer builds a serve.Server with canned providers and returns an
+// liveServer builds a serve.Server with a canned source and returns an
 // httptest wrapper around its handler.
 func liveServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s := serve.New()
-	s.SetMeta("hashtable", "HCF-S", 12)
-	s.SetBacklog(func() int64 { return 17 })
-	s.SetTraceHealth(func() *metrics.TraceHealth {
-		return &metrics.TraceHealth{Starts: 100, Retained: 64, Dropped: 36}
-	})
-	s.SetSojourn(func() []harness.ClassSojourn {
-		return []harness.ClassSojourn{
-			{Class: "insert", SojournStat: harness.SojournStat{Count: 500, Mean: 310.5, P50: 290, P99: 900, P999: 1800, P9999: 2400, Max: 2500}},
-			{Class: "find", SojournStat: harness.SojournStat{Count: 700, Mean: 120.0, P50: 100, P99: 300, P999: 500, P9999: 600, Max: 650}},
-		}
-	})
-	s.SetShards(func() []metrics.GroupCounters {
-		return []metrics.GroupCounters{
-			{Group: "shard0", Ops: 600, Commits: 580, Aborts: 20, CombinerSessions: 40, CombinedOps: 200},
-			{Group: "cross", Ops: 12},
-		}
-	})
 	rec, err := metrics.New(metrics.Config{Shards: 2, TimeUnit: "cycles"})
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +34,26 @@ func liveServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	tr.Step(1000) // the bad op blows the 0.1% budget: state pages immediately
-	s.SetSLO(func() *metrics.SLOSnapshot {
-		snap := tr.Snapshot()
-		return &snap
+	s := serve.New()
+	s.Attach(serve.Source{
+		Report: func() *metrics.Report {
+			rep := metrics.BuildReport(rec, nil, "hashtable", "HCF-S", 12)
+			snap := tr.Snapshot()
+			rep.SLO = &snap
+			rep.Trace = &metrics.TraceHealth{Starts: 100, Retained: 64, Dropped: 36}
+			rep.Totals.ByGroup = []metrics.GroupCounters{
+				{Group: "shard0", Ops: 600, Commits: 580, Aborts: 20, CombinerSessions: 40, CombinedOps: 200},
+				{Group: "cross", Ops: 12},
+			}
+			return &rep
+		},
+		Sojourn: func() []harness.ClassSojourn {
+			return []harness.ClassSojourn{
+				{Class: "insert", SojournStat: harness.SojournStat{Count: 500, Mean: 310.5, P50: 290, P99: 900, P999: 1800, P9999: 2400, Max: 2500}},
+				{Class: "find", SojournStat: harness.SojournStat{Count: 700, Mean: 120.0, P50: 100, P99: 300, P999: 500, P9999: 600, Max: 650}},
+			}
+		},
+		Backlog: func() int64 { return 17 },
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -71,9 +70,9 @@ func TestFetchAndRender(t *testing.T) {
 	if snap.Vars == nil || snap.Vars.Engine != "HCF-S" || snap.Vars.Backlog != 17 {
 		t.Fatalf("vars: %+v", snap.Vars)
 	}
-	if len(snap.Sojourn) != 2 || len(snap.Shards) != 2 || snap.SLO == nil {
+	if len(snap.Sojourn) != 2 || len(snap.Shards.Counters) != 2 || snap.SLO == nil {
 		t.Fatalf("snapshot incomplete: sojourn=%d shards=%d slo=%v",
-			len(snap.Sojourn), len(snap.Shards), snap.SLO != nil)
+			len(snap.Sojourn), len(snap.Shards.Counters), snap.SLO != nil)
 	}
 	out := render(snap)
 	for _, want := range []string{
@@ -96,7 +95,7 @@ func TestFetchToleratesMissingEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.SLO != nil || len(snap.Sojourn) != 0 || len(snap.Shards) != 0 {
+	if snap.SLO != nil || len(snap.Sojourn) != 0 || len(snap.Shards.Counters) != 0 {
 		t.Fatalf("expected empty snapshot, got %+v", snap)
 	}
 	if out := render(snap); !strings.Contains(out, "hcftop") {
@@ -119,24 +118,28 @@ func TestRunOnce(t *testing.T) {
 	}
 }
 
-// TestFetchElasticTopology pins the object-shaped /debug/shards payload
-// an elastic engine serves: the dashboard decodes both topology and
-// counters and renders the topology line.
+// TestFetchElasticTopology pins the /debug/shards payload with a
+// topology alongside the counters, as an elastic engine serves it: the
+// dashboard decodes both and renders the topology line.
 func TestFetchElasticTopology(t *testing.T) {
 	s := serve.New()
-	s.SetMeta("hashtable-elastic", "HCF-E", 12)
-	s.SetShards(func() []metrics.GroupCounters {
-		return []metrics.GroupCounters{{Group: "shard0", Ops: 600}}
-	})
-	s.SetTopology(func() *shard.Topology {
-		return &shard.Topology{
-			Name:        "HCF-E",
-			Provisioned: 8,
-			Splits:      2,
-			MovedKeys:   495,
-			Reroutes:    28,
-			Ring:        route.Snapshot{Epoch: 2, Slots: 64, Active: 6},
-		}
+	s.Attach(serve.Source{
+		Report: func() *metrics.Report {
+			return &metrics.Report{
+				Scenario: "hashtable-elastic", Engine: "HCF-E", Threads: 12,
+				Totals: metrics.Counters{ByGroup: []metrics.GroupCounters{{Group: "shard0", Ops: 600}}},
+			}
+		},
+		Topology: func() *shard.Topology {
+			return &shard.Topology{
+				Name:        "HCF-E",
+				Provisioned: 8,
+				Splits:      2,
+				MovedKeys:   495,
+				Reroutes:    28,
+				Ring:        route.Snapshot{Epoch: 2, Slots: 64, Active: 6},
+			}
+		},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -145,8 +148,8 @@ func TestFetchElasticTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Topology == nil || snap.Topology.Splits != 2 || len(snap.Shards) != 1 {
-		t.Fatalf("elastic snapshot: topology=%+v shards=%d", snap.Topology, len(snap.Shards))
+	if snap.Shards.Topology == nil || snap.Shards.Topology.Splits != 2 || len(snap.Shards.Counters) != 1 {
+		t.Fatalf("elastic snapshot: topology=%+v shards=%d", snap.Shards.Topology, len(snap.Shards.Counters))
 	}
 	out := render(snap)
 	for _, want := range []string{

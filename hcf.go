@@ -341,9 +341,9 @@ var (
 // IntrospectionServer is the live HTTP introspection server (see the
 // hcf/serve package): JSON endpoints under /debug for metrics snapshots,
 // interval series, SLO burn-rate state, per-shard counters, sojourn tails,
-// trace hot lines and the tuner journal, plus the standard pprof set.
+// trace hot lines and a decision journal, plus the standard pprof set.
 // Attach one to an open-loop run via OpenLoopConfig.Observer, or install
-// providers explicitly with its Set* methods.
+// one serve.Source explicitly with its Attach method.
 type IntrospectionServer = serve.Server
 
 // Serve starts a live introspection server on addr ("host:port"; port 0

@@ -72,6 +72,7 @@ package native
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,11 +209,9 @@ type slot struct {
 	_      [2*cacheLine - 48]byte
 }
 
-// nbudget holds one class's runtime-adjustable knobs, padded against
-// false sharing (the combiner loads them on every session).
+// nbudget holds one class's combine-delay state, padded against false
+// sharing (combiners of delay classes update it on every session).
 type nbudget struct {
-	tryPrivate atomic.Int32
-	maxBatch   atomic.Int32
 	// sessionNS is a moving average of the class's combining sessions in
 	// nanoseconds (claim sweep through publish, delay excluded); joined
 	// is a moving average, in units of 1/joinedOne, of how many
@@ -222,7 +221,7 @@ type nbudget struct {
 	// seqlock.
 	sessionNS atomic.Int64
 	joined    atomic.Int64
-	_         [cacheLine - 24]byte
+	_         [cacheLine - 16]byte
 }
 
 // joinedOne is one joiner per session in nbudget.joined's fixed point.
@@ -357,7 +356,7 @@ func New(cfg Config) (*Framework, error) {
 		}
 	}
 	f := &Framework{
-		policies: cfg.Policies,
+		policies: slices.Clone(cfg.Policies),
 		budgets:  make([]nbudget, len(cfg.Policies)),
 		slots:    make([]slot, maxHandles),
 		metrics:  make([]threadMetrics, maxHandles),
@@ -373,8 +372,6 @@ func New(cfg Config) (*Framework, error) {
 		if p.MaxBatch <= 0 {
 			p.MaxBatch = 8
 		}
-		f.budgets[c].tryPrivate.Store(int32(p.TryPrivate))
-		f.budgets[c].maxBatch.Store(int32(p.MaxBatch))
 	}
 	for i := range f.slots {
 		f.slots[i].park = make(chan struct{}, 1)
@@ -390,29 +387,6 @@ func (f *Framework) ClassName(class int) string { return f.policies[class].Name 
 
 // MaxHandles returns the publication-slot capacity.
 func (f *Framework) MaxHandles() int { return len(f.slots) }
-
-// TryPrivate returns class's current speculation budget.
-func (f *Framework) TryPrivate(class int) int {
-	return int(f.budgets[class].tryPrivate.Load())
-}
-
-// SetTryPrivate adjusts class's speculation budget at run time. Negative
-// values clamp to zero. Like the simulated framework's budgets it is a
-// performance knob, never a correctness one.
-func (f *Framework) SetTryPrivate(class, trials int) {
-	f.budgets[class].tryPrivate.Store(int32(max(trials, 0)))
-}
-
-// MaxBatch returns class's current combining batch bound.
-func (f *Framework) MaxBatch(class int) int {
-	return int(f.budgets[class].maxBatch.Load())
-}
-
-// SetMaxBatch adjusts class's batch bound at run time (values below 1
-// clamp to 1).
-func (f *Framework) SetMaxBatch(class, n int) {
-	f.budgets[class].maxBatch.Store(int32(max(n, 1)))
-}
 
 // Version returns the current seqlock version (for tests and stats).
 func (f *Framework) Version() uint64 { return f.seq.Load() }
@@ -523,13 +497,12 @@ func (h *Handle) Execute(op Op) uint64 {
 	b := &f.budgets[op.Class]
 	tm := &f.metrics[h.id].m
 	tm.Ops++
-	trials := int(b.tryPrivate.Load())
 	if pol.ReadOnly {
-		if res, ok := h.specRead(pol, op, trials, tm); ok {
+		if res, ok := h.specRead(pol, op, tm); ok {
 			return res
 		}
 	} else {
-		if res, ok := h.specWrite(pol, b, op, trials, tm); ok {
+		if res, ok := h.specWrite(pol, b, op, tm); ok {
 			return res
 		}
 	}
@@ -538,9 +511,9 @@ func (h *Handle) Execute(op Op) uint64 {
 
 // specRead is the optimistic-read speculation path: run the operation
 // between two equal even observations of the seqlock word.
-func (h *Handle) specRead(pol *Policy, op Op, trials int, tm *Metrics) (uint64, bool) {
+func (h *Handle) specRead(pol *Policy, op Op, tm *Metrics) (uint64, bool) {
 	f := h.fw
-	for i := 0; i < trials; i++ {
+	for i := 0; i < pol.TryPrivate; i++ {
 		tm.SpecAttempts++
 		v1 := f.seq.Load()
 		if v1&1 != 0 {
@@ -566,9 +539,9 @@ func (h *Handle) specRead(pol *Policy, op Op, trials int, tm *Metrics) (uint64, 
 // operations announced meanwhile before the release. A held word ends
 // speculation at once (its holder will help); a lost CAS race spends
 // one trial.
-func (h *Handle) specWrite(pol *Policy, b *nbudget, op Op, trials int, tm *Metrics) (uint64, bool) {
+func (h *Handle) specWrite(pol *Policy, b *nbudget, op Op, tm *Metrics) (uint64, bool) {
 	f := h.fw
-	for i := 0; i < trials; i++ {
+	for i := 0; i < pol.TryPrivate; i++ {
 		tm.SpecAttempts++
 		v := f.seq.Load()
 		if v&1 != 0 {
@@ -730,12 +703,8 @@ func (h *Handle) session(pol *Policy, b *nbudget, mine Op, vodd uint64, self boo
 	tm.CombinerSessions++
 	tm.CombinedOps += uint64(intra + len(sc.pend))
 
-	maxBatch := int(b.maxBatch.Load())
 	for len(sc.pend) > 0 {
-		n := len(sc.pend)
-		if n > maxBatch {
-			n = maxBatch
-		}
+		n := min(len(sc.pend), pol.MaxBatch)
 		sc.ops = sc.ops[:0]
 		sc.res = sc.res[:0]
 		sc.done = sc.done[:0]

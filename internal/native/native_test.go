@@ -54,25 +54,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBudgetKnobs pins how New takes the policies' budgets: it keeps
+// each TryPrivate, defaults MaxBatch 0 to 8 in its own copy, and leaves
+// the caller's slice as it was.
 func TestBudgetKnobs(t *testing.T) {
 	pols, _ := counterPolicies(3)
 	f, err := New(Config{Policies: pols})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.TryPrivate(0); got != 3 {
+	if got := f.policies[0].TryPrivate; got != 3 {
 		t.Fatalf("TryPrivate = %d, want 3", got)
 	}
-	if got := f.MaxBatch(0); got != 8 {
+	if got := f.policies[0].MaxBatch; got != 8 {
 		t.Fatalf("default MaxBatch = %d, want 8", got)
 	}
-	f.SetTryPrivate(0, -5)
-	if got := f.TryPrivate(0); got != 0 {
-		t.Fatalf("clamped TryPrivate = %d, want 0", got)
-	}
-	f.SetMaxBatch(0, 0)
-	if got := f.MaxBatch(0); got != 1 {
-		t.Fatalf("clamped MaxBatch = %d, want 1", got)
+	if got := pols[0].MaxBatch; got != 0 {
+		t.Fatalf("New wrote MaxBatch %d into the caller's policies", got)
 	}
 	if f.NumClasses() != 2 || f.ClassName(1) != "Read" {
 		t.Fatalf("class metadata wrong: %d %q", f.NumClasses(), f.ClassName(1))

@@ -126,12 +126,13 @@ func stressHashtable(t *testing.T, writeBudget int) {
 	const keyspace, opsPer = 128, 3000
 	goroutines := stressGoroutines()
 	tb := hashtable.New(1 << 10)
-	fw, err := native.New(native.Config{Policies: tb.Policies(1, 0), MaxHandles: goroutines})
+	pols := tb.Policies(1, 0)
+	pols[hashtable.ClassPut].TryPrivate = writeBudget
+	pols[hashtable.ClassDelete].TryPrivate = writeBudget
+	fw, err := native.New(native.Config{Policies: pols, MaxHandles: goroutines})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw.SetTryPrivate(hashtable.ClassPut, writeBudget)
-	fw.SetTryPrivate(hashtable.ClassDelete, writeBudget)
 	rec := &witness.Recorder{}
 	fw.SetWitness(bridge(rec))
 	returned := make([][]outcome, goroutines)
@@ -192,12 +193,13 @@ func stressPQueue(t *testing.T, readBudget, writeBudget int) {
 	const opsPer = 3000
 	goroutines := stressGoroutines()
 	q := pqueue.New(goroutines * opsPer)
-	fw, err := native.New(native.Config{Policies: q.Policies(readBudget, 0), MaxHandles: goroutines})
+	pols := q.Policies(readBudget, 0)
+	pols[pqueue.ClassInsert].TryPrivate = writeBudget
+	pols[pqueue.ClassExtractMin].TryPrivate = writeBudget
+	fw, err := native.New(native.Config{Policies: pols, MaxHandles: goroutines})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw.SetTryPrivate(pqueue.ClassInsert, writeBudget)
-	fw.SetTryPrivate(pqueue.ClassExtractMin, writeBudget)
 	rec := &witness.Recorder{}
 	fw.SetWitness(bridge(rec))
 	returned := make([][]outcome, goroutines)

@@ -1,10 +1,10 @@
-package native_test
+package native
 
 import (
 	"testing"
 
-	"hcf/internal/native/pqueue"
-	"hcf/native"
+	inative "hcf/internal/native"
+	ipq "hcf/internal/native/pqueue"
 )
 
 // requireZeroAllocs fails t when f allocates in steady state.
@@ -18,12 +18,33 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 // TestPQueueHandleAllocFree pins the shipped queue's handle methods at
 // zero allocations per call, on the speculative paths (an uncontended
 // handle: validated PeekMin reads and CAS-acquired updates) and on the
-// announce + self-combine path (every budget forced to zero).
+// announce + self-combine path (a queue whose every budget is zero).
 func TestPQueueHandleAllocFree(t *testing.T) {
-	p, err := native.NewPQueue(1 << 10)
+	p, err := NewPQueue(1 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPQueueAllocs(t, p, "speculative")
+	if m := p.Framework().Metrics(); m.SpecWriteHits == 0 || m.SpecReadHits == 0 {
+		t.Fatalf("speculative paths not exercised: %+v", m)
+	}
+
+	q := ipq.New(1 << 10)
+	fw, err := inative.New(Config{Policies: q.Policies(0, 0), MaxHandles: wrapperHandles()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = &PQueue{fw: fw, q: q}
+	checkPQueueAllocs(t, p, "combined")
+	if m := fw.Metrics(); m.CombinerSessions == 0 {
+		t.Fatalf("combining path not exercised: %+v", m)
+	}
+}
+
+// checkPQueueAllocs prefills p with 256 keys and requires Insert,
+// ExtractMin and PeekMin to run without allocating.
+func checkPQueueAllocs(t *testing.T, p *PQueue, path string) {
+	t.Helper()
 	h := p.Handle()
 	defer h.Release()
 	for k := uint64(0); k < 256; k++ {
@@ -33,38 +54,20 @@ func TestPQueueHandleAllocFree(t *testing.T) {
 	// ExtractMin run of the same length, so the queue returns to its
 	// prefill size and never empties or fills.
 	k := uint64(0)
-	insert := func() {
+	requireZeroAllocs(t, "Insert ("+path+")", func() {
 		k = (k + 7919) % 1000
 		h.Insert(k)
-	}
-	extract := func() {
+	})
+	requireZeroAllocs(t, "ExtractMin ("+path+")", func() {
 		if _, ok := h.ExtractMin(); !ok {
 			t.Fatal("ExtractMin found the prefilled queue empty")
 		}
-	}
-	peek := func() {
+	})
+	requireZeroAllocs(t, "PeekMin ("+path+")", func() {
 		if _, ok := h.PeekMin(); !ok {
 			t.Fatal("PeekMin found the prefilled queue empty")
 		}
-	}
-	check := func(path string) {
-		requireZeroAllocs(t, "Insert ("+path+")", insert)
-		requireZeroAllocs(t, "ExtractMin ("+path+")", extract)
-		requireZeroAllocs(t, "PeekMin ("+path+")", peek)
-	}
-	check("speculative")
-	fw := p.Framework()
-	if m := fw.Metrics(); m.SpecWriteHits == 0 || m.SpecReadHits == 0 {
-		t.Fatalf("speculative paths not exercised: %+v", m)
-	}
-
-	fw.SetTryPrivate(pqueue.ClassInsert, 0)
-	fw.SetTryPrivate(pqueue.ClassExtractMin, 0)
-	fw.SetTryPrivate(pqueue.ClassPeekMin, 0)
-	check("combined")
-	if m := fw.Metrics(); m.CombinerSessions == 0 {
-		t.Fatalf("combining path not exercised: %+v", m)
-	}
+	})
 	if p.Len() != 256 {
 		t.Fatalf("Len = %d after balanced pairs, want 256", p.Len())
 	}

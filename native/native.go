@@ -123,7 +123,7 @@ func NewMap(capacity int) (*Map, error) {
 	return &Map{fw: fw, t: t}, nil
 }
 
-// Framework exposes the underlying engine (budgets, metrics, witness).
+// Framework exposes the underlying engine (metrics, witness).
 func (m *Map) Framework() *Framework { return m.fw }
 
 // Len returns the number of live keys; call only while quiescent.

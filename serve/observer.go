@@ -14,57 +14,32 @@ const HotLineLimit = 16
 // while the simulation is in flight.
 var _ harness.OpenLoopObserver = (*Server)(nil)
 
-// ObserveOpenLoop wires all providers to the run's live structures. It is
-// called by the harness before the run starts.
+// ObserveOpenLoop attaches a Source over the run's live structures. It
+// is called by the harness before the run starts.
 func (s *Server) ObserveOpenLoop(v harness.OpenLoopView) {
-	s.SetMeta(v.Scenario, v.Engine, v.Threads)
-	s.SetBacklog(v.Backlog)
-	service, sampler := v.Service, v.Sampler
-	sloTracker := v.SLO
-	col := v.Trace
-	scenario, engine, threads := v.Scenario, v.Engine, v.Threads
-
-	s.SetReport(func() *metrics.Report {
-		rep := metrics.BuildReport(service, sampler, scenario, engine, threads)
-		if sloTracker != nil {
-			snap := sloTracker.Snapshot()
-			rep.SLO = &snap
-		}
-		if col != nil {
-			rep.Trace = &metrics.TraceHealth{
-				Starts:   col.Starts(),
-				Retained: uint64(col.Retained()),
-				Dropped:  col.Dropped(),
+	s.traceCol.Store(v.Trace)
+	s.Attach(Source{
+		Report: func() *metrics.Report {
+			rep := metrics.BuildReport(v.Service, v.Sampler, v.Scenario, v.Engine, v.Threads)
+			if v.SLO != nil {
+				snap := v.SLO.Snapshot()
+				rep.SLO = &snap
 			}
-		}
-		return &rep
-	})
-	if sloTracker != nil {
-		s.SetSLO(func() *metrics.SLOSnapshot {
-			snap := sloTracker.Snapshot()
-			return &snap
-		})
-	}
-	s.SetShards(func() []metrics.GroupCounters {
-		return service.Counters().ByGroup
-	})
-	sojourn := v.Sojourn
-	s.SetSojourn(func() []harness.ClassSojourn {
-		_, rows := harness.SojournOf(sojourn)
-		return rows
-	})
-	if col != nil {
-		s.SetTraceHealth(func() *metrics.TraceHealth {
-			return &metrics.TraceHealth{
-				Starts:   col.Starts(),
-				Retained: uint64(col.Retained()),
-				Dropped:  col.Dropped(),
+			if col := v.Trace; col != nil {
+				rep.Trace = &metrics.TraceHealth{
+					Starts:   col.Starts(),
+					Retained: uint64(col.Retained()),
+					Dropped:  col.Dropped(),
+				}
 			}
-		})
-	}
-	s.mu.Lock()
-	s.traceCol = col
-	s.mu.Unlock()
+			return &rep
+		},
+		Sojourn: func() []harness.ClassSojourn {
+			_, rows := harness.SojournOf(v.Sojourn)
+			return rows
+		},
+		Backlog: v.Backlog,
+	})
 }
 
 // OpenLoopTick runs on the simulator's driver thread at sampler cadence,
@@ -74,10 +49,7 @@ func (s *Server) ObserveOpenLoop(v harness.OpenLoopView) {
 // cycles, so an attached server never changes results.
 func (s *Server) OpenLoopTick(now int64) {
 	s.lastTick.Store(now)
-	s.mu.RLock()
-	col := s.traceCol
-	s.mu.RUnlock()
-	if col != nil {
+	if col := s.traceCol.Load(); col != nil {
 		s.PublishHotLines(col.HotLines(HotLineLimit))
 	}
 }

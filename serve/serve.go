@@ -1,7 +1,7 @@
 // Package serve is the live introspection server: a small HTTP endpoint
-// set over the metrics, SLO, trace and tuner-journal subsystems, designed
-// so a running experiment can be inspected from outside the process with
-// ZERO perturbation of the simulated run.
+// set over the metrics, SLO, trace and decision-journal subsystems,
+// designed so a running experiment can be inspected from outside the
+// process with ZERO perturbation of the simulated run.
 //
 // Everything the handlers read is either host-side (atomic recorder
 // counters, lock-protected sampler copies, copy-on-write journals) or a
@@ -10,6 +10,11 @@
 // emitted). No handler charges simulated cycles, so results are
 // bit-identical with the server enabled or disabled — a property the tests
 // enforce.
+//
+// What the endpoints read is one Source, installed whole by Attach. Its
+// Report provider is the one source of run facts: /debug/slo, the
+// /debug/shards counters and the /debug/vars labels and trace health are
+// all read from the same report /debug/metrics serves.
 //
 // Typical uses:
 //
@@ -20,26 +25,28 @@
 //		Rate: 20000, Observer: srv,
 //	})
 //
-// or post-run, with explicit providers:
+// or post-run, with an explicit source:
 //
-//	srv.SetReport(func() *metrics.Report { return &rep })
 //	at, _ := harness.RunAutotune(36, harness.Config{}) // hcfbench -fig autotune's run
-//	srv.SetJournal(at.Journal)
+//	srv.Attach(serve.Source{
+//		Report:  func() *metrics.Report { return &rep },
+//		Journal: serve.JournalOf(&at.Journal.Log), // or a shard.Rebalancer's Journal()
+//	})
 //
 // Endpoints (all JSON unless ?format says otherwise):
 //
 //	/debug           index of everything below
 //	/debug/metrics   full report (?format=prom | text | json)
-//	/debug/intervals per-interval time series with backlog gauges
-//	/debug/slo       SLO objectives, burn rates, verdicts (?format=prom | text)
-//	/debug/shards    per-shard ops/commits/aborts/combining breakdown;
-//	                 with SetTopology (elastic engines) the payload is
-//	                 {"topology": ..., "counters": [...]} adding ring
+//	/debug/intervals the report's per-interval series with backlog gauges
+//	/debug/slo       the report's SLO objectives, burn rates, verdicts (?format=prom | text)
+//	/debug/shards    {"topology": ..., "counters": [...]}: the report's
+//	                 per-shard ops/commits/aborts/combining breakdown, and
+//	                 with a Topology provider (elastic engines) the ring
 //	                 epoch, slot ownership and split/merge totals
 //	/debug/sojourn   per-class sojourn latency through p9999 (harness.ClassSojourn rows)
 //	/debug/hotlines  trace conflict attribution (published at tick cadence)
-//	/debug/journal   autotuner decision journal (?n=K tails the last K)
-//	/debug/vars      cheap scalar gauges: now, backlog, trace health
+//	/debug/journal   a decision journal, the tuner's or the rebalancer's (?n=K tails the last K)
+//	/debug/vars      scalar gauges: now, backlog, and the report's labels and trace health
 //	/debug/pprof/    the standard Go profiler endpoints
 package serve
 
@@ -53,14 +60,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hcf/internal/adaptive"
 	"hcf/internal/harness"
+	"hcf/internal/journal"
 	"hcf/internal/metrics"
 	"hcf/internal/shard"
 	"hcf/internal/trace"
 )
 
-// Vars is the /debug/vars payload: cheap scalar gauges about the run.
+// Vars is the /debug/vars payload: scalar gauges about the run.
 type Vars struct {
 	Scenario string `json:"scenario,omitempty"`
 	Engine   string `json:"engine,omitempty"`
@@ -73,37 +80,75 @@ type Vars struct {
 	Trace *metrics.TraceHealth `json:"trace,omitempty"`
 }
 
+// Shards is the /debug/shards payload: the report's per-shard counters,
+// with the ring topology alongside when the source has one (elastic
+// engines).
+type Shards struct {
+	Topology *shard.Topology         `json:"topology,omitempty"`
+	Counters []metrics.GroupCounters `json:"counters"`
+}
+
+// Source is what the endpoints read. Report is the one source of run
+// facts: it feeds /debug/metrics and /debug/intervals, /debug/slo (its
+// SLO), the /debug/shards counters (Totals.ByGroup) and the /debug/vars
+// labels and trace health. The other providers add what a report does
+// not carry. Each is called per request and must be safe for concurrent
+// use; a nil one leaves its endpoint answering 404 (or its gauge zero).
+type Source struct {
+	Report func() *metrics.Report
+	// Sojourn feeds /debug/sojourn.
+	Sojourn func() []harness.ClassSojourn
+	// Backlog feeds the /debug/vars backlog gauge.
+	Backlog func() int64
+	// Topology adds the live ring to /debug/shards.
+	Topology func() *shard.Topology
+	// Journal returns a decision log's last n entries, or all of them
+	// when n < 0, for /debug/journal; JournalOf adapts any journal.Log.
+	Journal func(n int) any
+}
+
+// JournalOf adapts l to Source.Journal. An empty log answers [].
+func JournalOf[T any](l *journal.Log[T]) func(n int) any {
+	return func(n int) any {
+		es := l.Entries()
+		if n >= 0 {
+			es = journal.Tail(es, n)
+		}
+		if es == nil {
+			es = []T{}
+		}
+		return es
+	}
+}
+
+// report calls the Report provider, if any.
+func (src *Source) report() *metrics.Report {
+	if src.Report == nil {
+		return nil
+	}
+	return src.Report()
+}
+
 // Server serves the introspection endpoints. The zero value is not usable;
-// call New. Providers are installed either explicitly (SetReport etc.) or
-// by attaching the server to an open-loop run as its observer.
+// call New. A Source is installed either explicitly (Attach) or by
+// attaching the server to an open-loop run as its observer.
 type Server struct {
-	mu       sync.RWMutex
-	scenario string
-	engine   string
-	threads  int
-
-	report   func() *metrics.Report
-	slo      func() *metrics.SLOSnapshot
-	shards   func() []metrics.GroupCounters
-	topology func() *shard.Topology
-	sojourn  func() []harness.ClassSojourn
-	health   func() *metrics.TraceHealth
-	backlog  func() int64
-	journal  *adaptive.Journal
-
+	src      atomic.Pointer[Source]
 	hotlines atomic.Pointer[[]trace.HotLine]
-	traceCol *trace.Collector
+	traceCol atomic.Pointer[trace.Collector]
 	lastTick atomic.Int64
 
 	mux  *http.ServeMux
+	mu   sync.Mutex // guards http and ln
 	http *http.Server
 	ln   net.Listener
 }
 
-// New creates a server with no providers installed; endpoints without a
-// provider answer 404 until one is set.
+// New creates a server with no source attached; endpoints answer 404
+// until one is.
 func New() *Server {
 	s := &Server{mux: http.NewServeMux()}
+	s.Attach(Source{})
 	s.mux.HandleFunc("/debug", s.handleIndex)
 	s.mux.HandleFunc("/debug/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/intervals", s.handleIntervals)
@@ -143,8 +188,8 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Addr returns the bound address, or "" before Start.
 func (s *Server) Addr() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ln == nil {
 		return ""
 	}
@@ -163,74 +208,9 @@ func (s *Server) Close() error {
 	return srv.Close()
 }
 
-// SetMeta labels the run the endpoints describe.
-func (s *Server) SetMeta(scenario, engine string, threads int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scenario, s.engine, s.threads = scenario, engine, threads
-}
-
-// SetReport installs the /debug/metrics and /debug/intervals provider. The
-// function is called per request and must be safe for concurrent use.
-func (s *Server) SetReport(fn func() *metrics.Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.report = fn
-}
-
-// SetSLO installs the /debug/slo provider.
-func (s *Server) SetSLO(fn func() *metrics.SLOSnapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slo = fn
-}
-
-// SetShards installs the /debug/shards provider.
-func (s *Server) SetShards(fn func() []metrics.GroupCounters) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shards = fn
-}
-
-// SetTopology installs the elastic-topology provider. When set,
-// /debug/shards answers with an object {"topology": ..., "counters":
-// [...]} — ring epoch, active/provisioned shards, slot ownership,
-// split/merge/migration totals alongside the per-shard counters —
-// instead of the bare counters array a static sharded engine gets.
-func (s *Server) SetTopology(fn func() *shard.Topology) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.topology = fn
-}
-
-// SetSojourn installs the /debug/sojourn provider.
-func (s *Server) SetSojourn(fn func() []harness.ClassSojourn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sojourn = fn
-}
-
-// SetTraceHealth installs the trace-health gauge used by /debug/vars.
-func (s *Server) SetTraceHealth(fn func() *metrics.TraceHealth) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.health = fn
-}
-
-// SetBacklog installs the live backlog gauge used by /debug/vars.
-func (s *Server) SetBacklog(fn func() int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.backlog = fn
-}
-
-// SetJournal installs the autotuner decision journal for /debug/journal.
-// The journal is copy-on-write, so it may still be appended to.
-func (s *Server) SetJournal(j *adaptive.Journal) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = j
-}
+// Attach installs src as what every endpoint reads, replacing the
+// previous source whole. Each request loads the source once.
+func (s *Server) Attach(src Source) { s.src.Store(&src) }
 
 // PublishHotLines atomically replaces the /debug/hotlines snapshot. Call
 // it only from a context where aggregating trace events is safe — after a
@@ -272,16 +252,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.report
-	s.mu.RUnlock()
-	if fn == nil {
-		http.Error(w, "no metrics provider configured", http.StatusNotFound)
-		return
-	}
-	rep := fn()
+	rep := s.src.Load().report()
 	if rep == nil {
-		http.Error(w, "metrics provider returned nothing", http.StatusNotFound)
+		http.Error(w, "no metrics provider configured", http.StatusNotFound)
 		return
 	}
 	switch r.URL.Query().Get("format") {
@@ -295,32 +268,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.report
-	s.mu.RUnlock()
-	if fn == nil {
-		http.Error(w, "no metrics provider configured", http.StatusNotFound)
-		return
-	}
-	rep := fn()
+	rep := s.src.Load().report()
 	if rep == nil {
-		http.Error(w, "metrics provider returned nothing", http.StatusNotFound)
+		http.Error(w, "no metrics provider configured", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, rep.Intervals)
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.slo
-	s.mu.RUnlock()
-	if fn == nil {
-		http.Error(w, "no SLO provider configured", http.StatusNotFound)
-		return
+	var snap *metrics.SLOSnapshot
+	if rep := s.src.Load().report(); rep != nil {
+		snap = rep.SLO
 	}
-	snap := fn()
 	if snap == nil {
-		http.Error(w, "SLO provider returned nothing", http.StatusNotFound)
+		http.Error(w, "no SLO provider configured", http.StatusNotFound)
 		return
 	}
 	switch r.URL.Query().Get("format") {
@@ -334,37 +296,24 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.shards
-	topo := s.topology
-	s.mu.RUnlock()
-	if fn == nil && topo == nil {
+	src := s.src.Load()
+	rep := src.report()
+	if rep == nil && src.Topology == nil {
 		http.Error(w, "no shard provider configured", http.StatusNotFound)
 		return
 	}
-	var sh []metrics.GroupCounters
-	if fn != nil {
-		sh = fn()
+	out := Shards{Counters: []metrics.GroupCounters{}}
+	if rep != nil && rep.Totals.ByGroup != nil {
+		out.Counters = rep.Totals.ByGroup
 	}
-	if sh == nil {
-		sh = []metrics.GroupCounters{}
+	if src.Topology != nil {
+		out.Topology = src.Topology()
 	}
-	// Static sharded engines keep the original bare-array shape; elastic
-	// engines get the object shape with the live topology alongside.
-	if topo == nil {
-		writeJSON(w, sh)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"topology": topo(),
-		"counters": sh,
-	})
+	writeJSON(w, out)
 }
 
 func (s *Server) handleSojourn(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	fn := s.sojourn
-	s.mu.RUnlock()
+	fn := s.src.Load().Sojourn
 	if fn == nil {
 		http.Error(w, "no sojourn provider configured", http.StatusNotFound)
 		return
@@ -390,39 +339,30 @@ func (s *Server) handleHotLines(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	j := s.journal
-	s.mu.RUnlock()
-	if j == nil {
+	tail := s.src.Load().Journal
+	if tail == nil {
 		http.Error(w, "no journal configured", http.StatusNotFound)
 		return
 	}
-	ds := j.Entries()
+	n := -1
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
-		n, err := strconv.Atoi(nStr)
-		if err != nil || n < 0 {
+		var err error
+		if n, err = strconv.Atoi(nStr); err != nil || n < 0 {
 			http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		ds = j.Tail(n)
 	}
-	if ds == nil {
-		ds = []adaptive.Decision{}
-	}
-	writeJSON(w, ds)
+	writeJSON(w, tail(n))
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	v := Vars{Scenario: s.scenario, Engine: s.engine, Threads: s.threads}
-	backlog, health := s.backlog, s.health
-	s.mu.RUnlock()
-	v.Now = s.lastTick.Load()
-	if backlog != nil {
-		v.Backlog = backlog()
+	src := s.src.Load()
+	v := Vars{Now: s.lastTick.Load()}
+	if rep := src.report(); rep != nil {
+		v.Scenario, v.Engine, v.Threads, v.Trace = rep.Scenario, rep.Engine, rep.Threads, rep.Trace
 	}
-	if health != nil {
-		v.Trace = health()
+	if src.Backlog != nil {
+		v.Backlog = src.Backlog()
 	}
 	writeJSON(w, v)
 }

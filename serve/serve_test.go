@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"hcf/internal/adaptive"
 	"hcf/internal/harness"
+	"hcf/internal/memsim"
 	"hcf/internal/metrics"
 	"hcf/internal/route"
 	"hcf/internal/shard"
@@ -64,11 +67,6 @@ func TestEndpointsWithProviders(t *testing.T) {
 	rec.RecordOp(1, 1, 0, 300)
 	sampler := metrics.NewSampler(rec, 50)
 	sampler.Flush(100)
-	s.SetMeta("scenario-x", "HCF", 2)
-	s.SetReport(func() *metrics.Report {
-		rep := metrics.BuildReport(rec, sampler, "scenario-x", "HCF", 2)
-		return &rep
-	})
 	tr, err := metrics.NewSLOTracker(rec, metrics.SLOConfig{
 		Objectives: []metrics.Objective{{Threshold: 1000, Target: 0.9}},
 	})
@@ -76,23 +74,24 @@ func TestEndpointsWithProviders(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Step(100)
-	s.SetSLO(func() *metrics.SLOSnapshot {
-		snap := tr.Snapshot()
-		return &snap
+	var empty adaptive.Journal
+	s.Attach(Source{
+		Report: func() *metrics.Report {
+			rep := metrics.BuildReport(rec, sampler, "scenario-x", "HCF", 2)
+			snap := tr.Snapshot()
+			rep.SLO = &snap
+			rep.Trace = &metrics.TraceHealth{Starts: 2, Retained: 2}
+			rep.Totals.ByGroup = []metrics.GroupCounters{{Group: "shard0", Ops: 7}}
+			return &rep
+		},
+		Sojourn: func() []harness.ClassSojourn {
+			_, rows := harness.SojournOf(rec)
+			return rows[:1] // class a's row
+		},
+		Backlog: func() int64 { return 5 },
+		Journal: JournalOf(&empty.Log),
 	})
-	s.SetShards(func() []metrics.GroupCounters {
-		return []metrics.GroupCounters{{Group: "shard0", Ops: 7}}
-	})
-	s.SetSojourn(func() []harness.ClassSojourn {
-		_, rows := harness.SojournOf(rec)
-		return rows[:1] // class a's row
-	})
-	s.SetJournal(&adaptive.Journal{})
 	s.PublishHotLines([]trace.HotLine{{Line: 42, Aborts: 3, TopWriter: 1, TopWriterAborts: 2}})
-	s.SetBacklog(func() int64 { return 5 })
-	s.SetTraceHealth(func() *metrics.TraceHealth {
-		return &metrics.TraceHealth{Starts: 2, Retained: 2}
-	})
 
 	code, body := get(t, h, "/debug/metrics")
 	if code != 200 {
@@ -129,9 +128,9 @@ func TestEndpointsWithProviders(t *testing.T) {
 	}
 
 	code, body = get(t, h, "/debug/shards")
-	var groups []metrics.GroupCounters
-	if err := json.Unmarshal([]byte(body), &groups); err != nil || code != 200 ||
-		len(groups) != 1 || groups[0].Group != "shard0" {
+	var sh Shards
+	if err := json.Unmarshal([]byte(body), &sh); err != nil || code != 200 ||
+		sh.Topology != nil || len(sh.Counters) != 1 || sh.Counters[0].Group != "shard0" {
 		t.Fatalf("shards: code %d err %v body %q", code, err, body)
 	}
 
@@ -178,7 +177,7 @@ func TestJournalTailParam(t *testing.T) {
 		j.Append(adaptive.Decision{Seq: i, Rule: adaptive.RuleGrowPrivate, Evidence: adaptive.Evidence{Peer: -1}})
 	}
 	s := New()
-	s.SetJournal(j)
+	s.Attach(Source{Journal: JournalOf(&j.Log)})
 	h := s.Handler()
 	for _, tc := range []struct {
 		n    string
@@ -431,10 +430,11 @@ func TestOpenLoopShardedEndpoints(t *testing.T) {
 	if string(bareJSON) != string(servedJSON) {
 		t.Fatalf("server perturbation on sharded run:\n%s\nvs\n%s", bareJSON, servedJSON)
 	}
-	var groups []metrics.GroupCounters
-	if err := json.Unmarshal([]byte(probe.bodies["/debug/shards"]), &groups); err != nil {
+	var sh Shards
+	if err := json.Unmarshal([]byte(probe.bodies["/debug/shards"]), &sh); err != nil {
 		t.Fatalf("mid-run shards: %v", err)
 	}
+	groups := sh.Counters
 	if len(groups) < 2 {
 		t.Fatalf("sharded run exposed %d shard groups, want >= 2", len(groups))
 	}
@@ -480,55 +480,225 @@ func TestServerStartClose(t *testing.T) {
 	}
 }
 
-// TestShardsTopologyShape pins the two /debug/shards payload shapes:
-// the bare counters array for static sharded engines, and the
-// {"topology", "counters"} object once SetTopology is installed
-// (elastic engines).
+// TestShardsTopologyShape pins the one /debug/shards payload shape:
+// {"counters": [...]} from the report, with "topology" alongside only
+// when the source has a Topology provider (elastic engines).
 func TestShardsTopologyShape(t *testing.T) {
 	s := New()
 	h := s.Handler()
-	s.SetShards(func() []metrics.GroupCounters {
-		return []metrics.GroupCounters{{Group: "shard0", Ops: 7}}
-	})
+	report := func() *metrics.Report {
+		return &metrics.Report{Totals: metrics.Counters{ByGroup: []metrics.GroupCounters{{Group: "shard0", Ops: 7}}}}
+	}
+	s.Attach(Source{Report: report})
 
 	code, body := get(t, h, "/debug/shards")
-	if code != 200 || !strings.HasPrefix(strings.TrimSpace(body), "[") {
+	if code != 200 || strings.Contains(body, "\"topology\"") || !strings.Contains(body, "\"counters\"") {
 		t.Fatalf("static shape: code %d body %q", code, body)
 	}
 
-	s.SetTopology(func() *shard.Topology {
-		return &shard.Topology{
-			Name:        "HCF-E",
-			Provisioned: 8,
-			Splits:      2,
-			MovedKeys:   495,
-			Ring:        route.Snapshot{Epoch: 2, Slots: 64, Active: 6},
-		}
+	s.Attach(Source{
+		Report: report,
+		Topology: func() *shard.Topology {
+			return &shard.Topology{
+				Name:        "HCF-E",
+				Provisioned: 8,
+				Splits:      2,
+				MovedKeys:   495,
+				Ring:        route.Snapshot{Epoch: 2, Slots: 64, Active: 6},
+			}
+		},
 	})
 	code, body = get(t, h, "/debug/shards")
 	if code != 200 {
 		t.Fatalf("elastic shape: code %d", code)
 	}
-	var obj struct {
-		Topology *shard.Topology         `json:"topology"`
-		Counters []metrics.GroupCounters `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(body), &obj); err != nil {
+	var sh Shards
+	if err := json.Unmarshal([]byte(body), &sh); err != nil {
 		t.Fatalf("elastic shape not an object: %v body %q", err, body)
 	}
-	if obj.Topology == nil || obj.Topology.Ring.Epoch != 2 || obj.Topology.Splits != 2 {
-		t.Fatalf("topology lost in transit: %+v", obj.Topology)
+	if sh.Topology == nil || sh.Topology.Ring.Epoch != 2 || sh.Topology.Splits != 2 {
+		t.Fatalf("topology lost in transit: %+v", sh.Topology)
 	}
-	if len(obj.Counters) != 1 || obj.Counters[0].Group != "shard0" {
-		t.Fatalf("counters lost in transit: %+v", obj.Counters)
+	if len(sh.Counters) != 1 || sh.Counters[0].Group != "shard0" {
+		t.Fatalf("counters lost in transit: %+v", sh.Counters)
 	}
 
-	// Topology alone (no counters provider) still answers with the
-	// object shape rather than 404.
+	// Topology alone (no report) still answers, with empty counters,
+	// rather than 404.
 	s2 := New()
-	s2.SetTopology(func() *shard.Topology { return &shard.Topology{Provisioned: 4} })
+	s2.Attach(Source{Topology: func() *shard.Topology { return &shard.Topology{Provisioned: 4} }})
 	code, body = get(t, s2.Handler(), "/debug/shards")
-	if code != 200 || !strings.Contains(body, "\"topology\"") {
+	if code != 200 || !strings.Contains(body, "\"topology\"") || !strings.Contains(body, "\"counters\": []") {
 		t.Fatalf("topology-only: code %d body %q", code, body)
+	}
+}
+
+// truthProbe checks, at every driver tick, that the endpoints derived
+// from the source's one report agree with /debug/metrics read at the
+// same instant (every virtual thread is parked, so nothing moves
+// between the requests).
+type truthProbe struct {
+	*Server
+	t                      *testing.T
+	ticks, groups, healthy int
+}
+
+func (p *truthProbe) OpenLoopTick(now int64) {
+	p.Server.OpenLoopTick(now)
+	t, h := p.t, p.Server.Handler()
+	decode := func(ep string, out any) {
+		t.Helper()
+		code, body := get(t, h, ep)
+		if code != 200 {
+			t.Fatalf("@%d %s: code %d body %q", now, ep, code, body)
+		}
+		if err := json.Unmarshal([]byte(body), out); err != nil {
+			t.Fatalf("@%d %s: %v", now, ep, err)
+		}
+	}
+	var rep metrics.Report
+	var slo metrics.SLOSnapshot
+	var sh Shards
+	var v Vars
+	decode("/debug/metrics", &rep)
+	decode("/debug/slo", &slo)
+	decode("/debug/shards", &sh)
+	decode("/debug/vars", &v)
+	if rep.SLO == nil || !reflect.DeepEqual(*rep.SLO, slo) {
+		t.Fatalf("@%d /debug/slo differs from the report's SLO:\n%+v\nvs\n%+v", now, slo, rep.SLO)
+	}
+	if len(sh.Counters) != len(rep.Totals.ByGroup) ||
+		(len(sh.Counters) > 0 && !reflect.DeepEqual(sh.Counters, rep.Totals.ByGroup)) {
+		t.Fatalf("@%d /debug/shards counters differ from the report's ByGroup:\n%+v\nvs\n%+v", now, sh.Counters, rep.Totals.ByGroup)
+	}
+	if v.Scenario != rep.Scenario || v.Engine != rep.Engine || v.Threads != rep.Threads ||
+		!reflect.DeepEqual(v.Trace, rep.Trace) {
+		t.Fatalf("@%d /debug/vars disagrees with the report: %+v vs %s/%s/%d trace %+v",
+			now, v, rep.Scenario, rep.Engine, rep.Threads, rep.Trace)
+	}
+	p.ticks++
+	if len(sh.Counters) >= 2 {
+		p.groups++
+	}
+	if v.Trace != nil && v.Trace.Starts > 0 {
+		p.healthy++
+	}
+}
+
+// TestOneSourceOneTruth attaches a server to short open-loop runs (the
+// sharded engine for per-shard counters, traced HCF for trace health)
+// and requires /debug/slo, the /debug/shards counters and the
+// /debug/vars labels and trace health to equal the matching fields of
+// /debug/metrics at every tick.
+func TestOneSourceOneTruth(t *testing.T) {
+	sc := harness.OpenLoopScenario()
+	cfg := harness.Config{Horizon: 60_000, Seed: 1}
+	for _, tc := range []struct {
+		engine     string
+		traceLimit int
+	}{{harness.ShardedEngineName, 0}, {"HCF", 64}} {
+		probe := &truthProbe{Server: New(), t: t}
+		ol := harness.OpenLoopConfig{Rate: 12_000, TraceLimit: tc.traceLimit, Observer: probe}
+		if _, _, err := harness.RunPointOpenLoop(sc, tc.engine, 8, cfg, ol); err != nil {
+			t.Fatal(err)
+		}
+		if probe.ticks == 0 {
+			t.Fatalf("%s: the observer was never ticked", tc.engine)
+		}
+		if tc.engine == harness.ShardedEngineName && probe.groups == 0 {
+			t.Fatalf("%s: no tick served per-shard counters", tc.engine)
+		}
+		if tc.traceLimit > 0 && probe.healthy == 0 {
+			t.Fatalf("%s: no tick served trace health", tc.engine)
+		}
+	}
+}
+
+// TestRebalancerJournalEndpoint serves an elastic engine's rebalancer
+// journal (a journal.Log[shard.RebalanceDecision], not the tuner's)
+// through /debug/journal: empty it answers [], and ?n=K tails it.
+func TestRebalancerJournalEndpoint(t *testing.T) {
+	const threads, opsPer, stepEvery = 4, 200, 50
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Seed: 1})
+	inst := harness.ElasticScenario(40, 1024, 4, 2, 90, 40_000).Setup(env, 1)
+	eng, err := harness.BuildEngine(harness.ElasticEngineName, env, inst, harness.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := shard.NewRebalancer(eng.(*shard.Elastic), inst.Elastic.Rebalance)
+	s := New()
+	s.Attach(Source{Journal: JournalOf(rb.Journal())})
+	h := s.Handler()
+	for _, ep := range []string{"/debug/journal", "/debug/journal?n=3"} {
+		if code, body := get(t, h, ep); code != 200 || strings.TrimSpace(body) != "[]" {
+			t.Fatalf("empty %s: code %d body %q", ep, code, body)
+		}
+	}
+
+	env.Run(func(th *memsim.Thread) {
+		rng := rand.New(rand.NewPCG(uint64(th.ID())+1, 9))
+		for i := 1; i <= opsPer; i++ {
+			eng.Execute(th, inst.NextOp(rng))
+			if th.ID() == 0 && i%stepEvery == 0 {
+				rb.Step(th)
+			}
+		}
+	})
+	const steps = opsPer / stepEvery
+	if rb.Journal().Len() != steps {
+		t.Fatalf("journal has %d decisions, want %d", rb.Journal().Len(), steps)
+	}
+	windows := func(ep string) []int {
+		t.Helper()
+		code, body := get(t, h, ep)
+		var ds []shard.RebalanceDecision
+		if err := json.Unmarshal([]byte(body), &ds); err != nil || code != 200 {
+			t.Fatalf("%s: code %d err %v body %q", ep, code, err, body)
+		}
+		ws := []int{}
+		for _, d := range ds {
+			ws = append(ws, d.Window)
+		}
+		return ws
+	}
+	for ep, want := range map[string][]int{
+		"/debug/journal":      {1, 2, 3, 4},
+		"/debug/journal?n=0":  {},
+		"/debug/journal?n=2":  {3, 4},
+		"/debug/journal?n=10": {1, 2, 3, 4},
+	} {
+		if got := windows(ep); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: windows %v, want %v", ep, got, want)
+		}
+	}
+}
+
+// BenchmarkReportRequest measures what the endpoints that read the
+// source's report cost per request on a finished point of the open-loop
+// figure (the sharded engine at 36 threads and the figure's horizon):
+// each /debug/vars and /debug/slo request builds one full report, as
+// /debug/metrics does.
+//
+//	go test -run '^$' -bench ReportRequest -benchmem ./serve
+func BenchmarkReportRequest(b *testing.B) {
+	srv := New()
+	ol := harness.OpenLoopConfig{Rate: 45_000, Observer: srv}
+	cfg := harness.Config{Horizon: 200_000, Seed: 1}
+	if _, _, err := harness.RunPointOpenLoop(harness.OpenLoopScenario(), harness.ShardedEngineName, 36, cfg, ol); err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, ep := range []string{"/debug/vars", "/debug/slo", "/debug/metrics"} {
+		b.Run(strings.TrimPrefix(ep, "/debug/"), func(b *testing.B) {
+			req := httptest.NewRequest("GET", ep, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rw := httptest.NewRecorder()
+				h.ServeHTTP(rw, req)
+				if rw.Code != 200 {
+					b.Fatalf("%s: code %d", ep, rw.Code)
+				}
+			}
+		})
 	}
 }
