@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"hcf/internal/native/pqueue"
 	"hcf/internal/workload"
 	"hcf/native"
 )
@@ -206,64 +207,6 @@ func hashWorkload(readPct int) (nativeWorkload, error) {
 	}}, nil
 }
 
-// mutexHeap is the baseline priority queue: a plain binary min-heap
-// under a sync.Mutex.
-type mutexHeap struct {
-	mu sync.Mutex
-	h  []uint64
-}
-
-func (p *mutexHeap) insert(k uint64) {
-	p.mu.Lock()
-	p.h = append(p.h, k)
-	i := len(p.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.h[parent] <= p.h[i] {
-			break
-		}
-		p.h[parent], p.h[i] = p.h[i], p.h[parent]
-		i = parent
-	}
-	p.mu.Unlock()
-}
-
-func (p *mutexHeap) extractMin() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.h) == 0 {
-		return
-	}
-	last := len(p.h) - 1
-	p.h[0] = p.h[last]
-	p.h = p.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(p.h) {
-			break
-		}
-		c := l
-		if r < len(p.h) && p.h[r] < p.h[l] {
-			c = r
-		}
-		if p.h[i] <= p.h[c] {
-			break
-		}
-		p.h[i], p.h[c] = p.h[c], p.h[i]
-		i = c
-	}
-}
-
-func (p *mutexHeap) peekMin() (uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.h) == 0 {
-		return 0, false
-	}
-	return p.h[0], true
-}
-
 const pqPrefill = 4096
 
 // pqWorkload builds the two priority-queue contenders: reads peek,
@@ -279,9 +222,14 @@ func pqWorkload(readPct int) (nativeWorkload, error) {
 	}
 	h.Release()
 
-	mh := &mutexHeap{}
+	// The Mutex contender is the same queue under a sync.Mutex, so the
+	// pair differs only in synchronization.
+	mq := struct {
+		sync.Mutex
+		q *pqueue.Queue
+	}{q: pqueue.New(pqKeys)}
 	for k := uint64(0); k < pqPrefill; k++ {
-		mh.insert(k)
+		mq.q.Insert(k)
 	}
 
 	return nativeWorkload{NativeStructPQ, readPct, workload.Uniform{N: pqKeys}, np.Framework().MaxHandles(), []nativeEngine{
@@ -296,9 +244,9 @@ func pqWorkload(readPct int) (nativeWorkload, error) {
 		}, metrics: np.Framework().Metrics},
 		{name: NativeEngineMutex, client: func() nativeClient {
 			return nativeClient{
-				read:  func(uint64) { mh.peekMin() },
-				write: mh.insert,
-				del:   func(uint64) { mh.extractMin() },
+				read:  func(uint64) { mq.Lock(); mq.q.PeekMin(); mq.Unlock() },
+				write: func(k uint64) { mq.Lock(); mq.q.Insert(k); mq.Unlock() },
+				del:   func(uint64) { mq.Lock(); mq.q.ExtractMin(); mq.Unlock() },
 			}
 		}},
 	}}, nil

@@ -9,7 +9,8 @@ import (
 )
 
 // fuzzCapacity keeps the heap four levels deep, so short inputs reach
-// every sift depth and the full-queue boundary.
+// every sift depth, the front buffer's spill (at frontKeys keys) and the
+// full-queue boundary.
 const fuzzCapacity = 16
 
 // fuzzMaxOps caps the decoded sequence. Longer inputs reach no new state
@@ -21,8 +22,9 @@ const fuzzMaxOps = 256
 // queue, one operation per byte: the low two bits pick the operation
 // (0, 1 Insert; 2 ExtractMin; 3 PeekMin) and the high six bits are the
 // Insert key, so duplicates are common. Every result is checked against
-// a sorted-slice model, and after every operation the heap invariant and
-// the root mirror (root == heap[0] while non-empty) are checked.
+// a sorted-slice model, and after every operation the queue's shape is
+// checked (checkHeapInvariant: buffer order, heap order, and the root
+// mirror equal to the overall minimum while non-empty).
 func FuzzPQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxOps {

@@ -1,16 +1,27 @@
-// Package pqueue is a fixed-capacity binary min-heap priority queue for
-// the native HCF backend.
+// Package pqueue is a fixed-capacity priority queue for the native HCF
+// backend: a binary min-heap behind a small sorted front buffer.
+//
+// The front buffer holds up to frontKeys keys in descending order, each
+// <= every heap key. Insert puts a key at or below the heap's minimum, or
+// any key while the heap is empty, into the buffer by a sorted insert;
+// ExtractMin pops the buffer's smallest key and sifts the heap only when
+// the buffer is empty. Inserts that undercut the minimum and are soon
+// extracted (the paper's motivating example: operations that all meet at
+// the minimum) thus eliminate inside the sequential structure without
+// touching the heap. A full buffer spills the larger of the new key and
+// its largest key into the heap through the ordinary sift-up.
 //
 // Its state splits along the framework's memory contract (see package
-// native). The speculative read set — the length word n and root, a
-// mirror of heap[0] — holds atomics, because PeekMin reads them under
-// optimistic speculation, concurrently with a writer, and relies on
-// seqlock validation. The heap array itself is plain memory: only Insert
-// and ExtractMin touch it, and they run only inside seqlock critical
-// sections, whose acquire/release pairs order each holder's plain writes
-// before the next holder's reads. A sift therefore costs ordinary loads
-// and stores; only the length word and, when it changes, the root pay for
-// an atomic store.
+// native). The speculative read set — the length word n, counting buffer
+// and heap keys, and root, a mirror of the overall minimum — holds
+// atomics, because PeekMin reads them under optimistic speculation,
+// concurrently with a writer, and relies on seqlock validation. The
+// buffer and the heap array are plain memory: only Insert and ExtractMin
+// touch them, and they run only inside seqlock critical sections, whose
+// acquire/release pairs order each holder's plain writes before the next
+// holder's reads. A sift therefore costs ordinary loads and stores; only
+// the length word and, when the minimum changes, the root pay for an
+// atomic store.
 package pqueue
 
 import (
@@ -30,15 +41,22 @@ const (
 	ClassPeekMin
 )
 
-// Queue is the binary min-heap.
+// frontKeys is the front buffer's size: one 64-byte cache line of keys.
+const frontKeys = 8
+
+// Queue is the front buffer and the binary min-heap behind it.
 type Queue struct {
 	// n and root are the speculative read set: PeekMin loads them without
-	// the lock. root equals heap[0] whenever n > 0.
+	// the lock. n counts the buffered and the heap keys; root equals the
+	// smallest of them whenever n > 0.
 	n    atomic.Uint64
 	root atomic.Uint64
-	// heap is lock-only state, read and written by Insert and ExtractMin
-	// inside critical sections only.
-	heap []uint64
+	// The rest is lock-only state, read and written by Insert and
+	// ExtractMin inside critical sections only. front[:nf] is the buffer,
+	// descending, each key <= heap[0]; heap[:n-nf] is the heap.
+	nf    uint64
+	front [frontKeys]uint64
+	heap  []uint64
 }
 
 // New creates a queue holding at most capacity keys; Insert panics
@@ -56,17 +74,54 @@ func (q *Queue) Len() int { return int(q.n.Load()) }
 
 // Insert pushes k. Must run with the structure lock held.
 //
-// The sift-up is the classic hole-propagation form: the new key is a
-// conceptual hole that bubbles toward the root, each displaced parent
-// written once, and the key placed exactly once at the end. The root
-// mirror is stored only when the key lands at index 0.
+// A key above the heap's minimum takes the heap path and leaves the
+// overall minimum, so root, unchanged. Any other key goes into the front
+// buffer, and root is stored when it becomes the new minimum.
 func (q *Queue) Insert(k uint64) uint64 {
-	i := q.n.Load()
-	h := q.heap
-	if int(i) >= len(h) {
-		panic(fmt.Sprintf("pqueue: full (%d keys)", len(h)))
+	n := q.n.Load()
+	if int(n) >= len(q.heap) {
+		panic(fmt.Sprintf("pqueue: full (%d keys)", len(q.heap)))
 	}
-	q.n.Store(i + 1)
+	q.n.Store(n + 1)
+	nf := q.nf
+	nh := n - nf
+	if nh > 0 && k > q.heap[0] {
+		q.siftUp(k, nh)
+		return native.PackBool(true)
+	}
+	f := &q.front
+	if nf == frontKeys {
+		// Full: the larger of k and the buffer's largest key spills. Both
+		// are <= heap[0], so the spilled key becomes the heap's root.
+		top := f[0]
+		if k >= top {
+			q.siftUp(k, nh)
+			return native.PackBool(true)
+		}
+		copy(f[:], f[1:])
+		nf--
+		q.siftUp(top, nh)
+	}
+	i := nf
+	for i > 0 && f[i-1] < k {
+		f[i] = f[i-1]
+		i--
+	}
+	f[i] = k
+	q.nf = nf + 1
+	if i == nf {
+		q.root.Store(k)
+	}
+	return native.PackBool(true)
+}
+
+// siftUp adds k to the heap's nh keys. It is the classic
+// hole-propagation form: the new key is a conceptual hole that bubbles
+// toward the root, each displaced parent written once, and the key
+// placed exactly once at the end.
+func (q *Queue) siftUp(k, nh uint64) {
+	h := q.heap
+	i := nh
 	for i > 0 {
 		parent := (i - 1) / 2
 		pv := h[parent]
@@ -77,10 +132,6 @@ func (q *Queue) Insert(k uint64) uint64 {
 		i = parent
 	}
 	h[i] = k
-	if i == 0 {
-		q.root.Store(k)
-	}
-	return native.PackBool(true)
 }
 
 // ExtractMin pops the smallest key, returning Pack(key, nonempty). Must
@@ -90,15 +141,27 @@ func (q *Queue) ExtractMin() uint64 {
 	if n == 0 {
 		return native.Pack(0, false)
 	}
+	n--
+	q.n.Store(n)
+	if nf := q.nf; nf > 0 {
+		nf--
+		q.nf = nf
+		min := q.front[nf]
+		switch {
+		case nf > 0:
+			q.root.Store(q.front[nf-1])
+		case n > 0:
+			q.root.Store(q.heap[0])
+		}
+		return native.Pack(min, true)
+	}
 	h := q.heap
 	min := h[0]
-	n--
-	last := h[n]
-	q.n.Store(n)
 	if n == 0 {
 		return native.Pack(min, true)
 	}
-	// Hole propagation (see Insert): the root is a hole that sinks toward
+	last := h[n]
+	// Hole propagation (see siftUp): the root is a hole that sinks toward
 	// the leaves, each promoted child written once, and the detached last
 	// key placed exactly once where the hole comes to rest.
 	i := uint64(0)

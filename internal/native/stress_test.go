@@ -13,6 +13,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hcf/internal/engine"
@@ -178,18 +179,29 @@ func stressHashtable(t *testing.T, writeBudget int) {
 // memory guarded only by the seqlock, so the test runs twice: once with
 // every update forced through the combiner, and once at the shipped
 // speculation budget, where CAS-acquired writers race speculative
-// PeekMin readers and each other.
+// PeekMin readers and each other. Random keys mostly take the heap path;
+// the undercut variant draws every Insert key from a falling counter, so
+// each one lands below the minimum and runs the front buffer's insert,
+// its spill into the heap and the buffered ExtractMin.
 func TestStressPQueueLinearizable(t *testing.T) {
-	t.Run("combining-only", func(t *testing.T) { stressPQueue(t, 1, 0) })
+	random := func(rng *rand.Rand) uint64 { return rng.Uint64N(1 << 20) }
+	t.Run("combining-only", func(t *testing.T) { stressPQueue(t, 1, 0, random) })
 	t.Run("default-budget", func(t *testing.T) {
-		stressPQueue(t, pubnative.DefaultTryPrivate, pubnative.DefaultTryPrivate)
+		stressPQueue(t, pubnative.DefaultTryPrivate, pubnative.DefaultTryPrivate, random)
+	})
+	t.Run("undercut", func(t *testing.T) {
+		var next atomic.Uint64
+		next.Store(1 << 40)
+		falling := func(*rand.Rand) uint64 { return next.Add(^uint64(0)) }
+		stressPQueue(t, pubnative.DefaultTryPrivate, pubnative.DefaultTryPrivate, falling)
 	})
 }
 
 // stressPQueue hammers one queue with a mixed insert/extract/peek load,
-// giving PeekMin readBudget and updates writeBudget speculative attempts,
-// and checks the full witnessed history.
-func stressPQueue(t *testing.T, readBudget, writeBudget int) {
+// giving PeekMin readBudget and updates writeBudget speculative attempts
+// and drawing Insert keys from key, and checks the full witnessed
+// history.
+func stressPQueue(t *testing.T, readBudget, writeBudget int, key func(*rand.Rand) uint64) {
 	const opsPer = 3000
 	goroutines := stressGoroutines()
 	q := pqueue.New(goroutines * opsPer)
@@ -215,7 +227,7 @@ func stressPQueue(t *testing.T, readBudget, writeBudget int) {
 				var op native.Op
 				switch rng.IntN(4) {
 				case 0, 1:
-					op = pqueue.InsertOp(rng.Uint64N(1 << 20))
+					op = pqueue.InsertOp(key(rng))
 				case 2:
 					op = pqueue.ExtractMinOp()
 				default:

@@ -42,13 +42,16 @@ func TestPQueueHandleAllocFree(t *testing.T) {
 }
 
 // checkPQueueAllocs prefills p with 256 keys and requires Insert,
-// ExtractMin and PeekMin to run without allocating.
+// ExtractMin and PeekMin to run without allocating, on the heap paths and
+// on the front buffer's: a burst of inserts below the minimum that fills
+// the buffer and spills, then the extracts that drain it.
 func checkPQueueAllocs(t *testing.T, p *PQueue, path string) {
 	t.Helper()
 	h := p.Handle()
 	defer h.Release()
+	// Prefill keys lie in [1000, 2000), so keys below 1000 undercut them.
 	for k := uint64(0); k < 256; k++ {
-		h.Insert(k * 7919 % 1000)
+		h.Insert(1000 + k*7919%1000)
 	}
 	// AllocsPerRun calls f 201 times; every Insert run is followed by an
 	// ExtractMin run of the same length, so the queue returns to its
@@ -56,7 +59,7 @@ func checkPQueueAllocs(t *testing.T, p *PQueue, path string) {
 	k := uint64(0)
 	requireZeroAllocs(t, "Insert ("+path+")", func() {
 		k = (k + 7919) % 1000
-		h.Insert(k)
+		h.Insert(1000 + k)
 	})
 	requireZeroAllocs(t, "ExtractMin ("+path+")", func() {
 		if _, ok := h.ExtractMin(); !ok {
@@ -66,6 +69,17 @@ func checkPQueueAllocs(t *testing.T, p *PQueue, path string) {
 	requireZeroAllocs(t, "PeekMin ("+path+")", func() {
 		if _, ok := h.PeekMin(); !ok {
 			t.Fatal("PeekMin found the prefilled queue empty")
+		}
+	})
+	const burst = 16 // twice the front buffer
+	requireZeroAllocs(t, "Insert+ExtractMin below the minimum ("+path+")", func() {
+		for i := uint64(0); i < burst; i++ {
+			h.Insert(999 - i)
+		}
+		for want := uint64(1000 - burst); want < 1000; want++ {
+			if k, ok := h.ExtractMin(); !ok || k != want {
+				t.Fatalf("burst extract = (%d,%v), want (%d,true)", k, ok, want)
+			}
 		}
 	})
 	if p.Len() != 256 {

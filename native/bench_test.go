@@ -2,8 +2,8 @@ package native_test
 
 // Wall-clock benchmarks: the native HCF map against the three stdlib
 // baselines everyone reaches for first, across goroutine counts and
-// read/write mixes, plus the priority queue against a mutex-guarded
-// heap. Parallelism ladders use b.SetParallelism so oversubscribed
+// read/write mixes, plus the priority queue against the same queue under
+// a mutex. Parallelism ladders use b.SetParallelism so oversubscribed
 // points exist even on small boxes; run e.g.
 //
 //	go test -bench 'Map/' -benchtime 200ms ./native/
@@ -18,8 +18,10 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"hcf/internal/native/pqueue"
 	"hcf/native"
 )
 
@@ -202,108 +204,97 @@ func BenchmarkMapMutexMixed50(b *testing.B)     { benchMap(b, 50, newMutexMapBui
 func BenchmarkMapRWMutexMixed50(b *testing.B)   { benchMap(b, 50, newRWMapBuilder) }
 func BenchmarkMapSyncMapMixed50(b *testing.B)   { benchMap(b, 50, newSyncMapBuilder) }
 
-// Priority queue: native HCF vs a mutex-guarded plain binary heap.
+// Priority queue: native HCF against the same queue
+// (internal/native/pqueue) under a sync.Mutex, so the pair differs only
+// in synchronization. Each runs two key patterns over a 4096-key
+// prefill: uniform, a 50/50 random mix of Insert(random key) and
+// ExtractMin; and descending, the front buffer's worst case, where each
+// goroutine alternates a burst of 16 inserts below the minimum (keys from
+// a shared falling counter) with 16 extracts, so every insert past the
+// buffer's eight keys spills into the heap.
 
-type plainHeap struct {
-	mu sync.Mutex
-	h  []uint64
+// pqEngine is one goroutine's view of a priority queue; release is nil
+// for the mutex queue.
+type pqEngine struct {
+	insert     func(k uint64)
+	extractMin func()
+	release    func()
 }
 
-func (p *plainHeap) insert(k uint64) {
-	p.mu.Lock()
-	p.h = append(p.h, k)
-	i := len(p.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.h[parent] <= p.h[i] {
-			break
-		}
-		p.h[parent], p.h[i] = p.h[i], p.h[parent]
-		i = parent
-	}
-	p.mu.Unlock()
-}
+const (
+	pqPrefill = 4096
+	pqBurst   = 16
+	// pqFalling is where the descending pattern's key counter starts; its
+	// prefill lies above it.
+	pqFalling = 1 << 40
+)
 
-func (p *plainHeap) extractMin() (uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.h) == 0 {
-		return 0, false
-	}
-	min := p.h[0]
-	last := len(p.h) - 1
-	p.h[0] = p.h[last]
-	p.h = p.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(p.h) {
-			break
+func benchPQueue(b *testing.B, build func(b *testing.B, prefillBase uint64) func() pqEngine) {
+	for _, descending := range []bool{false, true} {
+		name, base := "uniform", uint64(0)
+		if descending {
+			name, base = "descending", pqFalling
 		}
-		c := l
-		if r < len(p.h) && p.h[r] < p.h[l] {
-			c = r
-		}
-		if p.h[i] <= p.h[c] {
-			break
-		}
-		p.h[i], p.h[c] = p.h[c], p.h[i]
-		i = c
-	}
-	return min, true
-}
-
-func BenchmarkPQueueHCFNative(b *testing.B) {
-	for _, par := range parallelismLadder() {
-		b.Run(parName(par), func(b *testing.B) {
-			p, err := native.NewPQueue(1 << 20)
-			if err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			for _, par := range parallelismLadder() {
+				b.Run(parName(par), func(b *testing.B) {
+					mk := build(b, base)
+					var next atomic.Uint64
+					next.Store(pqFalling)
+					b.SetParallelism(par)
+					var seed atomicSeed
+					b.ResetTimer()
+					b.RunParallel(func(pb *testing.PB) {
+						e := mk()
+						if e.release != nil {
+							defer e.release()
+						}
+						rng := rand.New(rand.NewPCG(seed.next(), 0xCAFE))
+						for i := 0; pb.Next(); i++ {
+							switch {
+							case descending && i%(2*pqBurst) < pqBurst:
+								e.insert(next.Add(^uint64(0)))
+							case !descending && rng.IntN(2) == 0:
+								e.insert(rng.Uint64N(1 << 20))
+							default:
+								e.extractMin()
+							}
+						}
+					})
+				})
 			}
-			h := p.Handle()
-			for k := uint64(0); k < 4096; k++ {
-				h.Insert(k)
-			}
-			h.Release()
-			b.SetParallelism(par)
-			var seed atomicSeed
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				h := p.Handle()
-				defer h.Release()
-				rng := rand.New(rand.NewPCG(seed.next(), 0xCAFE))
-				for pb.Next() {
-					if rng.IntN(2) == 0 {
-						h.Insert(rng.Uint64N(1 << 20))
-					} else {
-						h.ExtractMin()
-					}
-				}
-			})
 		})
 	}
 }
 
-func BenchmarkPQueueMutexHeap(b *testing.B) {
-	for _, par := range parallelismLadder() {
-		b.Run(parName(par), func(b *testing.B) {
-			p := &plainHeap{}
-			for k := uint64(0); k < 4096; k++ {
-				p.insert(k)
-			}
-			b.SetParallelism(par)
-			var seed atomicSeed
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewPCG(seed.next(), 0xCAFE))
-				for pb.Next() {
-					if rng.IntN(2) == 0 {
-						p.insert(rng.Uint64N(1 << 20))
-					} else {
-						p.extractMin()
-					}
-				}
-			})
-		})
+func newNativePQBuilder(b *testing.B, base uint64) func() pqEngine {
+	p, err := native.NewPQueue(1 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := p.Handle()
+	for k := uint64(0); k < pqPrefill; k++ {
+		h.Insert(base + k)
+	}
+	h.Release()
+	return func() pqEngine {
+		h := p.Handle()
+		return pqEngine{insert: h.Insert, extractMin: func() { h.ExtractMin() }, release: h.Release}
 	}
 }
+
+func newMutexPQBuilder(_ *testing.B, base uint64) func() pqEngine {
+	var mu sync.Mutex
+	q := pqueue.New(1 << 20)
+	for k := uint64(0); k < pqPrefill; k++ {
+		q.Insert(base + k)
+	}
+	e := pqEngine{
+		insert:     func(k uint64) { mu.Lock(); q.Insert(k); mu.Unlock() },
+		extractMin: func() { mu.Lock(); q.ExtractMin(); mu.Unlock() },
+	}
+	return func() pqEngine { return e }
+}
+
+func BenchmarkPQueueHCFNative(b *testing.B) { benchPQueue(b, newNativePQBuilder) }
+func BenchmarkPQueueMutexHeap(b *testing.B) { benchPQueue(b, newMutexPQBuilder) }

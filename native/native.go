@@ -156,7 +156,8 @@ func (mh *MapHandle) Delete(k uint64) bool {
 func (mh *MapHandle) Release() { mh.h.Release() }
 
 // PQueue is a ready-made concurrent priority queue: a binary min-heap
-// (internal/native/pqueue) wired onto a Framework.
+// behind a sorted front buffer (internal/native/pqueue) wired onto a
+// Framework.
 type PQueue struct {
 	fw *Framework
 	q  *ipq.Queue
