@@ -263,7 +263,9 @@ type (
 	// CommitDelay, the upper bound in yields on each group commit's
 	// wait for more writers (cut short when nobody else can join or
 	// the wait has cost the batch time that joining writers are
-	// expected to save, which is zero while batches take in none).
+	// expected to save, which is zero while batches take in none). The
+	// delay defaults on only for a store that fsyncs: under DisableSync
+	// there is no flush to share, and it is off unless set.
 	KVConfig = kvstore.Config
 	// KVStats snapshots a KV's group-commit and occupancy metrics.
 	KVStats = kvstore.Stats

@@ -371,13 +371,7 @@ func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, p Pro
 	if sampler != nil {
 		sampler.Flush(res.Cycles)
 		report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)
-		if col != nil {
-			report.Trace = &metrics.TraceHealth{
-				Starts:   col.Starts(),
-				Retained: uint64(col.Retained()),
-				Dropped:  col.Dropped(),
-			}
-		}
+		report.Trace = col.Health()
 		pt.Report = &report
 	}
 	return pt, nil

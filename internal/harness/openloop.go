@@ -434,13 +434,9 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 
 	report := metrics.BuildReport(serviceRec, sampler, sc.Name, engineName, threads)
 	report.SLO = pt.SLO
-	if col != nil {
-		pt.TraceDropped = col.Dropped()
-		report.Trace = &metrics.TraceHealth{
-			Starts:   col.Starts(),
-			Retained: uint64(col.Retained()),
-			Dropped:  col.Dropped(),
-		}
+	report.Trace = col.Health()
+	if report.Trace != nil {
+		pt.TraceDropped = report.Trace.Dropped
 	}
 	run.pt, run.report = pt, &report
 

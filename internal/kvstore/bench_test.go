@@ -99,7 +99,19 @@ func BenchmarkKVMixed(b *testing.B) {
 // BenchmarkKVGroupCommitFsync measures group commit where it pays: fsync
 // on, eight goroutines issuing puts over four shards.
 func BenchmarkKVGroupCommitFsync(b *testing.B) {
-	s, err := Open(b.TempDir(), Config{})
+	benchGroupCommit(b, Config{})
+}
+
+// BenchmarkKVGroupCommitNoSync is the same contended put load with fsync
+// off, where batches share no flush and the commit delay defaults off.
+func BenchmarkKVGroupCommitNoSync(b *testing.B) {
+	benchGroupCommit(b, Config{DisableSync: true})
+}
+
+// benchGroupCommit runs eight goroutines issuing puts over the store's
+// four default shards and reports writes/flush and ops/s.
+func benchGroupCommit(b *testing.B, cfg Config) {
+	s, err := Open(b.TempDir(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

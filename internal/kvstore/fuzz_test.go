@@ -112,11 +112,12 @@ func replayFile(t *testing.T, path string) (int64, []byte) {
 	v := newLogView(f)
 	defer v.close()
 	var log []byte
-	end, err := v.replay(func(kind byte, key uint64, off int64, val []byte) {
+	end, err := v.replay(func(kind byte, key uint64, off int64, val []byte) error {
 		if off != int64(len(log)) {
 			t.Fatalf("record replayed at offset %d, previous record ended at %d", off, len(log))
 		}
 		log = appendRecord(log, kind, key, val)
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)

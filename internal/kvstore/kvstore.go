@@ -24,7 +24,9 @@
 // it), and it only ever observes writes that are already on disk — the
 // same writes that are, or are about to be, acknowledged. With
 // DisableSync there is no fsync, and a reader may observe a write that
-// only the page cache holds. Crash recovery replays each shard log in
+// only the page cache holds; nor, by default, does a writer then wait
+// for others to join its batch (Config.CommitDelay), since there is no
+// flush for them to share. Crash recovery replays each shard log in
 // order, truncating a torn tail at the first record that fails decoding,
 // and rebuilds an index state-identical to the pre-crash one (IndexDump
 // verifies this bit-for-bit in the tests and the harness figure).
@@ -109,9 +111,11 @@ type Config struct {
 	// number of puts and deletes from other handles that recent batches
 	// took in, capped at one batch (see native.Policy.CombineDelay).
 	// Writers that pile up behind fsyncing batches (~100µs) keep the
-	// window open; a lone writer, or a flush so cheap (DisableSync,
-	// ~1µs) that batches seldom take in another writer, waits for
-	// nothing. 0 defaults to 16; set negative to disable.
+	// window open; a lone writer waits for nothing. 0 defaults to 16
+	// when the store syncs and to no delay under DisableSync, where a
+	// batch has no fsync to share and the delay's yield and clock reads
+	// cost more than the rare joiner saves. A positive value is kept
+	// either way; set negative to disable.
 	CommitDelay int
 	// DisableSync skips the fsync at each group-commit boundary. Only
 	// for tests and benchmarks that measure the batching machinery
@@ -143,10 +147,11 @@ func (c Config) normalize() Config {
 	if c.MaxValue <= 0 {
 		c.MaxValue = 1 << 20
 	}
-	if c.CommitDelay == 0 {
-		c.CommitDelay = 16
-	} else if c.CommitDelay < 0 {
+	switch {
+	case c.CommitDelay < 0:
 		c.CommitDelay = 0
+	case c.CommitDelay == 0 && !c.DisableSync:
+		c.CommitDelay = 16
 	}
 	return c
 }
@@ -199,7 +204,8 @@ var errClosed = errors.New("kvstore: store is closed")
 // Open creates or re-opens a store rooted at dir. Existing shard logs
 // are replayed to rebuild the in-memory index; a torn tail (crash
 // mid-append) is truncated at the first corrupt record. The shard count
-// is part of the on-disk layout: reopen with the same Config.Shards.
+// is part of the on-disk layout: reopen with the same Config.Shards. A
+// log holding more distinct live keys than Config.Capacity fails Open.
 func Open(dir string, cfg Config) (*Store, error) {
 	cfg = cfg.normalize()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -242,13 +248,17 @@ func openShard(path string, cfg Config) (*shard, error) {
 		disableSync: cfg.DisableSync,
 		maxValue:    cfg.MaxValue,
 	}
-	end, err := sh.view.replay(func(kind byte, key uint64, off int64, _ []byte) {
+	end, err := sh.view.replay(func(kind byte, key uint64, off int64, _ []byte) error {
 		switch kind {
 		case kindPut:
-			sh.tab.Put(key, uint64(off))
+			if _, ok := sh.tab.TryPut(key, uint64(off)); !ok {
+				return fmt.Errorf("kvstore: replay %s: more live keys than the index holds (Capacity %d, %d slots)",
+					filepath.Base(path), cfg.Capacity, sh.tab.Capacity())
+			}
 		case kindDelete:
 			sh.tab.Delete(key)
 		}
+		return nil
 	})
 	if err != nil {
 		sh.view.close()
@@ -267,10 +277,10 @@ func openShard(path string, cfg Config) (*shard, error) {
 		// TryPrivate 0: a put that won the CAS would hold the shard's
 		// seqlock across a solo fsync; announcing instead routes every
 		// write through the combiner's group commit. CombineDelay is
-		// the commit delay — a write-led combiner waits a few yields,
-		// never longer than the batch time other writers' joining is
-		// expected to save, so concurrent writers announce and share
-		// its flush.
+		// the commit delay (0, none, under DisableSync by default) — a
+		// write-led combiner waits a few yields, never longer than the
+		// batch time other writers' joining is expected to save, so
+		// concurrent writers announce and share its flush.
 		Name: "Put", TryPrivate: 0, MaxBatch: cfg.MaxHandles,
 		CombineDelay: cfg.CommitDelay,
 		Run:          sh.applyOne,

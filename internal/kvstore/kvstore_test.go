@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -582,5 +583,63 @@ func TestNativeMetrics(t *testing.T) {
 	m := s.NativeMetrics()
 	if n := uint64(2 * perHandle); m.Announces < n || m.CombinedOps < n {
 		t.Fatalf("after %d puts: %d announces, %d combined ops", n, m.Announces, m.CombinedOps)
+	}
+}
+
+// TestCommitDelayDefaults: the group-commit delay defaults on only where
+// batches share an fsync; an explicit delay is kept and a negative one
+// turns it off.
+func TestCommitDelayDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{}, 16},
+		{Config{DisableSync: true}, 0},
+		{Config{DisableSync: true, CommitDelay: 5}, 5},
+		{Config{CommitDelay: -1}, 0},
+		{Config{DisableSync: true, CommitDelay: -1}, 0},
+	} {
+		if got := tc.cfg.normalize().CommitDelay; got != tc.want {
+			t.Errorf("%+v: CommitDelay = %d, want %d", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// TestReplayOverCapacity: reopening a shard whose log holds more distinct
+// live keys than the index holds fails Open with an error naming the
+// shard and the capacity, and leaves the log whole for a larger index.
+func TestReplayOverCapacity(t *testing.T) {
+	dir := t.TempDir()
+	big := Config{Shards: 1, Capacity: 32, DisableSync: true}
+	s, err := Open(dir, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.MustHandle()
+	for k := uint64(0); k < 17; k++ {
+		if _, err := h.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Release()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	small := big
+	small.Capacity = 16
+	if s, err := Open(dir, small); err == nil {
+		s.Close()
+		t.Fatal("Open with 17 live keys at Capacity 16 succeeded")
+	} else if msg := err.Error(); !strings.Contains(msg, "shard-000.log") || !strings.Contains(msg, "Capacity 16") {
+		t.Fatalf("Open error %q names neither the shard nor the capacity", msg)
+	}
+	s, err = Open(dir, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 17 {
+		t.Fatalf("reopened at Capacity 32: Len = %d, want 17", s.Len())
 	}
 }

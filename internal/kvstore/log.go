@@ -139,8 +139,8 @@ func recoverFault(err *error) {
 // open store keeps past its log (see logView.append), which a crash
 // leaves behind and a zero kind byte marks as torn. A read error or
 // fault fails the replay instead, so it never truncates a log it could
-// not read.
-func (v *logView) replay(apply func(kind byte, key uint64, off int64, val []byte)) (end int64, err error) {
+// not read, and so does an error from apply, which replay returns as is.
+func (v *logView) replay(apply func(kind byte, key uint64, off int64, val []byte) error) (end int64, err error) {
 	st, err := v.f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("kvstore: replay: %w", err)
@@ -159,7 +159,9 @@ func (v *logView) replay(apply func(kind byte, key uint64, off int64, val []byte
 		if err != nil {
 			return 0, fmt.Errorf("kvstore: replay: %w", err)
 		}
-		apply(kind, key, end, val)
+		if err := apply(kind, key, end, val); err != nil {
+			return 0, err
+		}
 		end += recordLen(len(val))
 	}
 	if end < size {

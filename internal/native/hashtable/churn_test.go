@@ -147,13 +147,23 @@ func TestExactCapacityFill(t *testing.T) {
 	}
 }
 
-// TestFullTablePanic pins the panic path: inserting one key past a table
-// full of live keys must panic with the documented message.
+// TestFullTablePanic pins the full-table paths: inserting one key past a
+// table full of live keys fails TryPut, leaving the table as it was, and
+// panics Put with the documented message.
 func TestFullTablePanic(t *testing.T) {
 	const capacity = 32
 	tb := New(capacity)
 	for k := uint64(0); k < capacity; k++ {
 		tb.Put(k, k)
+	}
+	if _, ok := tb.TryPut(capacity, 0); ok {
+		t.Fatal("TryPut of a new key into a full table succeeded")
+	}
+	if _, found := native.Unpack(tb.Get(capacity)); found || tb.Len() != capacity {
+		t.Fatalf("failed TryPut changed the table: found=%v Len=%d", found, tb.Len())
+	}
+	if r, ok := tb.TryPut(1, 7); !ok || r != native.Pack(1, true) {
+		t.Fatalf("TryPut update in a full table = (%#x, %v), want (%#x, true)", r, ok, native.Pack(1, true))
 	}
 	defer func() {
 		r := recover()

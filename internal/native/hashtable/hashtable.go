@@ -50,9 +50,9 @@ type Table struct {
 }
 
 // New creates a table with at least capacity slots (rounded up to a
-// power of two). The table never resizes; Put panics when it fills, so
-// size it to comfortably exceed the live key count (2x is plenty: load
-// factor stays below 1/2 and probes stay short).
+// power of two). The table never resizes; TryPut fails and Put panics
+// when it fills, so size it to comfortably exceed the live key count
+// (2x is plenty: load factor stays below 1/2 and probes stay short).
 func New(capacity int) *Table {
 	if capacity < 2 {
 		capacity = 2
@@ -103,8 +103,20 @@ func (t *Table) Get(k uint64) uint64 {
 }
 
 // Put inserts or updates k and returns Pack(previous value, replaced).
-// Must run with the structure lock held (writer-exclusive).
+// It panics when k is new and the table is full. Must run with the
+// structure lock held (writer-exclusive).
 func (t *Table) Put(k, v uint64) uint64 {
+	r, ok := t.TryPut(k, v)
+	if !ok {
+		panic(fmt.Sprintf("hashtable: table full (%d slots)", t.mask+1))
+	}
+	return r
+}
+
+// TryPut is Put that reports a full table instead of panicking: ok is
+// false, and the table unchanged, when k is new and every cell holds a
+// live key. Must run with the structure lock held (writer-exclusive).
+func (t *Table) TryPut(k, v uint64) (r uint64, ok bool) {
 	t.maybeCompact()
 	i := t.hash(k)
 	want := k + 1
@@ -115,7 +127,7 @@ func (t *Table) Put(k, v uint64) uint64 {
 		if ks == want {
 			old := t.vals[i].Load()
 			t.vals[i].Store(v)
-			return native.Pack(old, true)
+			return native.Pack(old, true), true
 		}
 		if ks == tombstone && !haveFree {
 			haveFree, freeIdx = true, i
@@ -124,14 +136,14 @@ func (t *Table) Put(k, v uint64) uint64 {
 			if !haveFree {
 				freeIdx = i
 			}
-			return t.insertAt(freeIdx, want, v, haveFree)
+			return t.insertAt(freeIdx, want, v, haveFree), true
 		}
 		i = (i + 1) & t.mask
 	}
 	if haveFree {
-		return t.insertAt(freeIdx, want, v, true)
+		return t.insertAt(freeIdx, want, v, true), true
 	}
-	panic(fmt.Sprintf("hashtable: table full (%d slots)", t.mask+1))
+	return 0, false
 }
 
 // insertAt writes a new entry into slot i, maintaining the size and dead

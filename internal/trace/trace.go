@@ -15,6 +15,7 @@ import (
 
 	"hcf/internal/core"
 	"hcf/internal/htm"
+	"hcf/internal/metrics"
 )
 
 // Collector records framework events into per-thread buffers. The hot path
@@ -247,6 +248,15 @@ func (c *Collector) Retained() int {
 		n += int(p)
 	}
 	return n
+}
+
+// Health summarizes the recorder's own health for a report: the spans
+// started, retained and dropped so far. A nil Collector has none.
+func (c *Collector) Health() *metrics.TraceHealth {
+	if c == nil {
+		return nil
+	}
+	return &metrics.TraceHealth{Starts: c.Starts(), Retained: uint64(c.Retained()), Dropped: c.Dropped()}
 }
 
 // Starts returns the number of operations that entered Execute.

@@ -25,13 +25,7 @@ func (s *Server) ObserveOpenLoop(v harness.OpenLoopView) {
 				snap := v.SLO.Snapshot()
 				rep.SLO = &snap
 			}
-			if col := v.Trace; col != nil {
-				rep.Trace = &metrics.TraceHealth{
-					Starts:   col.Starts(),
-					Retained: uint64(col.Retained()),
-					Dropped:  col.Dropped(),
-				}
-			}
+			rep.Trace = v.Trace.Health()
 			return &rep
 		},
 		Sojourn: func() []harness.ClassSojourn {
