@@ -50,6 +50,13 @@
 //	hcfbench -fig elastic -out ELASTIC_sweep.jsonl
 //	hcfbench -fig autotune -out AUTOTUNE_sweep.jsonl
 //
+// -fig explore[:name,...] is the explored-schedule witness sweep over
+// every (or each named) witness-checked scenario, from -seed for -seeds
+// seeds (see docs/TESTING.md). Each failure prints a one-line repro, the
+// flight-recorder dump and a minimized span trace; the run then fails:
+//
+//	hcfbench -fig explore:hashtable,avl -seed 0 -seeds 200
+//
 // A flag the chosen run does not use is an error, reported before
 // anything runs.
 package main
@@ -119,7 +126,7 @@ type options struct {
 	cpuProf, memProf            string
 	horizon                     int64
 	seed                        uint64
-	parallel, dur               int
+	parallel, dur, seeds        int
 	// set records which flags were given explicitly.
 	set map[string]bool
 }
@@ -133,6 +140,7 @@ var modeFlags = map[string]string{
 	"openloop": "threads engines horizon seed parallel json rates serve out baseline",
 	"elastic":  "threads horizon seed parallel json out",
 	"autotune": "threads horizon seed json out",
+	"explore":  "threads engines seed seeds parallel",
 	"figure":   "threads engines horizon seed parallel csv json",
 }
 
@@ -145,6 +153,8 @@ func (o *options) mode() string {
 		return o.fig
 	case o.fig == "openloop" || o.fig == "elastic" || o.fig == "autotune":
 		return o.fig
+	case o.fig == "explore" || strings.HasPrefix(o.fig, "explore:"):
+		return "explore"
 	}
 	return "figure"
 }
@@ -198,12 +208,13 @@ func (o *options) override(f *harness.Figure) error {
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	fs.BoolVar(&o.list, "list", false, "list available figures and exit")
-	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'")
+	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'; 'explore' or 'explore:name,...' for the explored-schedule witness sweep")
 	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic and autotune default to their own when unset)")
-	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
+	fs.Uint64Var(&o.seed, "seed", 1, "workload seed (-fig explore: the first seed)")
+	fs.IntVar(&o.seeds, "seeds", 20, "number of seeds, from -seed (-fig explore only)")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of tables")
 	fs.BoolVar(&o.json, "json", false, "emit JSON Lines (one record per scenario/engine/threads cell), or the figure's record, instead of tables")
-	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop, elastic and autotune)")
+	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop, elastic, autotune and explore)")
 	fs.StringVar(&o.engines, "engines", "", "comma-separated engine names (override)")
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrently measured sweep points (0 = all host cores, 1 = serial)")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
@@ -265,6 +276,8 @@ func run(args []string) error {
 		return runElastic(o)
 	case "autotune":
 		return runAutotune(o)
+	case "explore":
+		return runExplore(o)
 	}
 	return runFigures(o)
 }
@@ -516,6 +529,50 @@ func runAutotune(o *options) error {
 		return err
 	}
 	return finish(rep, o)
+}
+
+// exploreRegistry is the scenario registry -fig explore selects from.
+var exploreRegistry = harness.ExploreScenarios
+
+// runExplore is the -fig explore pipeline: the explored-schedule witness
+// sweep, which fails at the end if any combination failed.
+func runExplore(o *options) error {
+	threads, err := o.singleThreads(harness.ExploreThreads)
+	if err != nil {
+		return err
+	}
+	if o.seeds < 1 {
+		return fmt.Errorf("-seeds must be positive, got %d", o.seeds)
+	}
+	var names, engines []string
+	if _, list, ok := strings.Cut(o.fig, ":"); ok {
+		names = strings.Split(list, ",")
+	}
+	if o.engines != "" {
+		engines = strings.Split(o.engines, ",")
+	}
+	plan, err := harness.PlanExplore(exploreRegistry(), names, engines)
+	if err != nil {
+		return err
+	}
+	failed := 0
+	harness.ExploreSweep(plan, threads, o.seed, o.seeds, o.parallel, func(c harness.ExploreCase, seed uint64, err error) {
+		failed++
+		fmt.Printf("FAIL engine=%s scenario=%s seed=%d\n", c.Engine, c.Name, seed)
+		fmt.Printf("repro: %s\n", reproCommand(c.Name, c.Engine, seed, threads))
+		fmt.Printf("%v\n", err)
+	})
+	if failed > 0 {
+		return fmt.Errorf("%d of %d schedule×engine×workload combinations failed the witness", failed, o.seeds*len(plan))
+	}
+	fmt.Printf("ok: %d explored schedules×engine×workload combinations produced valid linearizations\n", o.seeds*len(plan))
+	return nil
+}
+
+// reproCommand is the command that replays one explored combination.
+func reproCommand(scenario, engine string, seed uint64, threads int) string {
+	return fmt.Sprintf("go run ./cmd/hcfbench -fig explore:%s -engines %s -seed %d -seeds 1 -threads %d",
+		scenario, engine, seed, threads)
 }
 
 func parseInts(s string) ([]int, error) {

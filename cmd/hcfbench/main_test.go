@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"hcf/internal/engine"
 	"hcf/internal/harness"
+	"hcf/internal/memsim"
 )
 
 func TestParseInts(t *testing.T) {
@@ -59,6 +61,17 @@ func TestRunTinyFigure(t *testing.T) {
 // captureRun runs the command with args and returns what it printed.
 func captureRun(t *testing.T, args ...string) string {
 	t.Helper()
+	out, err := capture(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// capture runs the command with args and returns what it printed and
+// its error.
+func capture(t *testing.T, args ...string) (string, error) {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -73,11 +86,7 @@ func captureRun(t *testing.T, args ...string) string {
 	runErr := run(args)
 	os.Stdout = old
 	w.Close()
-	out := <-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return string(out)
+	return string(<-done), runErr
 }
 
 // TestRunJSONL checks -json emits one parseable record per
@@ -124,7 +133,7 @@ func TestFlagSet(t *testing.T) {
 	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"baseline", "bench", "cpuprofile", "csv", "dur", "engines", "fig",
 		"horizon", "json", "list", "memprofile", "out", "parallel", "rates", "seed",
-		"serve", "threads"}
+		"seeds", "serve", "threads"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flags = %v\nwant    %v", got, want)
 	}
@@ -176,6 +185,14 @@ func TestRejectUnusedFlags(t *testing.T) {
 		{[]string{"-bench", "-csv", "-out", out}, "does not apply"},
 		{[]string{"-fig", "autotune", "-baseline", out}, "does not apply"},
 		{[]string{"-fig", "autotune", "-parallel", "2"}, "does not apply"},
+		{[]string{"-fig", "stack", "-seeds", "2"}, "does not apply"},
+		{[]string{"-fig", "explore", "-json"}, "does not apply"},
+		{[]string{"-fig", "explore:avl", "-horizon", "5000"}, "does not apply"},
+		{[]string{"-fig", "explore", "-out", out}, "does not apply"},
+		{[]string{"-fig", "explore", "-threads", "2,3"}, "exactly one thread count"},
+		{[]string{"-fig", "explore", "-seeds", "0"}, "-seeds must be positive"},
+		{[]string{"-fig", "explore:hashtable", "-engines", "HCF-E"}, "HCF-E cannot run scenario hashtable"},
+		{[]string{"-fig", "explore:elastic", "-seeds", "2", "-engines", "HCF"}, "HCF cannot run scenario elastic"},
 		{[]string{"-fig", "elastic", "-horizon", "3", "-out", out}, "minimum of 16 cycles"},
 	} {
 		err := run(tc.args)
@@ -258,5 +275,104 @@ func TestAutotuneRecordAndJournal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the same run's encoding:\n%s\nwant\n%s", path, got, want)
 		}
+	}
+}
+
+// TestExploreSweep runs -fig explore over three scenarios and every
+// engine each lists, and checks the combination count it reports.
+func TestExploreSweep(t *testing.T) {
+	out := captureRun(t, "-fig", "explore:counter,hashtable,avl", "-seeds", "3", "-threads", "4")
+	if !strings.Contains(out, "ok: 54 explored") { // 3 seeds x 3 scenarios x 6 engines
+		t.Fatalf("unexpected report:\n%s", out)
+	}
+}
+
+// TestExploreErrors checks that -fig explore rejects an unknown
+// scenario or engine name before anything runs.
+func TestExploreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "explore:nope", "-seeds", "3", "-engines", "HCF"}, `unknown scenario "nope"`},
+		{[]string{"-fig", "explore", "-seeds", "1", "-engines", "nope"}, `unknown engine "nope"`},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestReproCommandRoundTrips feeds a repro line back through run: it
+// must replay exactly that combination (and pass, since the code is
+// clean).
+func TestReproCommandRoundTrips(t *testing.T) {
+	line := reproCommand("avl", "HCF", 17, 5)
+	args := strings.Fields(line)
+	if len(args) < 3 || args[0] != "go" || args[1] != "run" || args[2] != "./cmd/hcfbench" {
+		t.Fatalf("repro line is not a go run command: %s", line)
+	}
+	if out := captureRun(t, args[3:]...); !strings.Contains(out, "ok: 1 explored") {
+		t.Fatalf("repro line %s replayed more or less than one combination:\n%s", line, out)
+	}
+}
+
+// offByOne is a counter model that runs one ahead of the counter.
+type offByOne struct{ v uint64 }
+
+func (m *offByOne) Apply(engine.Op) uint64 {
+	m.v++
+	return m.v
+}
+
+// TestExploreFailurePrintsRepro drives a failing sweep: a counter
+// scenario with a wrong replay model. The run fails; each failure prints
+// its FAIL line, repro line, flight-recorder dump and minimized span
+// trace, in seed then engine order on two host goroutines; and the
+// printed repro line, fed back through run, prints the same failure
+// again.
+func TestExploreFailurePrintsRepro(t *testing.T) {
+	counter := harness.ExploreScenarios()[0]
+	setup := counter.Setup
+	broken := counter
+	broken.Scenario = harness.Scenario{Name: "offbyone", Setup: func(env memsim.Env, seed uint64) harness.Instance {
+		inst := setup(env, seed)
+		inst.Model = &offByOne{}
+		return inst
+	}}
+	defer func(old func() []harness.Explorable) { exploreRegistry = old }(exploreRegistry)
+	exploreRegistry = func() []harness.Explorable { return append(harness.ExploreScenarios(), broken) }
+
+	out, err := capture(t, "-fig", "explore:offbyone", "-engines", "HCF,FC", "-seed", "5", "-seeds", "2",
+		"-threads", "3", "-parallel", "2")
+	if err == nil || !strings.Contains(err.Error(), "4 of 4 schedule") {
+		t.Fatalf("wrong model passed or miscounted: %v\n%s", err, out)
+	}
+	var fails []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "FAIL ") {
+			fails = append(fails, strings.TrimPrefix(line, "FAIL engine="))
+		}
+	}
+	if got := strings.Join(fails, "; "); got != "HCF scenario=offbyone seed=5; FC scenario=offbyone seed=5; "+
+		"HCF scenario=offbyone seed=6; FC scenario=offbyone seed=6" || !strings.HasPrefix(out, "FAIL ") {
+		t.Fatalf("failures out of order: %s\n%s", got, out)
+	}
+	blocks := strings.SplitAfter(out, "\nFAIL ")
+	first := strings.TrimSuffix(blocks[0], "FAIL ")
+	for _, part := range []string{"\nrepro: go run ./cmd/hcfbench ", "flight recorder (most recent events):",
+		"minimized span trace (last operations):\nspan t"} {
+		if !strings.Contains(first, part) {
+			t.Errorf("failure lacks %q:\n%s", part, first)
+		}
+	}
+	repro := strings.TrimPrefix(strings.Split(first, "\n")[1], "repro: ")
+	args := strings.Fields(repro)
+	replay, err := capture(t, args[3:]...)
+	if err == nil || !strings.Contains(err.Error(), "1 of 1 schedule") {
+		t.Fatalf("repro %s: %v", repro, err)
+	}
+	if replay != first {
+		t.Fatalf("repro %s did not replay the failure;\nfirst:\n%s\nreplay:\n%s", repro, first, replay)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"hcf/internal/route"
 	"hcf/internal/shard"
 	"hcf/internal/trace"
+	"hcf/internal/witness"
 )
 
 // EngineNames lists all engines in the paper's presentation order.
@@ -100,6 +101,12 @@ type Instance struct {
 	// HCF engine ("HCF-E"): a consistent-hash ring routes keyed
 	// operations and shards split/merge online.
 	Elastic *ElasticPlan
+	// Model, when non-nil, replays the operations from the prefilled
+	// state, so RunExplored can check a run's serialization witness.
+	Model witness.Model
+	// Rank is Combine's in-batch order as a witness rank (see
+	// witness.Check); nil keeps batch order.
+	Rank func(op engine.Op) int
 }
 
 // Sharding is a scenario's plan for the sharded HCF engine: a Key
@@ -132,6 +139,9 @@ type ElasticPlan struct {
 	Migrate shard.MigrateFunc
 	// Rebalance tunes the hot-shard feedback loop (zero = defaults).
 	Rebalance shard.RebalanceConfig
+	// Reshard, when non-nil, runs on RunExplored's thread 0 before each
+	// of its perThread operations, so splits and merges race the traffic.
+	Reshard func(th *memsim.Thread, e *shard.Elastic, i, perThread int)
 }
 
 // Config tunes a sweep.

@@ -30,40 +30,6 @@ func TestRunPointRealAllEngines(t *testing.T) {
 	}
 }
 
-// realMapModel replays the sharded hash-table operations sequentially; the
-// key space is routed consistently, so one flat map models all sub-tables.
-type realMapModel struct{ m map[uint64]uint64 }
-
-func (mm *realMapModel) Apply(op engine.Op) uint64 {
-	switch o := op.(type) {
-	case hashtable.FindOp:
-		v, ok := mm.m[o.Key]
-		return engine.Pack(v, ok)
-	case hashtable.InsertOp:
-		_, existed := mm.m[o.Key]
-		mm.m[o.Key] = o.Val
-		return engine.PackBool(!existed)
-	case hashtable.RemoveOp:
-		_, existed := mm.m[o.Key]
-		delete(mm.m, o.Key)
-		return engine.PackBool(existed)
-	case hashtable.SumAllOp:
-		var sum uint64
-		for _, v := range mm.m {
-			sum += v
-		}
-		return engine.Pack(sum&((1<<63)-1), true)
-	}
-	return 0
-}
-
-func realInsertsLast(op engine.Op) int {
-	if _, ok := op.(hashtable.InsertOp); ok {
-		return 1
-	}
-	return 0
-}
-
 // TestRunPointRealWitnessed is the end-to-end linearizability check on the
 // real-concurrency backend: every engine — including HCF-S, whose combiners
 // run concurrently on different shards — must produce a serialization
@@ -81,11 +47,11 @@ func TestRunPointRealWitnessed(t *testing.T) {
 		inst := sc.Setup(env, seed)
 		// Seed the model by replaying the scenario's prefill stream (Setup
 		// inserts buckets/2 uniform keys with value == key from this PCG).
-		model := &realMapModel{m: map[uint64]uint64{}}
+		model := hashtable.Model{}
 		pre := rand.New(rand.NewPCG(seed, 0xF17))
 		for i := 0; i < buckets/2; i++ {
 			k := pre.Uint64N(buckets)
-			model.m[k] = k
+			model[k] = k
 		}
 		cfg := Config{Seed: seed}
 		cfg.normalize()
@@ -101,7 +67,7 @@ func TestRunPointRealWitnessed(t *testing.T) {
 				eng.Execute(th, inst.NextOp(rng))
 			}
 		})
-		if err := witness.Check(rec, model, threads*perThread, realInsertsLast); err != nil {
+		if err := witness.Check(rec, model, threads*perThread, hashtable.Rank); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if inst.Check != nil {

@@ -122,7 +122,7 @@ func (o RemoveOp) Class() int { return ClassRemove }
 // SumAllOp) and anything unrecognized report ok=false and run on a
 // sharded engine's cross-shard all-locks path. This is the one routing
 // extractor shared by every sharded hash-table consumer (harness,
-// examples, fuzzer) — the four hand-written mod-N closures it replaced
+// examples, explore sweep) — the four hand-written mod-N closures it replaced
 // each re-derived it.
 func RouteKey(op engine.Op) (uint64, bool) {
 	switch o := op.(type) {
@@ -295,4 +295,43 @@ func Policies() []core.Policy {
 func CombineMixed(ctx memsim.Ctx, ops []engine.Op, res []uint64, done []bool) {
 	CombineInserts(ctx, ops, res, done)
 	engine.ApplyEach(ctx, ops, res, done)
+}
+
+// Model is the sequential hash-table model for witness.Check: one map for
+// every table, exact while the tables partition the key space. It replays
+// FindOp, InsertOp, RemoveOp and SumAllOp; other operations return 0.
+type Model map[uint64]uint64
+
+// Apply returns op's result on the model and applies its effect.
+func (m Model) Apply(op engine.Op) uint64 {
+	switch o := op.(type) {
+	case FindOp:
+		v, ok := m[o.Key]
+		return engine.Pack(v, ok)
+	case InsertOp:
+		_, existed := m[o.Key]
+		m[o.Key] = o.Val
+		return engine.PackBool(!existed)
+	case RemoveOp:
+		_, existed := m[o.Key]
+		delete(m, o.Key)
+		return engine.PackBool(existed)
+	case SumAllOp:
+		var sum uint64
+		for _, v := range m {
+			sum += v
+		}
+		return engine.Pack(sum&((1<<63)-1), true)
+	}
+	return 0
+}
+
+// Rank is CombineMixed's in-batch order as a witness rank (see
+// witness.Check): Finds and Removes apply at their scan positions, the
+// combined Inserts afterwards.
+func Rank(op engine.Op) int {
+	if _, ok := op.(InsertOp); ok {
+		return 1
+	}
+	return 0
 }

@@ -253,7 +253,7 @@ func TestElasticWitnessUnderExploredSchedules(t *testing.T) {
 		rec := &witness.Recorder{}
 		e.SetWitness(rec.Func())
 		n := runElasticMixed(env, e, tables, 40)
-		if err := witness.Check(rec, &shardedModel{m: map[uint64]uint64{}}, n, insertsLast); err != nil {
+		if err := witness.Check(rec, hashtable.Model{}, n, hashtable.Rank); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

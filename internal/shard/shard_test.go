@@ -145,39 +145,6 @@ func TestMetricsAndCrossOps(t *testing.T) {
 	}
 }
 
-// shardedModel replays the workload sequentially over one flat map.
-type shardedModel struct{ m map[uint64]uint64 }
-
-func (mm *shardedModel) Apply(op engine.Op) uint64 {
-	switch o := op.(type) {
-	case hashtable.FindOp:
-		v, ok := mm.m[o.Key]
-		return engine.Pack(v, ok)
-	case hashtable.InsertOp:
-		_, existed := mm.m[o.Key]
-		mm.m[o.Key] = o.Val
-		return engine.PackBool(!existed)
-	case hashtable.RemoveOp:
-		_, existed := mm.m[o.Key]
-		delete(mm.m, o.Key)
-		return engine.PackBool(existed)
-	case hashtable.SumAllOp:
-		var sum uint64
-		for _, v := range mm.m {
-			sum += v
-		}
-		return engine.Pack(sum&((1<<63)-1), true)
-	}
-	return 0
-}
-
-func insertsLast(op engine.Op) int {
-	if _, ok := op.(hashtable.InsertOp); ok {
-		return 1
-	}
-	return 0
-}
-
 // TestWitnessUnderExploredSchedules is the package's linearizability gate:
 // across many adversarially perturbed schedules (forced preemptions +
 // priority jitter), every run's serialization witness — shard-local commits
@@ -196,7 +163,7 @@ func TestWitnessUnderExploredSchedules(t *testing.T) {
 		rec := &witness.Recorder{}
 		s.SetWitness(rec.Func())
 		n := runMixed(env, s, tables, 40)
-		if err := witness.Check(rec, &shardedModel{m: map[uint64]uint64{}}, n, insertsLast); err != nil {
+		if err := witness.Check(rec, hashtable.Model{}, n, hashtable.Rank); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -42,7 +42,7 @@ func TestScheduleFuzzHashTable(t *testing.T) {
 						}
 					}
 				})
-				if err := Check(rec, &mapModel{m: map[uint64]uint64{}}, threads*perThread, insertsLast); err != nil {
+				if err := Check(rec, hashtable.Model{}, threads*perThread, hashtable.Rank); err != nil {
 					t.Fatal(err)
 				}
 				if msg := tbl.CheckInvariants(env.Boot()); msg != "" {

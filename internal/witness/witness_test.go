@@ -26,26 +26,6 @@ func (m *counterModel) Apply(op engine.Op) uint64 {
 	return m.v - 1
 }
 
-// mapModel replays hash-table operations.
-type mapModel struct{ m map[uint64]uint64 }
-
-func (mm *mapModel) Apply(op engine.Op) uint64 {
-	switch o := op.(type) {
-	case hashtable.FindOp:
-		v, ok := mm.m[o.Key]
-		return engine.Pack(v, ok)
-	case hashtable.InsertOp:
-		_, existed := mm.m[o.Key]
-		mm.m[o.Key] = o.Val
-		return engine.PackBool(!existed)
-	case hashtable.RemoveOp:
-		_, existed := mm.m[o.Key]
-		delete(mm.m, o.Key)
-		return engine.PackBool(existed)
-	}
-	return 0
-}
-
 // pqModel replays priority-queue operations with a sorted multiset.
 type pqModel struct{ keys []uint64 }
 
@@ -179,16 +159,6 @@ func TestCounterLinearizableAllEngines(t *testing.T) {
 	}
 }
 
-// insertsLast mirrors hashtable.CombineMixed's in-batch application order:
-// Finds and Removes are applied at their scan positions, the combined
-// Inserts afterwards.
-func insertsLast(op engine.Op) int {
-	if _, ok := op.(hashtable.InsertOp); ok {
-		return 1
-	}
-	return 0
-}
-
 // removeMinsLast mirrors skiplist.CombineMixed: Inserts at their scan
 // positions, the combined RemoveMins afterwards.
 func removeMinsLast(op engine.Op) int {
@@ -220,7 +190,7 @@ func TestHashTableLinearizableAllEngines(t *testing.T) {
 					}
 				}
 			})
-			if err := Check(rec, &mapModel{m: map[uint64]uint64{}}, threads*perThread, insertsLast); err != nil {
+			if err := Check(rec, hashtable.Model{}, threads*perThread, hashtable.Rank); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -11,7 +11,8 @@
 //	env.Run(...)
 //	err := verify.Check(rec, myModel, totalOps, nil)
 //
-// See cmd/hcffuzz for schedule-fuzzed application of the same machinery.
+// hcfbench -fig explore applies the same machinery over explored
+// (adversarially perturbed) schedules; see docs/TESTING.md.
 package verify
 
 import (
