@@ -1,5 +1,5 @@
 // Command hcfbench regenerates the paper's figures on the deterministic
-// simulator.
+// simulator, and inspects single runs of it.
 //
 // Usage:
 //
@@ -13,8 +13,8 @@
 // Six runs have their own pipelines, each producing a record checked in
 // under bench/:
 //
-//   - -bench: host throughput of a simulated sweep (default figure 2c),
-//     bench/BENCH_sim.json;
+//   - -fig bench[:id]: host throughput of a simulated sweep (default
+//     figure 2c), bench/BENCH_sim.json;
 //   - -fig native: the native (direct-atomics) HCF backend against
 //     sync.Mutex, sync.RWMutex and sync.Map on the wall clock, each
 //     cell the median ops/s of fixed-size rounds over seeded operation
@@ -42,7 +42,7 @@
 // gate (all but elastic and autotune, whose records are compared with
 // cmp instead):
 //
-//	hcfbench -bench -threads 1,4,12,36 -horizon 50000 -baseline bench/BENCH_sim.json
+//	hcfbench -fig bench -threads 1,4,12,36 -horizon 50000 -baseline bench/BENCH_sim.json
 //	hcfbench -fig native -dur 80 -out BENCH_native.json -baseline bench/BENCH_native.json
 //	hcfbench -fig kv -dur 200 -baseline bench/KV_sweep.jsonl
 //	hcfbench -fig openloop -json -baseline bench/OPENLOOP_sweep.jsonl
@@ -56,6 +56,32 @@
 // flight-recorder dump and a minimized span trace; the run then fails:
 //
 //	hcfbench -fig explore:hashtable,avl -seed 0 -seeds 200
+//
+// -fig point[:scenario] runs one configuration (default hashtable; one
+// -engines name, default HCF; one -threads count, default 18) and
+// reports it through one -probe: counters (the default: throughput, HTM
+// abort taxonomy, lock, combining and memory statistics, and HCF's
+// per-class phase breakdown), metrics (an interval series plus latency
+// percentiles per operation class and completion path, in virtual
+// cycles) or trace (per-phase attempt outcomes with abort attribution,
+// self vs helped completions, selection sizes, the hottest conflicting
+// lines and an optional raw -timeline). The scenarios are hashtable,
+// sharded, elastic (counters only: HCF-E with its rebalancer, reporting
+// the ring topology and the tail of its decision journal), avl, pqueue,
+// stack, deque and sortedlist. -format is text or json under every
+// probe, csv or prom under metrics, and chrome (Chrome trace-event JSON
+// for ui.perfetto.dev) under trace. -out writes the report instead of
+// stdout; a report not written in full fails the run, and so does an
+// invariant violation under every probe. -serve serves live during -fig
+// openloop; under -fig point -probe metrics it serves the finished
+// report until interrupted:
+//
+//	hcfbench -fig point:avl -find 0 -theta 0.9 -engines TLE -threads 36 -format json
+//	hcfbench -fig point:elastic -hot 90 -threads 36 -decisions 5
+//	hcfbench -fig point -probe metrics -format csv -out run.csv
+//	hcfbench -fig point -probe metrics -trace-limit 512 -serve localhost:8080
+//	hcfbench -fig point:pqueue -probe trace -engines TLE+FC -threads 12 -timeline 60
+//	hcfbench -fig point -probe trace -format chrome -out trace.json
 //
 // A flag the chosen run does not use is an error, reported before
 // anything runs.
@@ -120,51 +146,67 @@ func writeMemProfile(path string) error {
 
 // options holds the parsed command line.
 type options struct {
-	list, csv, json, bench      bool
+	list, csv, json             bool
 	fig, threads, engines       string
 	rates, serve, out, baseline string
 	cpuProf, memProf            string
-	horizon                     int64
+	probe, format               string
+	horizon, interval           int64
 	seed                        uint64
 	parallel, dur, seeds        int
+	find, shards, cross, hot    int
+	decisions, traceLimit       int
+	timeline                    int
+	theta                       float64
 	// set records which flags were given explicitly.
 	set map[string]bool
 }
 
 // modeFlags lists, per run mode, the flags it reads besides -fig and the
-// profiling flags; anything else given is rejected before the run.
+// profiling flags; anything else given is rejected before the run. A
+// point run also reads its probe's and scenario's flags (pointFlags).
 var modeFlags = map[string]string{
-	"bench":    "bench threads engines horizon seed parallel json out baseline",
+	"bench":    "threads engines horizon seed parallel json out baseline",
 	"native":   "threads dur json out baseline",
 	"kv":       "threads dur json out baseline",
 	"openloop": "threads engines horizon seed parallel json rates serve out baseline",
 	"elastic":  "threads horizon seed parallel json out",
 	"autotune": "threads horizon seed json out",
 	"explore":  "threads engines seed seeds parallel",
+	"point":    "probe threads horizon seed format out",
 	"figure":   "threads engines horizon seed parallel csv json",
 }
 
 // mode picks the pipeline the options select.
 func (o *options) mode() string {
-	switch {
-	case o.bench:
-		return "bench"
-	case o.fig == "native" || o.fig == "kv":
-		return o.fig
-	case o.fig == "openloop" || o.fig == "elastic" || o.fig == "autotune":
-		return o.fig
-	case o.fig == "explore" || strings.HasPrefix(o.fig, "explore:"):
-		return "explore"
+	name, _, hasArg := strings.Cut(o.fig, ":")
+	switch name {
+	case "bench", "explore", "point": // -fig mode[:argument]
+		return name
+	case "native", "kv", "openloop", "elastic", "autotune":
+		if !hasArg {
+			return name
+		}
 	}
 	return "figure"
 }
 
 // checkFlags rejects every explicitly set flag the selected mode ignores.
 func (o *options) checkFlags() error {
-	allowed := strings.Fields("fig cpuprofile memprofile " + modeFlags[o.mode()])
+	mode := o.mode()
+	flags, runs := modeFlags[mode], mode+" runs"
+	if mode == "point" {
+		extra, err := o.pointFlags()
+		if err != nil {
+			return err
+		}
+		flags += " " + extra
+		runs = fmt.Sprintf("-fig point:%s -probe %s runs", o.pointScenario(), o.probe)
+	}
+	allowed := strings.Fields("fig cpuprofile memprofile " + flags)
 	for name := range o.set {
 		if !slices.Contains(allowed, name) {
-			return fmt.Errorf("-%s does not apply to %s runs", name, o.mode())
+			return fmt.Errorf("-%s does not apply to %s", name, runs)
 		}
 	}
 	return nil
@@ -208,23 +250,33 @@ func (o *options) override(f *harness.Figure) error {
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("hcfbench", flag.ContinueOnError)
 	fs.BoolVar(&o.list, "list", false, "list available figures and exit")
-	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'; 'explore' or 'explore:name,...' for the explored-schedule witness sweep")
-	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic and autotune default to their own when unset)")
+	fs.StringVar(&o.fig, "fig", "", "figure id to reproduce, or 'all'; 'bench[:id]' for the host-throughput record of a figure sweep (default 2c); 'explore' or 'explore:name,...' for the explored-schedule witness sweep; 'point[:scenario]' for one run through one -probe (default hashtable)")
+	fs.Int64Var(&o.horizon, "horizon", 200_000, "virtual cycles per measurement (-fig elastic, autotune and point:elastic default to their own when unset)")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed (-fig explore: the first seed)")
 	fs.IntVar(&o.seeds, "seeds", 20, "number of seeds, from -seed (-fig explore only)")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of tables")
 	fs.BoolVar(&o.json, "json", false, "emit JSON Lines (one record per scenario/engine/threads cell), or the figure's record, instead of tables")
-	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop, elastic, autotune and explore)")
-	fs.StringVar(&o.engines, "engines", "", "comma-separated engine names (override)")
+	fs.StringVar(&o.threads, "threads", "", "comma-separated thread counts (override; one count for -fig kv, openloop, elastic, autotune, explore and point, where the default is 18)")
+	fs.StringVar(&o.engines, "engines", "", "comma-separated engine names (override; one name for -fig point, default HCF, not point:elastic, which always runs HCF-E)")
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrently measured sweep points (0 = all host cores, 1 = serial)")
 	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.memProf, "memprofile", "", "write a pprof allocation profile to this file")
-	fs.BoolVar(&o.bench, "bench", false, "measure host throughput of a figure sweep (default 2c) and emit a BENCH_sim.json record")
 	fs.StringVar(&o.rates, "rates", "", "comma-separated offered loads in ops/Mcycle (-fig openloop only; default 2000,8000,20000,45000,90000)")
-	fs.StringVar(&o.serve, "serve", "", "host:port for live introspection endpoints during the -fig openloop run (forces serial point order)")
+	fs.StringVar(&o.serve, "serve", "", "host:port for the /debug introspection endpoints: live during the -fig openloop run (forces serial point order); under -fig point -probe metrics, the finished report until interrupted")
 	fs.IntVar(&o.dur, "dur", 0, "wall-clock time per point in milliseconds: -fig native, each cell's budget for a warm-up round and measured rounds (default 150); -fig kv, the arrival window (default 400)")
-	fs.StringVar(&o.out, "out", "", "write the record to this file (-bench, -fig native, kv, openloop, elastic, autotune)")
-	fs.StringVar(&o.baseline, "baseline", "", "compare the record against this baseline record with the figure's fixed gate; exit non-zero on a regression (-bench, -fig native, kv, openloop)")
+	fs.StringVar(&o.out, "out", "", "write the record to this file (-fig bench, native, kv, openloop, elastic, autotune), or the -fig point report instead of stdout")
+	fs.StringVar(&o.baseline, "baseline", "", "compare the record against this baseline record with the figure's fixed gate; exit non-zero on a regression (-fig bench, native, kv, openloop)")
+	fs.StringVar(&o.probe, "probe", "counters", "-fig point probe: counters | metrics | trace")
+	fs.StringVar(&o.format, "format", "text", "-fig point report format: text | json (every probe) | csv | prom (metrics) | chrome (trace)")
+	fs.IntVar(&o.find, "find", 40, "find percentage (-fig point: hashtable, sharded, elastic, avl, sortedlist)")
+	fs.IntVar(&o.shards, "shards", 4, "shard count (-fig point:sharded)")
+	fs.IntVar(&o.cross, "cross", 0, "cross-shard scan percentage (-fig point:sharded)")
+	fs.IntVar(&o.hot, "hot", 0, "percentage of keys skewed onto shard 0 (-fig point:sharded); drifting hot-set percentage (-fig point:elastic)")
+	fs.IntVar(&o.decisions, "decisions", 8, "print the last N rebalancer decisions (-fig point:elastic)")
+	fs.Float64Var(&o.theta, "theta", 0.9, "zipf skew in [0,1) (-fig point:avl)")
+	fs.Int64Var(&o.interval, "interval", 10_000, "sampling interval in virtual cycles (-fig point -probe metrics)")
+	fs.IntVar(&o.traceLimit, "trace-limit", 0, "flight-recorder ring size per thread (-fig point); 0 retains every event under -probe trace and attaches no recorder under -probe metrics, where trace health lands in the report and hot lines on the -serve endpoints")
+	fs.IntVar(&o.timeline, "timeline", 0, "also print the first N raw events (-fig point -probe trace, text format)")
 	return fs
 }
 
@@ -240,7 +292,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if o.fig == "" && !o.bench {
+	if o.fig == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -fig (or -list)")
 	}
@@ -278,6 +330,8 @@ func run(args []string) error {
 		return runAutotune(o)
 	case "explore":
 		return runExplore(o)
+	case "point":
+		return runPoint(o)
 	}
 	return runFigures(o)
 }
@@ -396,7 +450,7 @@ func finish[R any, P interface {
 // runBench times one figure sweep (default: the 2c reference sweep) on
 // the host clock.
 func runBench(o *options) error {
-	id := o.fig
+	_, id, _ := strings.Cut(o.fig, ":")
 	if id == "" {
 		id = "2c" // the reference sweep: hashtable 40% finds, all engines
 	}
@@ -581,10 +635,10 @@ func parseInts(s string) ([]int, error) {
 	for _, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("bad thread count %q: %w", p, err)
+			return nil, fmt.Errorf("bad -threads count %q: %w", p, err)
 		}
 		if n <= 0 {
-			return nil, fmt.Errorf("thread count must be positive, got %d", n)
+			return nil, fmt.Errorf("-threads must be positive, got %d", n)
 		}
 		out = append(out, n)
 	}

@@ -48,6 +48,9 @@ func TestRunListAndErrors(t *testing.T) {
 	if err := run([]string{"-fig", "2a", "-threads", "bad"}); err == nil {
 		t.Error("bad thread list accepted")
 	}
+	if err := run([]string{"-fig", "bench:nope"}); err == nil {
+		t.Error("unknown bench figure accepted")
+	}
 }
 
 func TestRunTinyFigure(t *testing.T) {
@@ -127,18 +130,22 @@ func TestOpenLoopIntervalFromHorizon(t *testing.T) {
 }
 
 // TestFlagSet pins the command line: one -out/-baseline pair and one
-// -dur for every figure, nothing per figure.
+// -dur for every figure, nothing per figure, and the -fig point probe,
+// format and scenario flags.
 func TestFlagSet(t *testing.T) {
 	var got []string
 	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"baseline", "bench", "cpuprofile", "csv", "dur", "engines", "fig",
-		"horizon", "json", "list", "memprofile", "out", "parallel", "rates", "seed",
-		"seeds", "serve", "threads"}
+	want := []string{"baseline", "cpuprofile", "cross", "csv", "decisions", "dur", "engines",
+		"fig", "find", "format", "horizon", "hot", "interval", "json", "list", "memprofile",
+		"out", "parallel", "probe", "rates", "seed", "seeds", "serve", "shards", "theta",
+		"threads", "timeline", "trace-limit"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flags = %v\nwant    %v", got, want)
 	}
-	// The per-figure forms the shared pair replaced, and the retired
-	// wall-clock -real mode, no longer parse.
+	// The per-figure forms the shared pair replaced, the retired
+	// wall-clock -real mode, the -bench switch -fig bench replaced, the
+	// point inspector's own -scenario and -engine spellings, and the
+	// autotuner's old -tune switch no longer parse.
 	var gone []string
 	for _, fig := range []string{"native", "kv", "openloop"} {
 		gone = append(gone, "-"+fig+"-baseline")
@@ -146,7 +153,8 @@ func TestFlagSet(t *testing.T) {
 	for _, fig := range []string{"native", "kv"} {
 		gone = append(gone, "-"+fig+"-dur")
 	}
-	gone = append(gone, "-bench"+"-out", "-elastic-"+"gate", "-elastic-"+"rate", "-real", "-real"+"-ops")
+	gone = append(gone, "-bench"+"-out", "-elastic-"+"gate", "-elastic-"+"rate", "-real", "-real"+"-ops",
+		"-bench", "-scenario", "-engine", "-tune")
 	for _, name := range gone {
 		err := run([]string{"-fig", "stack", name, "1"})
 		if err == nil || !strings.Contains(err.Error(), "not defined") {
@@ -155,9 +163,11 @@ func TestFlagSet(t *testing.T) {
 	}
 }
 
-// TestRejectUnusedFlags checks that a flag the selected run ignores, or
-// an elastic horizon too short to cut into windows, is an error before
-// anything runs: none of these creates its -out file.
+// TestRejectUnusedFlags checks that a flag the selected run ignores, a
+// second thread count or engine where one is taken, or an elastic horizon
+// too short to cut into windows, is an error before anything runs: none
+// of these creates its -out file. TestPointRejectUnreadFlags covers the
+// flags a -fig point probe or scenario ignores.
 func TestRejectUnusedFlags(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "rec")
 	for _, tc := range []struct {
@@ -177,12 +187,12 @@ func TestRejectUnusedFlags(t *testing.T) {
 		{[]string{"-fig", "stack", "-dur", "10"}, "does not apply"},
 		{[]string{"-fig", "openloop", "-dur", "10"}, "does not apply"},
 		{[]string{"-fig", "elastic", "-dur", "10"}, "does not apply"},
-		{[]string{"-bench", "-dur", "10"}, "does not apply"},
+		{[]string{"-fig", "bench", "-dur", "10"}, "does not apply"},
 		{[]string{"-fig", "elastic", "-baseline", out}, "does not apply"},
 		{[]string{"-fig", "native", "-horizon", "5000"}, "does not apply"},
 		{[]string{"-fig", "kv", "-seed", "3"}, "does not apply"},
 		{[]string{"-fig", "kv", "-engines", "HCF"}, "does not apply"},
-		{[]string{"-bench", "-csv", "-out", out}, "does not apply"},
+		{[]string{"-fig", "bench:stack", "-csv", "-out", out}, "does not apply"},
 		{[]string{"-fig", "autotune", "-baseline", out}, "does not apply"},
 		{[]string{"-fig", "autotune", "-parallel", "2"}, "does not apply"},
 		{[]string{"-fig", "stack", "-seeds", "2"}, "does not apply"},
@@ -194,6 +204,18 @@ func TestRejectUnusedFlags(t *testing.T) {
 		{[]string{"-fig", "explore:hashtable", "-engines", "HCF-E"}, "HCF-E cannot run scenario hashtable"},
 		{[]string{"-fig", "explore:elastic", "-seeds", "2", "-engines", "HCF"}, "HCF cannot run scenario elastic"},
 		{[]string{"-fig", "elastic", "-horizon", "3", "-out", out}, "minimum of 16 cycles"},
+		{[]string{"-fig", "stack", "-probe", "trace"}, "does not apply"},
+		{[]string{"-fig", "openloop", "-format", "json"}, "does not apply"},
+		{[]string{"-fig", "explore", "-find", "10"}, "does not apply"},
+		{[]string{"-fig", "point", "-json", "-out", out}, "does not apply"},
+		{[]string{"-fig", "point", "-csv"}, "does not apply"},
+		{[]string{"-fig", "point", "-baseline", out}, "does not apply"},
+		{[]string{"-fig", "point", "-dur", "10"}, "does not apply"},
+		{[]string{"-fig", "point", "-rates", "1000"}, "does not apply"},
+		{[]string{"-fig", "point", "-seeds", "2"}, "does not apply"},
+		{[]string{"-fig", "point", "-parallel", "2"}, "does not apply"},
+		{[]string{"-fig", "point", "-engines", "Lock,HCF", "-out", out}, "exactly one engine"},
+		{[]string{"-fig", "point", "-threads", "2,3", "-out", out}, "exactly one thread count"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -205,7 +227,7 @@ func TestRejectUnusedFlags(t *testing.T) {
 	}
 }
 
-// TestBenchBaselineGate drives the shared tail end to end: the -bench
+// TestBenchBaselineGate drives the shared tail end to end: the -fig bench
 // record fails against a baseline far faster than any host and passes
 // against a far slower one, writing -out either way.
 func TestBenchBaselineGate(t *testing.T) {
@@ -223,7 +245,7 @@ func TestBenchBaselineGate(t *testing.T) {
 		return p
 	}
 	bench := func(out, base string) error {
-		return run([]string{"-bench", "-fig", "stack", "-threads", "2", "-horizon", "5000",
+		return run([]string{"-fig", "bench:stack", "-threads", "2", "-horizon", "5000",
 			"-engines", "Lock,HCF", "-out", out, "-baseline", base})
 	}
 	if err := bench(filepath.Join(dir, "slow.json"), baseline(1e12)); err == nil ||

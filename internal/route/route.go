@@ -233,7 +233,7 @@ func Moved(a, b *Ring) (int, error) {
 }
 
 // Snapshot is a plain-data view of a ring for introspection endpoints
-// (serve's /debug/shards, hcfstat): no methods, JSON-friendly.
+// (serve's /debug/shards, hcfbench -fig point): no methods, JSON-friendly.
 type Snapshot struct {
 	Epoch  uint64    `json:"epoch"`
 	Slots  int       `json:"slots"`

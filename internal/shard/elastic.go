@@ -298,7 +298,7 @@ func (e *Elastic) reshape(th *memsim.Thread, old, next *route.Ring, from, to int
 }
 
 // Topology is a point-in-time plain-data view of an Elastic engine's
-// routing state, served by /debug/shards and hcfstat.
+// routing state, served by /debug/shards and hcfbench -fig point:elastic.
 type Topology struct {
 	Name        string         `json:"name"`
 	Ring        route.Snapshot `json:"ring"`

@@ -19,7 +19,7 @@
 //
 // All engines in this module (the HCF framework and the five baselines)
 // accept a recorder via SetRecorder; a nil recorder leaves only a nil
-// check on the hot path. See `hcfstat -probe metrics` (cmd/hcfstat) for a
+// check on the hot path. See `hcfbench -fig point -probe metrics` for a
 // ready-made command and docs/OBSERVABILITY.md for the full guide.
 package metrics
 

@@ -9,8 +9,8 @@
 //	env.Run(...)
 //	fmt.Print(col.Summary())
 //
-// See `hcfstat -probe trace` (cmd/hcfstat) for a ready-made command built
-// on this package.
+// See `hcfbench -fig point -probe trace` (cmd/hcfbench) for a ready-made
+// command built on this package.
 package tracing
 
 import "hcf/internal/trace"
