@@ -360,17 +360,19 @@ func runFigures(o *options) error {
 			return err
 		}
 		all = append(all, results...)
+		var out string
 		switch {
 		case o.json:
-			out, err := harness.FormatJSONL(results)
-			if err != nil {
+			if out, err = harness.FormatJSONL(results); err != nil {
 				return err
 			}
-			fmt.Print(out)
 		case o.csv:
-			fmt.Print(harness.FormatCSV(results))
+			out = harness.FormatCSV(results)
 		default:
-			fmt.Println(harness.FormatFigure(figs[i], results))
+			out = harness.FormatFigure(figs[i], results) + "\n"
+		}
+		if err := printOut(out); err != nil {
+			return err
 		}
 	}
 	if err := harness.CheckResults(all); err != nil {
@@ -415,10 +417,12 @@ func finish[R any, P interface {
 			fmt.Fprintf(os.Stderr, "hcfbench: wrote %s\n", path)
 		}
 	}
+	out := rec.Text()
 	if o.json {
-		os.Stdout.Write(data)
-	} else {
-		fmt.Print(rec.Text())
+		out = string(data)
+	}
+	if err := printOut(out); err != nil {
+		return err
 	}
 	if err := rec.Check(); err != nil {
 		return fmt.Errorf("%s check failed:\n  %w", o.mode(), err)

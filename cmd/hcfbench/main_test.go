@@ -92,6 +92,39 @@ func capture(t *testing.T, args ...string) (string, error) {
 	return string(<-done), runErr
 }
 
+// runFull runs the command with stdout on /dev/full, where every write
+// fails, and returns its error.
+func runFull(t *testing.T, args ...string) error {
+	t.Helper()
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	old := os.Stdout
+	os.Stdout = full
+	defer func() { os.Stdout = old }()
+	return run(args)
+}
+
+// TestLostOutputFails pins that figure and record runs fail, in every
+// output format, when their stdout cannot be written.
+func TestLostOutputFails(t *testing.T) {
+	small := []string{"-threads", "2", "-horizon", "5000", "-engines", "Lock"}
+	for _, args := range [][]string{
+		{"-fig", "stack"},
+		{"-fig", "stack", "-csv"},
+		{"-fig", "stack", "-json"},
+		{"-fig", "bench:stack"},
+		{"-fig", "bench:stack", "-json"},
+	} {
+		args = append(args, small...)
+		if err := runFull(t, args...); err == nil {
+			t.Errorf("%v > /dev/full: no error", args)
+		}
+	}
+}
+
 // TestRunJSONL checks -json emits one parseable record per
 // (scenario, engine, threads) cell.
 func TestRunJSONL(t *testing.T) {

@@ -209,6 +209,15 @@ func writeOut(path string, write func(io.Writer) error) error {
 	return err
 }
 
+// printOut writes s to stdout through writeOut, so output that was not
+// written in full fails the command.
+func printOut(s string) error {
+	return writeOut("", func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	})
+}
+
 // write renders the point in the chosen probe's format. Plain writes go
 // unchecked: the buffered writer keeps their first error for Flush.
 func (o *options) write(w io.Writer, pt point) error {
@@ -367,13 +376,13 @@ func (o *options) writeTrace(w io.Writer, pt point) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(traceReport{
 			Scenario: pt.Scenario, Engine: pt.Engine, Threads: pt.Threads,
-			Horizon: o.horizon, Seed: o.seed,
+			Horizon: pt.Horizon, Seed: o.seed,
 			Ops: pt.Ops, Cycles: pt.Cycles, Throughput: pt.Throughput,
 			Summary: col.SummaryData(), Spans: spans(),
 		})
 	}
 	fmt.Fprintf(w, "scenario %s, engine %s, %d threads, horizon %d cycles\n\n",
-		pt.Scenario, pt.Engine, pt.Threads, o.horizon)
+		pt.Scenario, pt.Engine, pt.Threads, pt.Horizon)
 	io.WriteString(w, col.Summary())
 	fmt.Fprintf(w, "\n")
 	io.WriteString(w, trace.FormatSpanStats(spans()))

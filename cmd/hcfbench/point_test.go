@@ -398,9 +398,6 @@ func TestPointFlightRecorderLimit(t *testing.T) {
 // fails the run, under every probe and format, whether it goes to -out
 // or to stdout.
 func TestPointLostOutputFails(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("no /dev/full:", err)
-	}
 	small := []string{"-fig", "point", "-threads", "2", "-horizon", "3000"}
 	for _, args := range [][]string{
 		{"-probe", "counters"},
@@ -414,18 +411,28 @@ func TestPointLostOutputFails(t *testing.T) {
 		if err := run(append(args, "-out", "/dev/full")); err == nil {
 			t.Errorf("%v -out /dev/full: no error", args)
 		}
-		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := os.Stdout
-		os.Stdout = full
-		err = run(args)
-		os.Stdout = old
-		full.Close()
-		if err == nil {
+		if err := runFull(t, args...); err == nil {
 			t.Errorf("%v > /dev/full: no error", args)
 		}
+	}
+}
+
+// TestPointTraceDefaultHorizon pins that the trace reports print the
+// horizon the run used: -horizon 0 runs the default 200000 cycles.
+func TestPointTraceDefaultHorizon(t *testing.T) {
+	args := []string{"-fig", "point", "-probe", "trace", "-threads", "2", "-horizon", "0"}
+	var doc struct {
+		Horizon int64 `json:"horizon"`
+		Cycles  int64 `json:"cycles"`
+	}
+	if err := json.Unmarshal([]byte(captureRun(t, append(args, "-format", "json")...)), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Horizon != 200_000 || doc.Cycles < doc.Horizon {
+		t.Errorf("json horizon %d, cycles %d; want horizon 200000 and cycles past it", doc.Horizon, doc.Cycles)
+	}
+	if text := captureRun(t, args...); !strings.Contains(text, "horizon 200000 cycles") {
+		t.Errorf("text header does not name the 200000-cycle horizon:\n%s", text)
 	}
 }
 

@@ -3,17 +3,13 @@ package core
 import (
 	"hcf/internal/engine"
 	"hcf/internal/htm"
-	"hcf/internal/locks"
 	"hcf/internal/memsim"
-	"hcf/internal/phases"
 )
 
 // The lifecycle-event vocabulary is defined in internal/engine (shared by
 // all engines); the framework re-exports it so existing consumers keep
 // addressing it through core.
 type (
-	// TraceKind classifies framework lifecycle events.
-	TraceKind = engine.TraceKind
 	// TraceEvent is one framework lifecycle event.
 	TraceEvent = engine.TraceEvent
 	// Tracer receives lifecycle events.
@@ -43,9 +39,6 @@ var _ TracedEngine = (*Framework)(nil)
 // unique per run, dense per thread, and deterministic on the deterministic
 // backend.
 func SpanID(t int, seq uint64) uint64 { return engine.SpanID(t, seq) }
-
-// SpanThread recovers the owning thread from a span id.
-func SpanThread(span uint64) int { return engine.SpanThread(span) }
 
 // fwEmitter adapts the framework to phases.Emitter without exporting
 // emission methods on the public Framework type.
@@ -94,10 +87,4 @@ func (f *Framework) emitAttempt(th *memsim.Thread, phase Phase, reason htm.Reaso
 		}
 	}
 	f.emit(th, ev)
-}
-
-// HolderHint names the thread currently holding l via a raw uncharged
-// read, or -1 when the lock kind cannot report one.
-func HolderHint(env memsim.Env, l locks.Lock) int {
-	return phases.HolderHint(env, l)
 }

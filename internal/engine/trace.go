@@ -110,6 +110,3 @@ type TracedEngine interface {
 // unique per run, dense per thread, and deterministic on the deterministic
 // backend.
 func SpanID(t int, seq uint64) uint64 { return uint64(t+1)<<32 | seq }
-
-// SpanThread recovers the owning thread from a span id.
-func SpanThread(span uint64) int { return int(span>>32) - 1 }

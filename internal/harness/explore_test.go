@@ -8,7 +8,24 @@ import (
 	"hcf/internal/memsim"
 )
 
-// TestExploredZeroConfigMatchesRunPoint pins that RunPointWith with a zero
+// runExploredPoint is RunPoint on a min-clock schedule that ex perturbs
+// (randomized thread priorities plus bounded forced preemptions; see
+// memsim.ExploreConfig). A non-zero ex measures a deliberately unfair
+// schedule: it validates invariants under hostile interleavings, it does
+// not compare throughput.
+func runExploredPoint(sc Scenario, engineName string, threads int, cfg Config, ex memsim.ExploreConfig) (Result, error) {
+	cfg.normalize()
+	env := memsim.NewDet(memsim.DetConfig{
+		Threads:      threads,
+		Cost:         cfg.Cost,
+		CapacityHint: cfg.CapacityHint,
+		Explore:      ex,
+	})
+	pt, err := runPoint(env, sc, engineName, cfg, Probes{})
+	return pt.Result, err
+}
+
+// TestExploredZeroConfigMatchesRunPoint pins that a run with a zero
 // ExploreConfig IS RunPoint: same environment construction, same
 // scheduler fast path, bit-identical Result. The golden JSONL fixtures
 // (perf_test.go) pin the same property against recordings made before the
@@ -21,11 +38,11 @@ func TestExploredZeroConfigMatchesRunPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero, err := RunPointWith(sc, name, 4, cfg, Probes{Explore: memsim.ExploreConfig{}})
+		zero, err := runExploredPoint(sc, name, 4, cfg, memsim.ExploreConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(base, zero.Result) {
+		if !reflect.DeepEqual(base, zero) {
 			t.Errorf("%s: zero ExploreConfig diverged from RunPoint:\n%+v\nvs\n%+v", name, base, zero)
 		}
 	}
@@ -39,11 +56,11 @@ func TestExploredRunDeterministicPerSeed(t *testing.T) {
 	cfg := Config{Horizon: 20_000, Seed: 9}
 	ex := memsim.ExploreConfig{Seed: 31, PreemptBudget: 48, JitterClass: 2}
 	for _, name := range []string{"FC", "HCF"} {
-		a, err := RunPointWith(sc, name, 4, cfg, Probes{Explore: ex})
+		a, err := runExploredPoint(sc, name, 4, cfg, ex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunPointWith(sc, name, 4, cfg, Probes{Explore: ex})
+		b, err := runExploredPoint(sc, name, 4, cfg, ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +84,7 @@ func TestExploredRunPerturbsAndStaysSound(t *testing.T) {
 	perturbed := false
 	for seed := uint64(0); seed < 6; seed++ {
 		ex := memsim.ExploreConfig{Seed: seed, PreemptBudget: 48, JitterClass: 3}
-		r, err := RunPointWith(sc, "HCF", 4, cfg, Probes{Explore: ex})
+		r, err := runExploredPoint(sc, "HCF", 4, cfg, ex)
 		if err != nil {
 			t.Fatal(err)
 		}

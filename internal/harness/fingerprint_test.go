@@ -43,11 +43,11 @@ func TestScheduleFingerprints(t *testing.T) {
 			cfg := Config{Horizon: 20_000, Seed: 1, Cost: fig.Cost}
 			cfg.Cost.JitterPct = v.jitter
 			for _, name := range EngineNames {
-				pt, err := RunPointWith(fig.Scenario, name, 36, cfg, Probes{Explore: v.ex})
+				r, err := runExploredPoint(fig.Scenario, name, 36, cfg, v.ex)
 				if err != nil {
 					t.Fatal(err)
 				}
-				line(fmt.Sprintf("%s %s %s", id, v.name, name), pt.Result)
+				line(fmt.Sprintf("%s %s %s", id, v.name, name), r)
 			}
 		}
 	}

@@ -270,14 +270,6 @@ func RunPoint(sc Scenario, engineName string, threads int, cfg Config) (Result, 
 // measurement itself. The zero value attaches nothing: RunPointWith is
 // then exactly RunPoint.
 type Probes struct {
-	// Explore perturbs the min-clock schedule (randomized thread
-	// priorities plus bounded forced preemptions; see
-	// memsim.ExploreConfig). A zero Explore takes the scheduler's
-	// unexplored fast path, bit-identical to the golden fixtures (pinned
-	// by TestExploredZeroConfigMatchesRunPoint). A non-zero Explore
-	// measures a deliberately unfair schedule: use it to validate
-	// invariants under hostile interleavings, not to compare throughput.
-	Explore memsim.ExploreConfig
 	// Metrics installs a recorder (see Instrument) and returns the full
 	// report: latency percentiles per operation class and completion
 	// path, transaction-outcome durations, lock hold times, and the
@@ -296,27 +288,36 @@ type Probes struct {
 	TraceLimit int
 }
 
-// Point is one RunPointWith measurement: the Result plus whatever the
-// probes collected (nil when not requested).
+// Point is one RunPointWith measurement: the Result and the horizon it
+// ran to, plus whatever the probes collected (nil when not requested).
 type Point struct {
 	Result
-	Report *metrics.Report
-	Trace  *trace.Collector
+	// Horizon is the horizon the run used, after defaulting.
+	Horizon int64
+	Report  *metrics.Report
+	Trace   *trace.Collector
 }
 
 // RunPointWith measures one (scenario, engine, threads) configuration in a
 // fresh deterministic environment with probes attached. Recording and
 // tracing charge no simulated cycles, so Point.Result is bit-identical to
-// RunPoint's for the same configuration and a zero Explore, and the
-// collected event stream is itself bit-identical across same-seed runs.
+// RunPoint's for the same configuration, and the collected event stream
+// is itself bit-identical across same-seed runs.
 func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, p Probes) (Point, error) {
 	cfg.normalize()
 	env := memsim.NewDet(memsim.DetConfig{
 		Threads:      threads,
 		Cost:         cfg.Cost,
 		CapacityHint: cfg.CapacityHint,
-		Explore:      p.Explore,
 	})
+	return runPoint(env, sc, engineName, cfg, p)
+}
+
+// runPoint is RunPointWith on env, which must be fresh and built from
+// cfg, already normalized. An env with DetConfig.Explore set runs the
+// point on a perturbed schedule.
+func runPoint(env *memsim.DetEnv, sc Scenario, engineName string, cfg Config, p Probes) (Point, error) {
+	threads := env.NumThreads()
 	inst := sc.Setup(env, cfg.Seed)
 	eng, err := BuildEngine(engineName, env, inst, cfg)
 	if err != nil {
@@ -377,7 +378,7 @@ func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, p Pro
 	if inst.Check != nil {
 		res.InvariantViolation = inst.Check(env.Boot())
 	}
-	pt := Point{Result: res, Trace: col}
+	pt := Point{Result: res, Horizon: cfg.Horizon, Trace: col}
 	if sampler != nil {
 		sampler.Flush(res.Cycles)
 		report := metrics.BuildReport(rec, sampler, sc.Name, engineName, threads)

@@ -250,7 +250,7 @@ func TestShapeHCFBeatsLockUnderContention(t *testing.T) {
 
 func TestRunPointRealSmoke(t *testing.T) {
 	for _, name := range []string{"Lock", "TLE", "HCF"} {
-		r, err := RunPointReal(HashTableScenario(40, 128), name, 4, 50, Config{Seed: 2})
+		r, err := runPointReal(HashTableScenario(40, 128), name, 4, 50, Config{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,38 @@ import (
 	"hcf/internal/witness"
 )
 
+// runPointReal runs one (scenario, engine, threads) configuration on the
+// real-concurrency backend: actual goroutines and atomics, each thread
+// executing opsPerThread operations. It exists to check engines under real
+// concurrency (invariants, and data races under -race), not to time them,
+// so the Result carries Scenario, Engine, Threads, Ops and
+// InvariantViolation only.
+func runPointReal(sc Scenario, engineName string, threads, opsPerThread int, cfg Config) (Result, error) {
+	cfg.normalize()
+	env := memsim.NewReal(memsim.RealConfig{Threads: threads})
+	inst := sc.Setup(env, cfg.Seed)
+	eng, err := BuildEngine(engineName, env, inst, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	env.Run(func(th *memsim.Thread) {
+		rng := rand.New(rand.NewPCG(cfg.Seed^0xFEED, uint64(th.ID())+1))
+		for i := 0; i < opsPerThread; i++ {
+			eng.Execute(th, inst.NextOp(rng))
+		}
+	})
+	res := Result{
+		Scenario: sc.Name,
+		Engine:   engineName,
+		Threads:  threads,
+		Ops:      uint64(threads * opsPerThread),
+	}
+	if inst.Check != nil {
+		res.InvariantViolation = inst.Check(env.Boot())
+	}
+	return res, nil
+}
+
 // TestRunPointRealAllEngines runs every known engine — the paper's six plus
 // the sharded variant — on the real-concurrency backend and checks the
 // structural invariants afterwards. Under -race this doubles as a data-race
@@ -17,7 +49,7 @@ import (
 func TestRunPointRealAllEngines(t *testing.T) {
 	sc := ShardedHashTableScenario(40, 256, 2, 2, 10)
 	for _, name := range KnownEngineNames() {
-		res, err := RunPointReal(sc, name, 4, 300, Config{Seed: 5})
+		res, err := runPointReal(sc, name, 4, 300, Config{Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -119,8 +119,13 @@ func CompareRecords(fresh, base GatedRecord) (int, error) {
 	}
 	var fails []string
 	for _, m := range ms {
-		if m.ratio/norm > g.Tolerance {
-			fails = append(fails, fmt.Sprintf("%s: %.2fx worse than baseline (norm %.2fx)", m.key, m.ratio, norm))
+		r := m.ratio / norm // the ratio the bound applies to
+		switch {
+		case r <= g.Tolerance:
+		case g.Normalize:
+			fails = append(fails, fmt.Sprintf("%s: %.2fx worse than baseline (raw %.2fx / norm %.2fx)", m.key, r, m.ratio, norm))
+		default:
+			fails = append(fails, fmt.Sprintf("%s: %.2fx worse than baseline", m.key, r))
 		}
 	}
 	if len(fails) > 0 {

@@ -90,6 +90,27 @@ func TestRecordChecks(t *testing.T) {
 	}
 }
 
+// TestNormalizedGatePrintsBoundedRatio pins that a normalized gate's
+// failure names the ratio the bound applies to, raw/norm, with the raw
+// ratio and the norm beside it: a point 0.16x the baseline's p99 among
+// points at 0.05x is 3.20x worse once normalized, over the 2x bound.
+func TestNormalizedGatePrintsBoundedRatio(t *testing.T) {
+	rec := func(p99s ...uint64) *KVReport {
+		r := &KVReport{}
+		for i, p := range p99s {
+			pt := KVPoint{Users: 10 * uint64(i+1), GetPct: 50}
+			pt.Sojourn.P99, pt.Sojourn.Count = p, kvGate.MinSamples
+			r.Points = append(r.Points, pt)
+		}
+		return r
+	}
+	_, err := CompareRecords(rec(16, 5, 5), rec(100, 100, 100))
+	want := "users=10 get=50%: 3.20x worse than baseline (raw 0.16x / norm 0.05x)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("gate error %v, want a line %q", err, want)
+	}
+}
+
 // TestHostBenchBaseline pins the -bench gate: failing below 0.75x the
 // baseline's host throughput for the same figure.
 func TestHostBenchBaseline(t *testing.T) {

@@ -201,6 +201,10 @@ type Store struct {
 
 var errClosed = errors.New("kvstore: store is closed")
 
+// errReservedKey refuses the keys above hashtable.MaxKey: the index would
+// encode them as its empty and deleted markers.
+var errReservedKey = fmt.Errorf("kvstore: keys above %#x are reserved", uint64(hashtable.MaxKey))
+
 // Open creates or re-opens a store rooted at dir. Existing shard logs
 // are replayed to rebuild the in-memory index; a torn tail (crash
 // mid-append) is truncated at the first corrupt record. The shard count
@@ -473,10 +477,13 @@ func (h *Handle) Get(key uint64) (val []byte, ok bool, err error) {
 
 // Put durably stores key=val, returning whether a previous value was
 // replaced. It returns only after the group commit containing the write
-// has been flushed.
+// has been flushed. A key above hashtable.MaxKey is an error.
 func (h *Handle) Put(key uint64, val []byte) (replaced bool, err error) {
 	if h.s.closed.Load() {
 		return false, errClosed
+	}
+	if key > hashtable.MaxKey {
+		return false, errReservedKey
 	}
 	si := h.s.shardOf(key)
 	sh := h.s.shards[si]
@@ -490,10 +497,14 @@ func (h *Handle) Put(key uint64, val []byte) (replaced bool, err error) {
 }
 
 // Delete durably removes key, returning whether it was present. Like
-// Put, it returns only after its group commit has been flushed.
+// Put, it returns only after its group commit has been flushed, and a
+// key above hashtable.MaxKey is an error.
 func (h *Handle) Delete(key uint64) (found bool, err error) {
 	if h.s.closed.Load() {
 		return false, errClosed
+	}
+	if key > hashtable.MaxKey {
+		return false, errReservedKey
 	}
 	si := h.s.shardOf(key)
 	r := h.hs[si].Execute(native.Op{Class: ClassDelete, A: key})

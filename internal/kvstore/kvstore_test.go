@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hcf/internal/native/hashtable"
 )
 
 // testConfig keeps unit tests fast: fsync off except where a test is
@@ -551,6 +553,63 @@ func TestGetAfterClose(t *testing.T) {
 	}
 	if _, err := h.Delete(1); !errors.Is(err, errClosed) {
 		t.Fatalf("Delete after Close: %v, want %v", err, errClosed)
+	}
+}
+
+// TestReservedKeys: the keys above hashtable.MaxKey, which the index
+// would encode as its empty and deleted markers, are refused by Put and
+// Delete before any record is written, and Get reports them absent even
+// among tombstones. MaxKey itself stores and replays normally.
+func TestReservedKeys(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, Capacity: 16, DisableSync: true}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.MustHandle()
+	for k := uint64(0); k < 12; k++ {
+		if _, err := h.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logged := s.Stats().AppendedBytes
+	for _, k := range []uint64{hashtable.MaxKey + 1, hashtable.MaxKey + 2} {
+		if _, err := h.Put(k, []byte("x")); !errors.Is(err, errReservedKey) {
+			t.Errorf("Put(%#x): %v, want %v", k, err, errReservedKey)
+		}
+		if _, err := h.Delete(k); !errors.Is(err, errReservedKey) {
+			t.Errorf("Delete(%#x): %v, want %v", k, err, errReservedKey)
+		}
+		if v, ok, err := h.Get(k); ok || err != nil {
+			t.Errorf("Get(%#x) = %q, %v, %v; want absent", k, v, ok, err)
+		}
+	}
+	if got := s.Stats().AppendedBytes; got != logged {
+		t.Errorf("refused operations appended %d bytes", got-logged)
+	}
+	if _, err := h.Put(hashtable.MaxKey, []byte("max")); err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h = s.MustHandle()
+	defer h.Release()
+	if v, ok, err := h.Get(hashtable.MaxKey); !ok || err != nil || string(v) != "max" {
+		t.Fatalf("Get(MaxKey) after replay = %q, %v, %v; want \"max\"", v, ok, err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("replayed %d live keys, want 1", s.Len())
 	}
 }
 

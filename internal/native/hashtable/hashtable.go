@@ -23,7 +23,9 @@ const (
 )
 
 // Key cell encoding: 0 = never used, tombstone = deleted, else key+1.
-// External keys must therefore be below MaxKey.
+// The two keys above MaxKey would encode as those markers, so they cannot
+// be stored: Get and Delete report them absent, and Put's callers must
+// reject them.
 const (
 	tombstone = ^uint64(0)
 	// MaxKey is the largest storable key.
@@ -87,6 +89,9 @@ func (t *Table) hash(k uint64) uint64 {
 // Get returns Pack(value, found). Safe under optimistic speculation: the
 // probe loop is bounded by the table size on any stale view.
 func (t *Table) Get(k uint64) uint64 {
+	if k > MaxKey {
+		return native.Pack(0, false)
+	}
 	i := t.hash(k)
 	want := k + 1
 	for probes := uint64(0); probes <= t.mask; probes++ {
@@ -102,9 +107,9 @@ func (t *Table) Get(k uint64) uint64 {
 	return native.Pack(0, false)
 }
 
-// Put inserts or updates k and returns Pack(previous value, replaced).
-// It panics when k is new and the table is full. Must run with the
-// structure lock held (writer-exclusive).
+// Put inserts or updates k, which must be at most MaxKey, and returns
+// Pack(previous value, replaced). It panics when k is new and the table
+// is full. Must run with the structure lock held (writer-exclusive).
 func (t *Table) Put(k, v uint64) uint64 {
 	r, ok := t.TryPut(k, v)
 	if !ok {
@@ -161,6 +166,9 @@ func (t *Table) insertAt(i, wantKey, v uint64, reuseTombstone bool) uint64 {
 // Delete removes k and returns PackBool(found). Must run with the
 // structure lock held (writer-exclusive).
 func (t *Table) Delete(k uint64) uint64 {
+	if k > MaxKey {
+		return native.PackBool(false)
+	}
 	i := t.hash(k)
 	want := k + 1
 	for probes := uint64(0); probes <= t.mask; probes++ {

@@ -97,3 +97,37 @@ func TestFrameworkWiring(t *testing.T) {
 		}
 	}
 }
+
+// TestReservedKeysAbsent pins that the two keys above MaxKey, whose
+// key+1 encodings are the tombstone and empty markers, never match a
+// cell: on a table holding tombstones, Get reports them absent instead of
+// a deleted key's value, and Delete finds nothing and changes nothing.
+// MaxKey itself stores normally.
+func TestReservedKeysAbsent(t *testing.T) {
+	tb := New(16)
+	for k := uint64(0); k < 12; k++ {
+		tb.Put(k, 100+k)
+	}
+	for k := uint64(0); k < 12; k++ {
+		tb.Delete(k)
+	}
+	if tb.Tombstones() == 0 {
+		t.Fatal("setup left no tombstones to collide with")
+	}
+	for _, k := range []uint64{MaxKey + 1, MaxKey + 2} {
+		if v, ok := native.Unpack(tb.Get(k)); ok {
+			t.Errorf("Get(%#x) on an empty table = (%d, true)", k, v)
+		}
+		dead := tb.Tombstones()
+		if native.UnpackBool(tb.Delete(k)) || tb.Tombstones() != dead {
+			t.Errorf("Delete(%#x) on an empty table found a key", k)
+		}
+	}
+	tb.Put(MaxKey, 5)
+	if v, ok := native.Unpack(tb.Get(MaxKey)); !ok || v != 5 {
+		t.Fatalf("Get(MaxKey) = (%d, %v), want (5, true)", v, ok)
+	}
+	if !native.UnpackBool(tb.Delete(MaxKey)) || tb.Len() != 0 {
+		t.Fatalf("Delete(MaxKey) failed: Len %d", tb.Len())
+	}
+}

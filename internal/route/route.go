@@ -217,21 +217,6 @@ func (r *Ring) Merge(from, into int) (*Ring, error) {
 	return c, nil
 }
 
-// Moved counts the slots whose owner differs between two rings of the
-// same size — the exact movement cost of a topology change.
-func Moved(a, b *Ring) (int, error) {
-	if len(a.slots) != len(b.slots) {
-		return 0, fmt.Errorf("route: slot counts differ (%d vs %d)", len(a.slots), len(b.slots))
-	}
-	n := 0
-	for i := range a.slots {
-		if a.slots[i] != b.slots[i] {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // Snapshot is a plain-data view of a ring for introspection endpoints
 // (serve's /debug/shards, hcfbench -fig point): no methods, JSON-friendly.
 type Snapshot struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hcf/internal/core"
+	"hcf/internal/engine"
 	"hcf/internal/htm"
 	"hcf/internal/memsim"
 )
@@ -172,15 +173,15 @@ func TestSummaryAndTimelineRender(t *testing.T) {
 }
 
 func TestTraceKindStrings(t *testing.T) {
-	want := map[core.TraceKind]string{
-		core.TraceStart:    "start",
-		core.TraceAttempt:  "attempt",
-		core.TraceAnnounce: "announce",
-		core.TraceSelect:   "select",
-		core.TraceLock:     "lock",
-		core.TraceDone:     "done",
-		core.TraceHelped:   "helped",
-		core.TraceKind(0):  "unknown",
+	want := map[engine.TraceKind]string{
+		core.TraceStart:     "start",
+		core.TraceAttempt:   "attempt",
+		core.TraceAnnounce:  "announce",
+		core.TraceSelect:    "select",
+		core.TraceLock:      "lock",
+		core.TraceDone:      "done",
+		core.TraceHelped:    "helped",
+		engine.TraceKind(0): "unknown",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -6,45 +6,17 @@ import (
 	"math/rand/v2"
 )
 
-// ArrivalGen draws open-loop inter-arrival gaps: operations arrive on their
-// own schedule regardless of how fast the system drains them, which is the
-// regime where queueing delay — and therefore tail latency — becomes
-// visible. Closed-loop harnesses (a captive thread issues the next op the
-// instant the previous one returns) cannot observe queueing at all; every
-// generator here produces an *intended start time* stream instead.
-//
-// Generators are pure functions of (previous arrival time, rng), so an
-// arrival schedule is deterministic per seed — the property every
-// bit-identity test in this repository leans on.
-type ArrivalGen interface {
-	// Next returns the gap (in virtual cycles, >= 1) between the arrival at
-	// time prev and the next one.
-	Next(prev int64, r *rand.Rand) int64
-	// Rate returns the generator's long-run mean arrival rate in
-	// operations per million cycles (ops/Mcycle).
-	Rate() float64
-}
-
-// expGap draws an exponential inter-arrival gap for a Poisson process with
-// the given rate (ops/Mcycle), clamped to >= 1 cycle so arrival schedules
-// always make progress.
-func expGap(rate float64, r *rand.Rand) int64 {
-	mean := 1e6 / rate // cycles between arrivals
-	g := int64(math.Round(r.ExpFloat64() * mean))
-	if g < 1 {
-		return 1
-	}
-	return g
-}
-
-// Poisson is a memoryless arrival process with a fixed mean rate — the
-// standard model for a large population of independent users each issuing
-// requests at a small individual rate.
+// Poisson is a memoryless open-loop arrival process with a fixed mean
+// rate — the standard model for a large population of independent users
+// each issuing requests at a small individual rate. Open-loop operations
+// arrive on their own schedule regardless of how fast the system drains
+// them, which is the regime where queueing delay — and therefore tail
+// latency — becomes visible; a closed-loop harness (a captive thread
+// issues the next op the instant the previous one returns) cannot
+// observe queueing at all.
 type Poisson struct {
 	rate float64 // ops per Mcycle
 }
-
-var _ ArrivalGen = Poisson{}
 
 // NewPoisson builds a Poisson arrival process with the given aggregate rate
 // in operations per million cycles.
@@ -70,118 +42,32 @@ func NewPopulation(users uint64, thinkCycles int64) (Poisson, error) {
 	return NewPoisson(float64(users) / float64(thinkCycles) * 1e6)
 }
 
-// Next implements ArrivalGen.
-func (p Poisson) Next(_ int64, r *rand.Rand) int64 { return expGap(p.rate, r) }
-
-// Rate implements ArrivalGen.
+// Rate returns the mean arrival rate in operations per million cycles
+// (ops/Mcycle).
 func (p Poisson) Rate() float64 { return p.rate }
 
-// Bursty is a Markov-modulated Poisson process with a square-wave rate: each
-// period of `Period` cycles spends the first Duty fraction at Peak rate and
-// the rest at Base rate. It models flash crowds and diurnal-style load
-// swings compressed to simulator scale — the arrivals a burst-intolerant
-// system (small queues, slow combiner ramp-up) handles worst.
-type Bursty struct {
-	base, peak float64 // ops per Mcycle
-	period     int64   // cycles
-	duty       float64 // fraction of the period at peak rate, in (0, 1)
-}
-
-var _ ArrivalGen = Bursty{}
-
-// NewBursty builds a bursty process alternating between peak and base rate.
-func NewBursty(base, peak float64, period int64, duty float64) (Bursty, error) {
-	if base <= 0 || peak <= 0 {
-		return Bursty{}, fmt.Errorf("workload: bursty rates must be positive, got base %v peak %v", base, peak)
-	}
-	if peak < base {
-		return Bursty{}, fmt.Errorf("workload: bursty peak %v below base %v", peak, base)
-	}
-	if period <= 1 {
-		return Bursty{}, fmt.Errorf("workload: bursty period must exceed 1 cycle, got %d", period)
-	}
-	if duty <= 0 || duty >= 1 {
-		return Bursty{}, fmt.Errorf("workload: bursty duty %v outside (0,1)", duty)
-	}
-	return Bursty{base: base, peak: peak, period: period, duty: duty}, nil
-}
-
-// rateAt returns the instantaneous rate at time now.
-func (b Bursty) rateAt(now int64) float64 {
-	phase := now % b.period
-	if phase < 0 {
-		phase += b.period
-	}
-	if float64(phase) < b.duty*float64(b.period) {
-		return b.peak
-	}
-	return b.base
-}
-
-// Next implements ArrivalGen: the gap is drawn at the rate in force at the
-// previous arrival. (A gap can straddle a phase boundary; for period >>
-// mean gap the distortion is negligible, and determinism is exact either
-// way.)
-func (b Bursty) Next(prev int64, r *rand.Rand) int64 { return expGap(b.rateAt(prev), r) }
-
-// Rate implements ArrivalGen: the duty-weighted mean rate.
-func (b Bursty) Rate() float64 { return b.duty*b.peak + (1-b.duty)*b.base }
-
-// DriftArrivals is an arrival process whose rate model shifts over virtual
-// time: one ArrivalGen per Schedule segment, the same drift knob DriftMix
-// and DriftKeys use — so offered load can drift mid-run in lockstep with
-// the operation mix and key distribution.
-type DriftArrivals struct {
-	sched *Schedule
-	gens  []ArrivalGen
-}
-
-var _ ArrivalGen = (*DriftArrivals)(nil)
-
-// NewDriftArrivals couples a schedule with one arrival generator per
-// segment.
-func NewDriftArrivals(sched *Schedule, gens ...ArrivalGen) (*DriftArrivals, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("workload: drift arrivals need a schedule")
-	}
-	if len(gens) != sched.Segments() {
-		return nil, fmt.Errorf("workload: drift arrivals got %d generators for %d segments", len(gens), sched.Segments())
-	}
-	return &DriftArrivals{sched: sched, gens: gens}, nil
-}
-
-// Next implements ArrivalGen using the segment in force at prev.
-func (d *DriftArrivals) Next(prev int64, r *rand.Rand) int64 {
-	return d.gens[d.sched.SegmentAt(prev)].Next(prev, r)
-}
-
-// Rate implements ArrivalGen: the maximum segment rate (the bound a sizing
-// decision must plan for).
-func (d *DriftArrivals) Rate() float64 {
-	var m float64
-	for _, g := range d.gens {
-		m = max(m, g.Rate())
-	}
-	return m
-}
-
-// Schedule generates an intended-arrival-time schedule: every arrival time
-// in [0, horizon), strictly increasing, drawn from gen with r. The returned
-// times are the open-loop contract — each operation's latency is measured
-// from its intended time, never from when a worker got around to dequeuing
-// it, which is what makes the recorded percentiles coordinated-omission
-// safe.
-func GenSchedule(gen ArrivalGen, horizon int64, r *rand.Rand) []int64 {
+// GenSchedule generates an intended-arrival-time schedule: every arrival
+// time in [0, horizon), strictly increasing, drawn from p with r. The
+// returned times are the open-loop contract — each operation's latency is
+// measured from its intended time, never from when a worker got around to
+// dequeuing it, which is what makes the recorded percentiles
+// coordinated-omission safe. The schedule is a pure function of (p,
+// horizon, r), so it is deterministic per seed — the property every
+// bit-identity test in this repository leans on.
+func GenSchedule(p Poisson, horizon int64, r *rand.Rand) []int64 {
 	if horizon <= 0 {
 		return nil
 	}
 	// Pre-size from the mean rate; overload schedules are bounded by the
 	// horizon, not by completion, so this cannot run away.
-	est := int(gen.Rate() * float64(horizon) / 1e6)
+	est := int(p.rate * float64(horizon) / 1e6)
 	out := make([]int64, 0, est+8)
+	mean := 1e6 / p.rate // cycles between arrivals
 	now := int64(0)
 	for {
-		now += gen.Next(now, r)
+		// An exponential gap, clamped to >= 1 cycle so the schedule
+		// always makes progress.
+		now += max(int64(math.Round(r.ExpFloat64()*mean)), 1)
 		if now >= horizon {
 			return out
 		}

@@ -70,99 +70,6 @@ func TestPoissonRejectsBadRate(t *testing.T) {
 	}
 }
 
-func TestBurstyModulation(t *testing.T) {
-	// 20% of each 1M-cycle period at 2000 ops/Mcycle, the rest at 200. The
-	// period is chosen >> the base-rate mean gap (5000 cycles) so
-	// phase-boundary straddling stays a small fraction of each phase.
-	gen, err := NewBursty(200, 2000, 1_000_000, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMean := 0.2*2000 + 0.8*200
-	if math.Abs(gen.Rate()-wantMean) > 1e-9 {
-		t.Fatalf("bursty mean rate %.2f, want %.2f", gen.Rate(), wantMean)
-	}
-	r := rand.New(rand.NewPCG(3, 4))
-	const horizon = 50_000_000
-	sched := GenSchedule(gen, horizon, r)
-	// Count arrivals landing in the peak vs base phase of each period.
-	var peak, base int
-	for _, at := range sched {
-		if at%1_000_000 < 200_000 {
-			peak++
-		} else {
-			base++
-		}
-	}
-	peakRate := float64(peak) / (0.2 * horizon) * 1e6
-	baseRate := float64(base) / (0.8 * horizon) * 1e6
-	if peakRate < 5*baseRate {
-		t.Fatalf("peak rate %.1f not clearly above base rate %.1f", peakRate, baseRate)
-	}
-	if math.Abs(peakRate-2000)/2000 > 0.1 {
-		t.Fatalf("peak empirical rate %.1f, want ~2000", peakRate)
-	}
-	if math.Abs(baseRate-200)/200 > 0.15 {
-		t.Fatalf("base empirical rate %.1f, want ~200", baseRate)
-	}
-}
-
-func TestBurstyRejectsBadConfig(t *testing.T) {
-	cases := []struct {
-		base, peak float64
-		period     int64
-		duty       float64
-	}{
-		{0, 100, 1000, 0.5},
-		{100, 0, 1000, 0.5},
-		{200, 100, 1000, 0.5}, // peak below base
-		{100, 200, 1, 0.5},
-		{100, 200, 1000, 0},
-		{100, 200, 1000, 1},
-	}
-	for _, c := range cases {
-		if _, err := NewBursty(c.base, c.peak, c.period, c.duty); err == nil {
-			t.Fatalf("expected error for %+v", c)
-		}
-	}
-}
-
-func TestDriftArrivals(t *testing.T) {
-	sched, err := NewSchedule(1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, _ := NewPoisson(100)
-	fast, _ := NewPoisson(1000)
-	gen, err := NewDriftArrivals(sched, slow, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.Rate() != 1000 {
-		t.Fatalf("drift rate %.1f, want max segment rate 1000", gen.Rate())
-	}
-	r := rand.New(rand.NewPCG(5, 6))
-	arr := GenSchedule(gen, 2_000_000, r)
-	var before, after int
-	for _, at := range arr {
-		if at < 1_000_000 {
-			before++
-		} else {
-			after++
-		}
-	}
-	if after < 5*before {
-		t.Fatalf("drift segments not reflected: %d arrivals before boundary, %d after", before, after)
-	}
-
-	if _, err := NewDriftArrivals(nil, slow); err == nil {
-		t.Fatal("expected error for nil schedule")
-	}
-	if _, err := NewDriftArrivals(sched, slow); err == nil {
-		t.Fatal("expected error for generator/segment count mismatch")
-	}
-}
-
 func TestGenScheduleEmptyHorizon(t *testing.T) {
 	gen, _ := NewPoisson(1000)
 	if got := GenSchedule(gen, 0, rand.New(rand.NewPCG(1, 1))); got != nil {

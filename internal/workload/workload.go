@@ -89,57 +89,6 @@ func (z *Zipf) Next(r *rand.Rand) uint64 {
 // Range implements KeyGen.
 func (z *Zipf) Range() uint64 { return z.n }
 
-// ShardSkew skews an underlying key stream toward one shard under
-// key-mod-shards routing: hotPct percent of draws are remapped into the hot
-// shard's residue class (keeping the source distribution otherwise). It
-// models an unbalanced router — the worst case for a sharded engine, which
-// at 100% degenerates to a single combiner plus routing overhead.
-type ShardSkew struct {
-	inner  KeyGen
-	shards uint64
-	hot    uint64
-	hotPct uint64
-}
-
-var _ KeyGen = (*ShardSkew)(nil)
-
-// NewShardSkew wraps inner so that hotPct% of keys land on shard hot of
-// shards (by key mod shards).
-func NewShardSkew(inner KeyGen, shards, hot, hotPct int) (*ShardSkew, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("workload: shard skew needs >= 1 shard, got %d", shards)
-	}
-	if hot < 0 || hot >= shards {
-		return nil, fmt.Errorf("workload: hot shard %d outside [0,%d)", hot, shards)
-	}
-	if hotPct < 0 || hotPct > 100 {
-		return nil, fmt.Errorf("workload: hot percentage %d outside [0,100]", hotPct)
-	}
-	if inner.Range() < uint64(shards) {
-		return nil, fmt.Errorf("workload: key range %d smaller than %d shards", inner.Range(), shards)
-	}
-	return &ShardSkew{inner: inner, shards: uint64(shards), hot: uint64(hot), hotPct: uint64(hotPct)}, nil
-}
-
-// Next implements KeyGen.
-func (s *ShardSkew) Next(r *rand.Rand) uint64 {
-	k := s.inner.Next(r)
-	if r.Uint64N(100) >= s.hotPct {
-		return k
-	}
-	// Snap k to the hot residue class; if that overshoots the range, step
-	// back one stride (k - k%shards >= shards whenever that happens, so no
-	// underflow).
-	k = k - k%s.shards + s.hot
-	if k >= s.inner.Range() {
-		k -= s.shards
-	}
-	return k
-}
-
-// Range implements KeyGen.
-func (s *ShardSkew) Range() uint64 { return s.inner.Range() }
-
 // Mix picks an operation kind from weighted percentages.
 type Mix struct {
 	cum []int
@@ -290,8 +239,7 @@ func (d *DriftKeys) Range() uint64 {
 
 // RingSkew skews a key stream toward the shard of a consistent-hash
 // ring that owns a drifting target. Hash routing spreads any contiguous
-// hot key *range* uniformly over shards, so — unlike ShardSkew's
-// residue-class remap for mod routing — forming a hot shard requires
+// hot key *range* uniformly over shards, so forming a hot shard requires
 // drawing from the set of keys the ring actually routes to one shard.
 // RingSkew precomputes that set per schedule segment against the
 // *initial* ring: when the hot shard later splits, the same hot set

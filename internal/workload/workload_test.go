@@ -150,71 +150,3 @@ func TestUpdateMixShapes(t *testing.T) {
 		t.Error("out-of-range find percentage accepted")
 	}
 }
-
-func TestShardSkewValidation(t *testing.T) {
-	u := Uniform{N: 64}
-	if _, err := NewShardSkew(u, 0, 0, 50); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, err := NewShardSkew(u, 4, 4, 50); err == nil {
-		t.Error("hot shard outside range accepted")
-	}
-	if _, err := NewShardSkew(u, 4, -1, 50); err == nil {
-		t.Error("negative hot shard accepted")
-	}
-	if _, err := NewShardSkew(u, 4, 0, 101); err == nil {
-		t.Error("hot percentage above 100 accepted")
-	}
-	if _, err := NewShardSkew(Uniform{N: 2}, 4, 0, 50); err == nil {
-		t.Error("key range smaller than shard count accepted")
-	}
-}
-
-func TestShardSkewDistribution(t *testing.T) {
-	const shards, hot, n = 4, 2, 50000
-	for _, hotPct := range []int{0, 50, 100} {
-		s, err := NewShardSkew(Uniform{N: 64}, shards, hot, hotPct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Range() != 64 {
-			t.Fatalf("Range = %d, want the inner generator's 64", s.Range())
-		}
-		r := rand.New(rand.NewPCG(uint64(hotPct), 9))
-		onHot := 0
-		for i := 0; i < n; i++ {
-			k := s.Next(r)
-			if k >= 64 {
-				t.Fatalf("hotPct %d: key %d outside the inner range", hotPct, k)
-			}
-			if k%shards == hot {
-				onHot++
-			}
-		}
-		// hotPct% of draws are forced onto the hot shard; the rest fall
-		// there uniformly at 1/shards.
-		want := float64(hotPct)/100 + (1-float64(hotPct)/100)/shards
-		if got := float64(onHot) / n; math.Abs(got-want) > 0.02 {
-			t.Fatalf("hotPct %d: hot-shard share %.3f, want ~%.3f", hotPct, got, want)
-		}
-	}
-}
-
-// TestShardSkewPassthrough pins that hotPct = 0 never perturbs the inner
-// stream: the wrapped generator must still burn one skew draw per key, but
-// the keys themselves are the inner sequence.
-func TestShardSkewPassthrough(t *testing.T) {
-	s, err := NewShardSkew(Uniform{N: 64}, 4, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := rand.New(rand.NewPCG(7, 7))
-	rb := rand.New(rand.NewPCG(7, 7))
-	for i := 0; i < 1000; i++ {
-		want := Uniform{N: 64}.Next(rb)
-		rb.Uint64N(100) // the skew decision draw
-		if got := s.Next(ra); got != want {
-			t.Fatalf("draw %d: got %d, inner stream has %d", i, got, want)
-		}
-	}
-}

@@ -41,6 +41,7 @@
 package native
 
 import (
+	"fmt"
 	"runtime"
 
 	inative "hcf/internal/native"
@@ -111,9 +112,14 @@ func wrapperHandles() int {
 	return 64
 }
 
+// MaxKey is the largest key a Map stores: the two keys above it are the
+// table's empty and deleted markers. Get and Delete report them absent,
+// and Put panics on them.
+const MaxKey = ihash.MaxKey
+
 // NewMap builds a map with at least capacity slots (fixed; size it to
-// roughly twice the expected live key count). Keys must be below
-// hashtable.MaxKey.
+// roughly twice the expected live key count). Keys must be at most
+// MaxKey.
 func NewMap(capacity int) (*Map, error) {
 	t := ihash.New(capacity)
 	fw, err := inative.New(Config{Policies: t.Policies(DefaultTryPrivate, 0), MaxHandles: wrapperHandles()})
@@ -143,7 +149,11 @@ func (mh *MapHandle) Get(k uint64) (uint64, bool) {
 }
 
 // Put stores v under k, returning the previous value if one was replaced.
+// It panics when k exceeds MaxKey.
 func (mh *MapHandle) Put(k, v uint64) (prev uint64, replaced bool) {
+	if k > MaxKey {
+		panic(fmt.Sprintf("native: key %d exceeds MaxKey", k))
+	}
 	return Unpack(mh.h.Execute(ihash.PutOp(k, v)))
 }
 

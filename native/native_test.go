@@ -114,3 +114,46 @@ func TestCustomFramework(t *testing.T) {
 		t.Fatalf("second swap returned %d", old)
 	}
 }
+
+// TestMapReservedKeys pins the MaxKey contract on the public map: the two
+// keys above MaxKey are never found, even among tombstones, and Put
+// panics on them without storing anything.
+func TestMapReservedKeys(t *testing.T) {
+	m, err := native.NewMap(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.Handle()
+	defer h.Release()
+	for k := uint64(0); k < 12; k++ {
+		h.Put(k, 100+k)
+	}
+	for k := uint64(0); k < 12; k++ {
+		h.Delete(k)
+	}
+	for _, k := range []uint64{native.MaxKey + 1, native.MaxKey + 2} {
+		if v, ok := h.Get(k); ok {
+			t.Errorf("Get(%#x) on an empty map = (%d, true)", k, v)
+		}
+		if h.Delete(k) {
+			t.Errorf("Delete(%#x) on an empty map reported a key", k)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("Put(%#x) did not panic", k)
+				}
+			}()
+			h.Put(k, 8)
+		}()
+		if _, ok := h.Get(k); ok || h.Delete(k) || m.Len() != 0 {
+			t.Errorf("refused Put(%#x) changed the map: Len %d", k, m.Len())
+		}
+	}
+	if _, replaced := h.Put(native.MaxKey, 7); replaced {
+		t.Fatal("Put(MaxKey) on an empty map reported a replacement")
+	}
+	if v, ok := h.Get(native.MaxKey); !ok || v != 7 {
+		t.Fatalf("Get(MaxKey) = (%d, %v), want (7, true)", v, ok)
+	}
+}
