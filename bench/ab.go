@@ -3,15 +3,20 @@
 // ab.go summarizes the runs bench/ab.sh collects. It reads one run per
 // line on standard input:
 //
-//	workload \t side \t pair \t seed \t exit status \t wall ms \t result line
+//	workload \t side \t pair \t seed \t exit status \t wall ms \t
+//	parallelism before \t parallelism after \t result line
 //
-// where side is "parent" or "change" and the result line is perfbench's
-// last line. It prints every run, then per workload and end-to-end metric
-// of BENCHMARK.json each side's median and quartiles, the pairs CHANGE
-// won and the median per-pair ratio, and a bench/TRAJECTORY.jsonl-shaped
-// line. With -workloads it only lists BENCHMARK.json's workloads.
+// where side is "parent" or "change", the parallelism readings are
+// harness.EffectiveParallelism's just before and just after the run,
+// and the result line is perfbench's last line. It prints every run,
+// then per workload how many pairs read one parallelism regime
+// throughout, per end-to-end metric of BENCHMARK.json each side's median
+// and quartiles, the pairs CHANGE won and the median per-pair ratio, and
+// a bench/TRAJECTORY.jsonl-shaped line. With -workloads it only lists
+// BENCHMARK.json's workloads; with -parallelism it prints one reading.
 //
 //	go run bench/ab.go -benchmark BENCHMARK.json -workloads
+//	go run bench/ab.go -parallelism
 //	go run bench/ab.go -benchmark BENCHMARK.json [-seconds S ...] < runs.tsv
 package main
 
@@ -23,9 +28,12 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+
+	"hcf/internal/harness"
 )
 
 type benchmark struct {
@@ -60,6 +68,7 @@ type run struct {
 	seed           uint64
 	status         int
 	wallMS         int64
+	par            [2]float64 // effective parallelism before and after
 	correct        bool
 	failed         uint64
 	metrics        map[string]float64
@@ -68,11 +77,16 @@ type run struct {
 func main() {
 	benchPath := flag.String("benchmark", "BENCHMARK.json", "the benchmark declaration")
 	list := flag.Bool("workloads", false, "print the declared workloads and exit")
+	probe := flag.Bool("parallelism", false, "print the host's effective parallelism and exit")
 	seconds := flag.String("seconds", "", "seconds per run, for the trajectory line")
 	parent := flag.String("parent", "", "parent commit, for the trajectory line")
 	change := flag.String("change", "", "change commit, for the trajectory line")
 	subject := flag.String("subject", "", "the change's subject, for the trajectory line")
 	flag.Parse()
+	if *probe {
+		fmt.Printf("%.2f\n", harness.EffectiveParallelism())
+		return
+	}
 	var b benchmark
 	raw, err := os.ReadFile(*benchPath)
 	if err == nil {
@@ -115,8 +129,8 @@ func readRuns(r io.Reader) ([]run, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	for sc.Scan() {
-		f := strings.SplitN(sc.Text(), "\t", 7)
-		if len(f) != 7 {
+		f := strings.SplitN(sc.Text(), "\t", 9)
+		if len(f) != 9 {
 			return nil, fmt.Errorf("malformed run line %q", sc.Text())
 		}
 		var x run
@@ -125,7 +139,11 @@ func readRuns(r io.Reader) ([]run, error) {
 		if x.pair, err = strconv.Atoi(f[2]); err == nil {
 			if x.seed, err = strconv.ParseUint(f[3], 10, 64); err == nil {
 				if x.status, err = strconv.Atoi(f[4]); err == nil {
-					x.wallMS, err = strconv.ParseInt(f[5], 10, 64)
+					if x.wallMS, err = strconv.ParseInt(f[5], 10, 64); err == nil {
+						if x.par[0], err = strconv.ParseFloat(f[6], 64); err == nil {
+							x.par[1], err = strconv.ParseFloat(f[7], 64)
+						}
+					}
 				}
 			}
 		}
@@ -140,7 +158,7 @@ func readRuns(r io.Reader) ([]run, error) {
 			} `json:"metrics"`
 		}
 		x.metrics = map[string]float64{}
-		if json.Unmarshal([]byte(f[6]), &res) == nil {
+		if json.Unmarshal([]byte(f[8]), &res) == nil {
 			x.correct, x.failed = res.Correct, res.Failed
 			for k, v := range res.Metrics {
 				x.metrics[k] = v.Value
@@ -154,13 +172,13 @@ func readRuns(r io.Reader) ([]run, error) {
 // printRuns lists every run and returns how many failed: a nonzero exit,
 // no result line, an incorrect result or failed operations.
 func printRuns(w io.Writer, b benchmark, runs []run) (bad int) {
-	fmt.Fprintf(w, "%-12s %-6s %4s %6s %4s %9s %7s %6s", "workload", "side", "pair", "seed", "exit", "wall_ms", "correct", "failed")
+	fmt.Fprintf(w, "%-12s %-6s %4s %6s %4s %9s %9s %7s %6s", "workload", "side", "pair", "seed", "exit", "wall_ms", "cpus", "correct", "failed")
 	for _, m := range b.EndToEnd {
 		fmt.Fprintf(w, " %12s", m.Name)
 	}
 	fmt.Fprintln(w)
 	for _, x := range runs {
-		fmt.Fprintf(w, "%-12s %-6s %4d %6d %4d %9d %7v %6d", x.workload, x.side, x.pair, x.seed, x.status, x.wallMS, x.correct, x.failed)
+		fmt.Fprintf(w, "%-12s %-6s %4d %6d %4d %9d %4.2f>%4.2f %7v %6d", x.workload, x.side, x.pair, x.seed, x.status, x.wallMS, x.par[0], x.par[1], x.correct, x.failed)
 		for _, m := range b.EndToEnd {
 			if v, ok := x.metrics[m.Name]; ok {
 				fmt.Fprintf(w, " %12.4g", v)
@@ -205,6 +223,7 @@ func summarize(w io.Writer, b benchmark, runs []run) []point {
 		}
 		sort.Ints(ids)
 		fmt.Fprintf(w, "\n%s: %d pairs, seeds %d-%d\n", wl, len(ids), pairs[ids[0]].seed(), pairs[ids[len(ids)-1]].seed())
+		fmt.Fprintf(w, "  regime: %s\n", regimes(pairs, ids))
 		fmt.Fprintf(w, "  %-14s %-6s %30s %30s %6s %8s %15s\n", "metric", "unit", "parent median (q1-q3)", "change median (q1-q3)", "wins", "ratio", "(min-max)")
 		var sides [2]strings.Builder
 		for _, m := range b.EndToEnd {
@@ -259,6 +278,44 @@ func summarize(w io.Writer, b benchmark, runs []run) []point {
 		})
 	}
 	return points
+}
+
+// regimes says how many of the pairs read one parallelism regime
+// (harness.Regime at this process's GOMAXPROCS, perfbench's default)
+// in all their readings, and which: only their comparisons are between
+// like machines.
+func regimes(pairs map[int]pair, ids []int) string {
+	same := map[int]int{}
+	mixed := 0
+	for _, id := range ids {
+		r := 0
+		for _, x := range pairs[id] {
+			if x == nil {
+				continue
+			}
+			for _, p := range x.par {
+				switch g := harness.Regime(p, runtime.GOMAXPROCS(0)); {
+				case r == 0:
+					r = g
+				case r != g:
+					r = -1
+				}
+			}
+		}
+		if r > 0 {
+			same[r]++
+		} else {
+			mixed++
+		}
+	}
+	var by []string
+	for r := 1; len(by) < len(same); r++ {
+		if n, ok := same[r]; ok {
+			by = append(by, fmt.Sprintf("%d CPU: %d", r, n))
+		}
+	}
+	return fmt.Sprintf("%d of %d pairs read one parallelism regime throughout (%s), %d mixed",
+		len(ids)-mixed, len(ids), strings.Join(by, ", "), mixed)
 }
 
 // seed is the pair's seed, read from whichever run the pair has.

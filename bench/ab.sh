@@ -9,11 +9,15 @@
 # worktree (under $TMPDIR, removed on exit) and built and run there
 # through its own perfbench/run.sh with --trace 0. Pair i runs both sides
 # on seed first-seed+i; even pairs run PARENT first, odd pairs CHANGE
-# first. Every run's result line is kept; at the end bench/ab.go prints,
-# per workload and end-to-end metric, each side's median and quartiles,
-# how many pairs CHANGE won (ties count for neither), the median of the
-# per-pair CHANGE/PARENT ratios, each run's wall time and exit status,
-# and a bench/TRAJECTORY.jsonl-shaped line without its "pr" field.
+# first. Just before and just after each run, bench/ab.go -parallelism
+# reads the host's effective parallelism (about 40 ms of spinning).
+# Every run's result line is kept; at the end bench/ab.go prints each
+# run's wall time, exit status and two readings, per workload how many
+# pairs read one parallelism regime throughout, and per end-to-end
+# metric each side's median and quartiles, how many pairs CHANGE won
+# (ties count for neither), the median of the per-pair CHANGE/PARENT
+# ratios, and a bench/TRAJECTORY.jsonl-shaped line without its "pr"
+# field.
 #
 # Needs only git, Go and this repository; run it from anywhere inside it.
 set -euo pipefail
@@ -30,7 +34,7 @@ seed0=${6:-1}
 if [ -n "${5:-}" ]; then
 	workloads=${5//,/ }
 else
-	workloads=$(go run "$root/bench/ab.go" -benchmark "$root/BENCHMARK.json" -workloads)
+	workloads=$(go -C "$root" run bench/ab.go -benchmark "$root/BENCHMARK.json" -workloads)
 fi
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
@@ -46,6 +50,7 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
+go -C "$root" build -o "$tmp/ab" bench/ab.go
 git -C "$root" worktree add --quiet --detach "$tmp/parent" "$parent"
 git -C "$root" worktree add --quiet --detach "$tmp/change" "$change"
 for side in parent change; do
@@ -66,15 +71,17 @@ for w in $workloads; do
 		fi
 		for side in $order; do
 			out="$tmp/run.out"
+			pre=$("$tmp/ab" -parallelism)
 			t0=$(date +%s%N)
 			status=0
 			(cd "$tmp/$side" && bash perfbench/run.sh --workload "$w" --seed "$seed" \
 				--seconds "$seconds" --trace 0 >"$out" 2>"$tmp/run.err") || status=$?
 			t1=$(date +%s%N)
+			post=$("$tmp/ab" -parallelism)
 			wall=$(((t1 - t0) / 1000000))
 			line=$(tail -n 1 "$out" || true)
-			printf '%s\t%s\t%d\t%d\t%d\t%d\t%s\n' "$w" "$side" "$i" "$seed" "$status" "$wall" "$line" >>"$results"
-			echo "ab: $w pair $i seed $seed $side: exit $status, ${wall} ms" >&2
+			printf '%s\t%s\t%d\t%d\t%d\t%d\t%s\t%s\t%s\n' "$w" "$side" "$i" "$seed" "$status" "$wall" "$pre" "$post" "$line" >>"$results"
+			echo "ab: $w pair $i seed $seed $side: exit $status, ${wall} ms, parallelism $pre > $post" >&2
 			if [ "$status" -ne 0 ]; then
 				sed 's/^/ab:   /' "$tmp/run.err" >&2
 			fi
@@ -82,5 +89,5 @@ for w in $workloads; do
 	done
 done
 
-go run "$root/bench/ab.go" -benchmark "$root/BENCHMARK.json" -seconds "$seconds" \
+"$tmp/ab" -benchmark "$root/BENCHMARK.json" -seconds "$seconds" \
 	-parent "$parent" -change "$change" -subject "$(git -C "$root" log -1 --format=%s "$change")" <"$results"

@@ -2,6 +2,7 @@ package hcf_test
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"testing"
@@ -202,5 +203,22 @@ func TestPublicAPIKV(t *testing.T) {
 	v, ok, err = h2.Get(7)
 	if err != nil || !ok || string(v) != "seven" {
 		t.Fatalf("after reopen Get = (%q,%v,%v)", v, ok, err)
+	}
+
+	// A full index refuses a new key with ErrKVFull.
+	small, err := hcf.NewKV(t.TempDir(), hcf.KVConfig{Shards: 1, Capacity: 2, DisableSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	hs := small.MustHandle()
+	defer hs.Release()
+	for k := uint64(0); k < 2; k++ {
+		if _, err := hs.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := hs.Put(2, []byte("v")); !errors.Is(err, hcf.ErrKVFull) {
+		t.Fatalf("put into a full index: %v, want %v", err, hcf.ErrKVFull)
 	}
 }

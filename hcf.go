@@ -268,12 +268,19 @@ type (
 	// there is no flush to share, and it is off unless set.
 	KVConfig = kvstore.Config
 	// KVStats snapshots a KV's group-commit and occupancy metrics.
+	// Flushes and appended bytes are exact; without fsync (DisableSync)
+	// the batch-depth and flush-time histograms sample each shard's
+	// first batch and one in every 16 after it.
 	KVStats = kvstore.Stats
 )
 
 // NewKV opens (creating or recovering) a persistent KV store rooted at
 // dir. Take one KVHandle per goroutine with its Handle method.
 func NewKV(dir string, cfg KVConfig) (*KV, error) { return kvstore.Open(dir, cfg) }
+
+// ErrKVFull is a KV put of a new key into a shard whose index is full
+// (KVConfig.Capacity live keys): the put writes nothing.
+var ErrKVFull = kvstore.ErrFull
 
 // Adaptive tuning (the paper's §2.4 future-work mechanism): a Tuner
 // re-tunes a Framework's per-class phase policies in epochs. From the

@@ -321,7 +321,10 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	st := store.Stats()
 	pt.Flushes = st.Flushes
 	pt.AppendedBytes = st.AppendedBytes
-	writes := st.BatchOps[kvstore.ClassPut].Sum + st.BatchOps[kvstore.ClassDelete].Sum
+	// The store samples its batch histograms without fsync; the
+	// recorder's put and delete counts are every write the point made
+	// (it starts from an empty store).
+	writes := rec.ClassHistogram(opWrite).Count + rec.ClassHistogram(opDelete).Count
 	if st.Flushes > 0 {
 		pt.WritesPerFlush = float64(writes) / float64(st.Flushes)
 	}

@@ -7,9 +7,12 @@ package harness
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hcf/internal/workload"
@@ -86,4 +89,72 @@ func median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// probeTime is how long each half of EffectiveParallelism runs.
+const probeTime = 20 * time.Millisecond
+
+// EffectiveParallelism measures how many CPUs the process gets right
+// now, which GOMAXPROCS and NumCPU do not show on a host that
+// time-slices its containers. It times a fixed CPU-bound loop, sized to
+// take about 20 ms, on one goroutine and then on GOMAXPROCS goroutines
+// at once, and returns GOMAXPROCS × t1 / tN: about GOMAXPROCS when every
+// goroutine had a CPU of its own, about 1 when they shared one. It is
+// pure computation: no syscalls, no pinning, no setting changed.
+func EffectiveParallelism() float64 {
+	start := time.Now()
+	return parallelism(runtime.GOMAXPROCS(0), func() time.Duration { return time.Since(start) }, spinOn)
+}
+
+// parallelism is EffectiveParallelism over a clock and a loop runner:
+// run(g, n) runs n iterations of the loop on each of g goroutines and
+// returns when all are done. The one-goroutine run doubles n until it
+// takes probeTime on now's clock; the procs-goroutine run then repeats
+// that n.
+func parallelism(procs int, now func() time.Duration, run func(g, n int)) float64 {
+	var t1 time.Duration
+	n := 1 << 12
+	for ; ; n *= 2 {
+		t := now()
+		run(1, n)
+		if t1 = now() - t; t1 >= probeTime {
+			break
+		}
+	}
+	if procs <= 1 {
+		return 1
+	}
+	t := now()
+	run(procs, n)
+	return float64(procs) * float64(t1) / float64(now()-t)
+}
+
+// spinSink keeps the probe loop's result alive.
+var spinSink atomic.Uint64
+
+// spinOn runs n xorshift steps on each of g goroutines.
+func spinOn(g, n int) {
+	var wg sync.WaitGroup
+	wg.Add(g)
+	for i := 0; i < g; i++ {
+		go func() {
+			defer wg.Done()
+			x := uint64(n) | 1
+			for j := 0; j < n; j++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+			}
+			spinSink.Add(x)
+		}()
+	}
+	wg.Wait()
+}
+
+// Regime names the parallelism a reading p, taken at GOMAXPROCS procs,
+// says the host gave: the whole number of CPUs nearest to p, from 1 to
+// procs (a reading above procs means the one-goroutine half was
+// slowed). Readings from different regimes measured different machines.
+func Regime(p float64, procs int) int {
+	return min(max(1, int(math.Round(p))), max(1, procs))
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -68,5 +69,48 @@ func TestMedian(t *testing.T) {
 				t.Fatalf("median reordered its input: %v", c.in)
 			}
 		}
+	}
+}
+
+// TestParallelismRegimes runs the parallelism probe against a fake
+// clock for a host with one CPU and for one with two: each loop
+// iteration costs 10 ns of the clock, and goroutines beyond the CPU
+// count queue behind the others. With GOMAXPROCS 2 the two hosts read
+// 1.0 and 2.0, and those readings classify into different regimes.
+func TestParallelismRegimes(t *testing.T) {
+	var readings []float64
+	for _, cpus := range []int{1, 2} {
+		var clock time.Duration
+		var sized []int
+		run := func(g, n int) {
+			rounds := (g + cpus - 1) / cpus
+			clock += time.Duration(rounds*n) * 10 * time.Nanosecond
+			if g == 1 {
+				sized = append(sized, n)
+			}
+		}
+		p := parallelism(2, func() time.Duration { return clock }, run)
+		if last := sized[len(sized)-1]; time.Duration(last)*10 < probeTime || time.Duration(last)*5 >= probeTime {
+			t.Errorf("%d CPUs: the loop was sized to %d iterations, not the first doubling past %v", cpus, last, probeTime)
+		}
+		if p != float64(cpus) {
+			t.Errorf("%d CPUs: reading %v, want %d", cpus, p, cpus)
+		}
+		readings = append(readings, p)
+	}
+	if Regime(readings[0], 2) == Regime(readings[1], 2) {
+		t.Fatalf("readings %v classify into one regime", readings)
+	}
+	for _, c := range []struct {
+		p     float64
+		procs int
+		want  int
+	}{{0.3, 2, 1}, {0.83, 2, 1}, {1.32, 2, 1}, {1.8, 2, 2}, {2.52, 2, 2}, {2.52, 4, 3}, {1.9, 1, 1}} {
+		if got := Regime(c.p, c.procs); got != c.want {
+			t.Errorf("Regime(%v, %d) = %d, want %d", c.p, c.procs, got, c.want)
+		}
+	}
+	if p := EffectiveParallelism(); !(p > 0) || math.IsInf(p, 0) {
+		t.Fatalf("EffectiveParallelism() = %v on this host", p)
 	}
 }

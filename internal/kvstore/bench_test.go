@@ -96,6 +96,27 @@ func BenchmarkKVMixed(b *testing.B) {
 	reportFlushes(b, s, before, writes)
 }
 
+// BenchmarkKVPut is kv-mixed's prefill: one handle without fsync putting
+// 128-byte values under 64K keys in turn, so every put is a batch of
+// one and its cost is the uncontended group-commit path.
+func BenchmarkKVPut(b *testing.B) {
+	const keys = 1 << 16
+	s, err := Open(b.TempDir(), Config{DisableSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.MustHandle()
+	defer h.Release()
+	val := make([]byte, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Put(uint64(i%keys), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKVGroupCommitFsync measures group commit where it pays: fsync
 // on, eight goroutines issuing puts over four shards.
 func BenchmarkKVGroupCommitFsync(b *testing.B) {

@@ -3,8 +3,8 @@
 // (internal/native/hashtable behind per-shard native frameworks) maps
 // uint64 keys to offsets in a per-shard append-only log, and the
 // combiner's RunMulti batch boundary doubles as the write-ahead log's
-// group-commit boundary — one serialized append and one fsync per
-// combined batch, however many puts and deletes the combiner claimed.
+// group-commit boundary — one fsync per combined batch, however many
+// puts and deletes the combiner claimed.
 //
 // That identity is the point of the package: flat combining batches
 // conflicting operations behind one lock holder, and group commit
@@ -13,6 +13,13 @@
 // ~145µs-per-op fsync tax into ~145µs per *batch*; under G concurrent
 // writers the per-op flush cost drops by up to G with no queueing layer
 // beyond the publication slots the framework already has.
+//
+// The lock holder does only what needs the lock. Each put or delete
+// serializes and checksums its own record before it announces; the
+// combiner reserves the batch's offsets, copies the records into the
+// log back to back, fsyncs once and applies the index. A put whose new
+// key the index has no slot for fails with ErrFull before anything is
+// copied, so the log never holds a record the index could not take.
 //
 // Consistency model: an operation is acknowledged (its Execute returns)
 // only after the batch containing it has been flushed, so every
@@ -31,9 +38,16 @@
 // and rebuilds an index state-identical to the pre-crash one (IndexDump
 // verifies this bit-for-bit in the tests and the harness figure).
 //
+// Measurement contract (Stats): flush counts and appended bytes are
+// exact. A store that fsyncs times every batch and records its
+// per-class depth. Under DisableSync a shard measures only its first
+// batch and one batch in every 16 after it: there the clock reads and
+// histogram updates would cost a large share of the batch itself, and
+// they run under the shard's lock.
+//
 // Mapped log: on unix each shard log is mapped read-write and
 // MAP_SHARED. A get copies its record out of the mapping, and a group
-// commit copies its batch in, neither with a syscall. The combiner grows
+// commit copies its records in, neither with a syscall. The combiner grows
 // the mapping (doubling, 1 MiB minimum) before the append that needs it
 // and publishes it before any index offset inside it, so a reader that
 // sees an offset sees a mapping that covers it; replaced mappings stay
@@ -168,25 +182,42 @@ type shard struct {
 	// size is the log length == next append offset. Mutated only inside
 	// the shard's seqlock critical sections; atomic so gauges can poll.
 	size atomic.Int64
-	// staging carries put values from owner goroutines into the
-	// combiner, indexed by handle ID (Op has only two uint64 operands).
-	// The publication slot's release/acquire status transitions order
-	// these bytes between owner and combiner.
+	// openSize is the log length replay found; size - openSize is what
+	// this store appended.
+	openSize int64
+	// staging carries each put's and delete's serialized record from
+	// its owner goroutine into the combiner, indexed by handle ID (Op
+	// has only two uint64 operands). The publication slot's
+	// release/acquire status transitions order these bytes between
+	// owner and combiner.
 	staging [][]byte
-	// buf and offs are combiner-only scratch: the serialized batch and
-	// each operation's assigned offset.
-	buf  []byte
+	// offs and recs are combiner-only scratch: each operation's assigned
+	// offset (-1 for a refused put), and the batch's records in log
+	// order.
 	offs []int64
+	recs [][]byte
 
 	// Group-commit metrics. batchOps[c] is the number of class-c
 	// operations per combined batch; flushNS is the wall time of the
 	// append+fsync pair; flushes counts group commits (fsync calls when
-	// syncing is enabled).
+	// syncing is enabled). Without fsync only sampled batches feed the
+	// histograms (see measured); flushes is always exact.
 	batchOps [numClasses]metrics.Histogram
 	flushNS  metrics.Histogram
 	flushes  atomic.Uint64
-	bytes    atomic.Uint64
+	// batches counts runBatch calls; it picks the sampled ones.
+	// Combiner-only.
+	batches uint64
 }
+
+// sampleEvery is the no-sync measurement interval: a shard that does
+// not fsync times and records one batch in every sampleEvery, starting
+// with its first.
+const sampleEvery = 16
+
+// putFull is a put's result when the index has no slot for its new key
+// (ErrFull); a put otherwise returns PackBool(replaced).
+const putFull = 2
 
 // Store is the engine: open it with Open, take one Handle per goroutine.
 type Store struct {
@@ -200,6 +231,11 @@ type Store struct {
 }
 
 var errClosed = errors.New("kvstore: store is closed")
+
+// ErrFull is a put of a new key into a shard whose index holds
+// Config.Capacity live keys (rounded up to a power of two). The put
+// writes nothing: the store stays as it was and reopens.
+var ErrFull = errors.New("kvstore: index full")
 
 // errReservedKey refuses the keys above hashtable.MaxKey: the index would
 // encode them as its empty and deleted markers.
@@ -270,6 +306,7 @@ func openShard(path string, cfg Config) (*shard, error) {
 		return nil, err
 	}
 	sh.size.Store(end)
+	sh.openSize = end
 	pol := make([]native.Policy, numClasses)
 	pol[ClassGet] = native.Policy{
 		Name: "Get", ReadOnly: true,
@@ -309,15 +346,18 @@ func openShard(path string, cfg Config) (*shard, error) {
 // runBatch is the shared RunMulti for all three classes: the combiner
 // claims any announced mix of gets, puts and deletes (help-all), and
 // this function turns the batch boundary into the group-commit boundary.
+// Owners have already serialized their records into staging, so only
+// the copy, the fsync and the index apply run here.
 //
 // Order of effects, and why it is safe:
-//  1. serialize every put/delete in the batch into one buffer, assigning
-//     each its final log offset;
+//  1. give each put and delete its final log offset, in slot order; a
+//     put whose new key the index would have no slot for gets ErrFull
+//     and no offset;
 //  2. grow the log's mapping to cover the new end, publishing it before
 //     any offset inside it — a failed mmap leaves the log and the index
 //     untouched;
-//  3. append the buffer (on unix a copy into the mapping, extending the
-//     file first when the copy runs past it) — after this, any index
+//  3. append the records (on unix copies into the mapping, extending
+//     the file first when they run past it) — after this, any index
 //     offset handed out below is readable through the mapping;
 //  4. one fsync (unless disabled) — the flush whose cost the whole batch
 //     shares;
@@ -333,27 +373,35 @@ func (sh *shard) runBatch(ops []native.Op, res []uint64, done []bool) {
 		sh.offs = make([]int64, len(ops))
 	}
 	offs := sh.offs[:len(ops)]
+	recs := sh.recs[:0]
+	check := sh.mayOverflow(ops)
+	live := sh.tab.Len()
 	base := sh.size.Load()
-	buf := sh.buf[:0]
-	writes := 0
+	end := base
 	for i, op := range ops {
-		switch op.Class {
-		case ClassPut:
-			offs[i] = base + int64(len(buf))
-			buf = appendRecord(buf, kindPut, op.A, sh.staging[op.B])
-			writes++
-		case ClassDelete:
-			offs[i] = base + int64(len(buf))
-			buf = appendRecord(buf, kindDelete, op.A, nil)
-			writes++
+		if op.Class == ClassGet {
+			continue
 		}
+		if check && !sh.fits(ops[:i], offs[:i], op, &live) {
+			offs[i] = -1
+			continue
+		}
+		rec := sh.staging[op.B]
+		offs[i] = end
+		end += int64(len(rec))
+		recs = append(recs, rec)
 	}
-	if writes > 0 {
-		if err := sh.view.grow(base + int64(len(buf))); err != nil {
+	measured := !sh.disableSync || sh.batches%sampleEvery == 0
+	sh.batches++
+	if len(recs) > 0 {
+		if err := sh.view.grow(end); err != nil {
 			panic(err)
 		}
-		t0 := time.Since(epoch)
-		if err := sh.view.append(buf, base); err != nil {
+		var t0 time.Duration
+		if measured {
+			t0 = time.Since(epoch)
+		}
+		if err := sh.view.append(base, recs); err != nil {
 			panic(fmt.Sprintf("kvstore: log append failed: %v", err))
 		}
 		if !sh.disableSync {
@@ -361,31 +409,75 @@ func (sh *shard) runBatch(ops []native.Op, res []uint64, done []bool) {
 				panic(fmt.Sprintf("kvstore: log fsync failed: %v", err))
 			}
 		}
-		sh.flushNS.Record(int64(time.Since(epoch) - t0))
+		if measured {
+			sh.flushNS.Record(int64(time.Since(epoch) - t0))
+		}
 		sh.flushes.Add(1)
-		sh.bytes.Add(uint64(len(buf)))
-		sh.size.Store(base + int64(len(buf)))
+		sh.size.Store(end)
 	}
 	var perClass [numClasses]int64
 	for i, op := range ops {
 		perClass[op.Class]++
-		switch op.Class {
-		case ClassGet:
+		switch {
+		case op.Class == ClassGet:
 			res[i] = sh.tab.Get(op.A)
-		case ClassPut:
+		case offs[i] < 0:
+			res[i] = putFull
+		case op.Class == ClassPut:
 			_, replaced := native.Unpack(sh.tab.Put(op.A, uint64(offs[i])))
 			res[i] = native.PackBool(replaced)
-		case ClassDelete:
+		default:
 			res[i] = sh.tab.Delete(op.A)
 		}
 		done[i] = true
 	}
-	for c, n := range perClass {
-		if n > 0 {
-			sh.batchOps[c].Record(n)
+	if measured {
+		for c, n := range perClass {
+			if n > 0 {
+				sh.batchOps[c].Record(n)
+			}
 		}
 	}
-	sh.buf = buf[:0]
+	sh.recs = recs[:0]
+}
+
+// mayOverflow reports whether the puts in ops could fill the shard's
+// index: only then does runBatch check each put with fits.
+func (sh *shard) mayOverflow(ops []native.Op) bool {
+	puts := 0
+	for _, op := range ops {
+		if op.Class == ClassPut {
+			puts++
+		}
+	}
+	return sh.tab.Len()+puts > sh.tab.Capacity()
+}
+
+// fits reports whether the write op, which follows prev (with their
+// offsets) in the batch, leaves the index within its capacity, and
+// tracks in live the live keys the batch leaves so far. Only a put of
+// a key that is absent at that point takes a slot, and it fits while a
+// slot is free; the index reuses deleted slots.
+func (sh *shard) fits(prev []native.Op, prevOffs []int64, op native.Op, live *int) bool {
+	present := native.UnpackBool(sh.tab.Get(op.A))
+	for i := len(prev) - 1; i >= 0; i-- {
+		if prev[i].Class != ClassGet && prev[i].A == op.A && prevOffs[i] >= 0 {
+			present = prev[i].Class == ClassPut
+			break
+		}
+	}
+	switch {
+	case op.Class == ClassDelete:
+		if present {
+			*live--
+		}
+	case present:
+	case *live < sh.tab.Capacity():
+		*live++
+	default:
+		return false
+	}
+	return true
 }
 
 // applyOne is the single-operation fallback (applyEach path). It is a
@@ -477,7 +569,8 @@ func (h *Handle) Get(key uint64) (val []byte, ok bool, err error) {
 
 // Put durably stores key=val, returning whether a previous value was
 // replaced. It returns only after the group commit containing the write
-// has been flushed. A key above hashtable.MaxKey is an error.
+// has been flushed. A key above hashtable.MaxKey is an error, and so is
+// a new key when its shard's index is full (ErrFull).
 func (h *Handle) Put(key uint64, val []byte) (replaced bool, err error) {
 	if h.s.closed.Load() {
 		return false, errClosed
@@ -491,8 +584,11 @@ func (h *Handle) Put(key uint64, val []byte) (replaced bool, err error) {
 		return false, fmt.Errorf("kvstore: value length %d exceeds cap %d", len(val), sh.maxValue)
 	}
 	id := h.hs[si].ID()
-	sh.staging[id] = append(sh.staging[id][:0], val...)
+	sh.staging[id] = appendRecord(sh.staging[id][:0], kindPut, key, val)
 	r := h.hs[si].Execute(native.Op{Class: ClassPut, A: key, B: uint64(id)})
+	if r == putFull {
+		return false, ErrFull
+	}
 	return native.UnpackBool(r), nil
 }
 
@@ -507,7 +603,10 @@ func (h *Handle) Delete(key uint64) (found bool, err error) {
 		return false, errReservedKey
 	}
 	si := h.s.shardOf(key)
-	r := h.hs[si].Execute(native.Op{Class: ClassDelete, A: key})
+	sh := h.s.shards[si]
+	id := h.hs[si].ID()
+	sh.staging[id] = appendRecord(sh.staging[id][:0], kindDelete, key, nil)
+	r := h.hs[si].Execute(native.Op{Class: ClassDelete, A: key, B: uint64(id)})
 	return native.UnpackBool(r), nil
 }
 
@@ -552,11 +651,19 @@ type ShardStat struct {
 }
 
 // Stats is a snapshot of the engine's group-commit behaviour.
+//
+// Flushes and AppendedBytes are exact. BatchOps and FlushNanos are
+// exact for a store that fsyncs. Under DisableSync they are a sample:
+// each shard measures its first batch and one batch in every 16 after
+// it, so their counts are about 1/16 of the batches and their
+// quantiles estimate the whole distribution. Count writes per flush
+// from the operations issued, not from BatchOps sums.
 type Stats struct {
 	Shards []ShardStat
 	// Flushes counts group commits (one append+fsync pair each).
 	Flushes uint64
-	// AppendedBytes is the total bytes written to all logs.
+	// AppendedBytes is the total bytes this store appended to all logs
+	// since Open (what replay found is not counted).
 	AppendedBytes uint64
 	// BatchOps[c] is the distribution of class-c operations per combined
 	// batch — the group-commit depth puts actually achieved.
@@ -577,7 +684,7 @@ func (s *Store) Stats() Stats {
 			LogBytes:   sh.size.Load(),
 		}
 		st.Flushes += sh.flushes.Load()
-		st.AppendedBytes += sh.bytes.Load()
+		st.AppendedBytes += uint64(st.Shards[i].LogBytes - sh.openSize)
 		for c := range sh.batchOps {
 			snap := sh.batchOps[c].Snapshot()
 			st.BatchOps[c].Merge(&snap)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hcf/internal/native"
 	"hcf/internal/native/hashtable"
 )
 
@@ -363,8 +364,12 @@ func TestConcurrentGroupCommit(t *testing.T) {
 	if st.Flushes == 0 || st.Flushes >= totalWrites {
 		t.Fatalf("Flushes = %d for %d writes: group commit never batched", st.Flushes, totalWrites)
 	}
-	if st.FlushNanos.Count == 0 || st.BatchOps[ClassPut].Count == 0 {
-		t.Fatal("group-commit metrics not recorded")
+	// A store that fsyncs measures every batch.
+	if st.FlushNanos.Count != st.Flushes {
+		t.Fatalf("FlushNanos.Count = %d, want one per flush (%d)", st.FlushNanos.Count, st.Flushes)
+	}
+	if puts, dels := st.BatchOps[ClassPut].Sum, st.BatchOps[ClassDelete].Sum; puts+dels != totalWrites {
+		t.Fatalf("BatchOps sums: %d puts + %d deletes, want %d writes", puts, dels, totalWrites)
 	}
 	t.Logf("writes=%d flushes=%d (amortization %.2f writes/flush)",
 		totalWrites, st.Flushes, float64(totalWrites)/float64(st.Flushes))
@@ -700,5 +705,232 @@ func TestReplayOverCapacity(t *testing.T) {
 	defer s.Close()
 	if s.Len() != 17 {
 		t.Fatalf("reopened at Capacity 32: Len = %d, want 17", s.Len())
+	}
+}
+
+// TestStatsContract: a store that fsyncs measures every batch; a no-sync
+// store measures its first batch and one in sampleEvery after it. Both
+// count flushes exactly, and AppendedBytes is the sum of the record
+// lengths this store appended, also after a reopen.
+func TestStatsContract(t *testing.T) {
+	for _, sync := range []bool{true, false} {
+		dir := t.TempDir()
+		cfg := Config{Shards: 1, Capacity: 64, DisableSync: !sync}
+		var wantBytes uint64
+		for open, n := range []int{40, 21} {
+			s, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := s.MustHandle()
+			var appended uint64
+			for i := 0; i < n; i++ {
+				val := bytes.Repeat([]byte{'v'}, i)
+				if _, err := h.Put(uint64(i), val); err != nil {
+					t.Fatal(err)
+				}
+				appended += uint64(recordLen(len(val)))
+				if i%3 == 0 {
+					if _, err := h.Delete(uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+					appended += uint64(recordLen(0))
+				}
+			}
+			h.Release()
+			wantBytes += appended
+			st := s.Stats()
+			batches := uint64(n + (n+2)/3) // one per put and per delete: a lone handle
+			measured := batches
+			if !sync {
+				measured = (batches + sampleEvery - 1) / sampleEvery
+			}
+			if st.Flushes != batches {
+				t.Errorf("sync=%v open %d: Flushes = %d, want %d", sync, open, st.Flushes, batches)
+			}
+			if st.FlushNanos.Count != measured {
+				t.Errorf("sync=%v open %d: FlushNanos.Count = %d, want %d of %d batches", sync, open, st.FlushNanos.Count, measured, batches)
+			}
+			if got := st.BatchOps[ClassPut].Count + st.BatchOps[ClassDelete].Count; got != measured {
+				t.Errorf("sync=%v open %d: BatchOps counts %d batches, want %d", sync, open, got, measured)
+			}
+			if st.AppendedBytes != appended {
+				t.Errorf("sync=%v open %d: AppendedBytes = %d, want %d", sync, open, st.AppendedBytes, appended)
+			}
+			if got := uint64(st.Shards[0].LogBytes); got != wantBytes {
+				t.Errorf("sync=%v open %d: LogBytes = %d, want %d", sync, open, got, wantBytes)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestIndexFull: a put of a new key into a full index fails with
+// ErrFull and writes nothing, while overwrites and deletes go on, and
+// the store reopens to the same index.
+func TestIndexFull(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, Capacity: 16, DisableSync: true}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.MustHandle()
+	for k := uint64(0); k < 16; k++ {
+		if _, err := h.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logged := s.Stats().AppendedBytes
+	if _, err := h.Put(16, []byte("v")); !errors.Is(err, ErrFull) {
+		t.Fatalf("17th distinct put: %v, want %v", err, ErrFull)
+	}
+	if got := s.Stats().AppendedBytes; got != logged {
+		t.Fatalf("refused put appended %d bytes", got-logged)
+	}
+	if replaced, err := h.Put(3, []byte("w")); err != nil || !replaced {
+		t.Fatalf("overwrite in a full index = %v, %v", replaced, err)
+	}
+	if _, err := h.Delete(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Put(16, []byte("x")); err != nil {
+		t.Fatalf("put after a delete freed a slot: %v", err)
+	}
+	h.Release()
+	reopenMatches(t, s, dir, cfg)
+}
+
+// TestIndexFullMixedBatch drives one combined batch through runBatch
+// directly: puts that fit and puts that overflow, interleaved with a
+// delete that frees a slot, an overwrite and a get. Only the refused
+// puts get ErrFull; the log holds the other records in slot order, and
+// the store reopens to the same index.
+func TestIndexFullMixedBatch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, Capacity: 16, MaxHandles: 16, DisableSync: true}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.MustHandle()
+	for k := uint64(0); k < 15; k++ {
+		if _, err := h.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Release()
+	sh := s.shards[0]
+	base := sh.size.Load()
+	type step struct {
+		class int
+		key   uint64
+		want  uint64
+	}
+	steps := []step{
+		{ClassPut, 100, native.PackBool(false)}, // takes the last slot
+		{ClassPut, 101, putFull},                // no slot
+		{ClassPut, 4, native.PackBool(true)},    // overwrite needs none
+		{ClassDelete, 7, native.PackBool(true)}, // frees a slot
+		{ClassPut, 102, native.PackBool(false)}, // takes it
+		{ClassPut, 103, putFull},                // full again
+		{ClassGet, 100, 0},                      // checked below
+		{ClassPut, 100, native.PackBool(true)},  // present by now
+		{ClassDelete, 103, native.PackBool(false)},
+	}
+	ops := make([]native.Op, len(steps))
+	var want []byte
+	for i, st := range steps {
+		ops[i] = native.Op{Class: st.class, A: st.key, B: uint64(i)}
+		switch st.class {
+		case ClassPut:
+			sh.staging[i] = appendRecord(nil, kindPut, st.key, []byte{byte(i)})
+		case ClassDelete:
+			sh.staging[i] = appendRecord(nil, kindDelete, st.key, nil)
+		}
+		if st.class != ClassGet && st.want != putFull {
+			want = append(want, sh.staging[i]...)
+		}
+	}
+	res := make([]uint64, len(ops))
+	done := make([]bool, len(ops))
+	sh.runBatch(ops, res, done)
+	for i, st := range steps {
+		if !done[i] {
+			t.Fatalf("op %d not done", i)
+		}
+		if st.class != ClassGet && res[i] != st.want {
+			t.Errorf("op %d (class %d key %d) = %d, want %d", i, st.class, st.key, res[i], st.want)
+		}
+	}
+	if _, ok := native.Unpack(res[6]); !ok {
+		t.Error("get of a key put earlier in the batch missed it")
+	}
+	if got := sh.size.Load() - base; got != int64(len(want)) {
+		t.Fatalf("batch appended %d bytes, want %d", got, len(want))
+	}
+	got, err := sh.view.bytes(base, int64(len(want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("log does not hold the admitted records in slot order")
+	}
+	if s.Len() != 16 {
+		t.Fatalf("Len = %d after the batch, want 16", s.Len())
+	}
+	reopenMatches(t, s, dir, cfg)
+}
+
+// reopenMatches closes s, reopens dir and checks that replay rebuilds
+// the index s had.
+func reopenMatches(t *testing.T, s *Store, dir string, cfg Config) {
+	t.Helper()
+	witness := s.IndexDump()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s.Close()
+	if !bytes.Equal(s.IndexDump(), witness) {
+		t.Fatal("reopened index differs from the one before Close")
+	}
+}
+
+// TestSteadyStateAllocs: without fsync, a put and a delete allocate
+// nothing once their handle's staging buffer has grown, and a get
+// allocates only the value it returns.
+func TestSteadyStateAllocs(t *testing.T) {
+	s, err := Open(t.TempDir(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.MustHandle()
+	defer h.Release()
+	val := make([]byte, 128)
+	for k := uint64(0); k < 128; k++ { // gets read 64..127, never deleted
+		if _, err := h.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := uint64(0)
+	for _, tc := range []struct {
+		name string
+		want float64
+		op   func()
+	}{
+		{"Put", 0, func() { h.Put(k%64, val) }},
+		{"Delete", 0, func() { h.Delete(k % 64) }},
+		{"Get", 1, func() { h.Get(k%64 + 64) }},
+	} {
+		if got := testing.AllocsPerRun(200, func() { tc.op(); k++ }); got != tc.want {
+			t.Errorf("%s: %.1f allocations per call, want %.0f", tc.name, got, tc.want)
+		}
 	}
 }

@@ -118,13 +118,13 @@ func TestAppendFault(t *testing.T) {
 	if err := v.grow(int64(len(rec))); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.append(rec, 0); err != nil {
+	if err := v.append(0, [][]byte{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Truncate(0); err != nil {
 		t.Fatal(err)
 	}
-	err = v.append(rec, int64(len(rec)))
+	err = v.append(int64(len(rec)), [][]byte{rec})
 	if err == nil {
 		t.Fatal("append to a page past the end of the file succeeded")
 	}

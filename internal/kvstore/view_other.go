@@ -24,9 +24,12 @@ func (v *logView) bytes(off, n int64) ([]byte, error) {
 	return b, nil
 }
 
-func (v *logView) append(buf []byte, off int64) error {
-	if _, err := v.f.WriteAt(buf, off); err != nil {
-		return fmt.Errorf("kvstore: write log at %d: %w", off, err)
+func (v *logView) append(off int64, recs [][]byte) error {
+	for _, r := range recs {
+		if _, err := v.f.WriteAt(r, off); err != nil {
+			return fmt.Errorf("kvstore: write log at %d: %w", off, err)
+		}
+		off += int64(len(r))
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ const minMapping = 1 << 20
 
 // logView maps a shard log read-write and MAP_SHARED: a get decodes its
 // record straight from the page cache, and a group commit copies its
-// batch into it, neither with a syscall. The mapping and the file share
+// records into it, neither with a syscall. The mapping and the file share
 // one page cache, so fsync writes back the pages an append dirtied
 // (Linux; see the package doc).
 //
@@ -83,15 +83,19 @@ func (v *logView) bytes(off, n int64) ([]byte, error) {
 	return (*m)[off : off+n : off+n], nil
 }
 
-// append copies buf into the log at off, which grow has made the
-// mapping cover. When the bytes run past the file's length, it first
-// extends the file to the mapping's length: a hole, allocated only as it
-// is written. A file thus stays longer than the log while the store is
-// open; replay reads the zeros past the log as a torn tail. A fault on
-// the copy (EIO, or ENOSPC filling the hole) comes back as an error.
-func (v *logView) append(buf []byte, off int64) (err error) {
+// append copies recs into the log back to back from off, which grow has
+// made the mapping cover. When the bytes run past the file's length, it
+// first extends the file to the mapping's length: a hole, allocated only
+// as it is written. A file thus stays longer than the log while the
+// store is open; replay reads the zeros past the log as a torn tail. A
+// fault on the copy (EIO, or ENOSPC filling the hole) comes back as an
+// error.
+func (v *logView) append(off int64, recs [][]byte) (err error) {
 	m := v.cur.Load()
-	end := off + int64(len(buf))
+	end := off
+	for _, r := range recs {
+		end += int64(len(r))
+	}
 	if end > v.fileLen {
 		if err := v.f.Truncate(int64(len(*m))); err != nil {
 			return fmt.Errorf("kvstore: extend log: %w", err)
@@ -100,7 +104,9 @@ func (v *logView) append(buf []byte, off int64) (err error) {
 	}
 	defer recoverFault(&err)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	copy((*m)[off:end], buf)
+	for _, r := range recs {
+		off += int64(copy((*m)[off:], r))
+	}
 	return nil
 }
 
