@@ -17,7 +17,9 @@ type witnessed struct {
 // helpRig stages the help path deterministically: the holder's
 // operation (B == 1) wins the seqlock and holds its critical section
 // until the waiter's slot shows Announced, so the waiter's operation is
-// announced exactly while a CAS-won writer holds the word.
+// announced exactly while a CAS-won writer holds the word. A waiter
+// operation with B == 2 holds the helping holder back, once claimed,
+// until its owner has parked.
 type helpRig struct {
 	f              *Framework
 	w              paddedWord
@@ -28,15 +30,21 @@ type helpRig struct {
 
 func newHelpRig(t *testing.T, shouldHelp ShouldHelpFunc) *helpRig {
 	t.Helper()
-	r := &helpRig{entered: make(chan struct{})}
+	r := &helpRig{entered: make(chan struct{}, 1)}
+	waitFor := func(status uint32) {
+		for r.f.slots[r.waiter.id].status.Load() != status {
+			runtime.Gosched()
+		}
+	}
 	pol := Policy{
 		Name: "Add", TryPrivate: 4, ShouldHelp: shouldHelp,
 		Run: func(op Op) uint64 {
-			if op.B == 1 {
-				close(r.entered)
-				for r.f.slots[r.waiter.id].status.Load() != slotAnnounced {
-					runtime.Gosched()
-				}
+			switch op.B {
+			case 1:
+				r.entered <- struct{}{}
+				waitFor(slotAnnounced)
+			case 2:
+				waitFor(slotParked)
 			}
 			v := r.w.v.Load() + op.A
 			r.w.v.Store(v)
@@ -57,13 +65,13 @@ func newHelpRig(t *testing.T, shouldHelp ShouldHelpFunc) *helpRig {
 	return r
 }
 
-// run executes the holder's operation on its own goroutine and the
-// waiter's once the holder is inside its critical section.
-func (r *helpRig) run() (holderRes, waiterRes uint64) {
+// run executes the holder's operation on its own goroutine and waiter
+// once the holder is inside its critical section.
+func (r *helpRig) run(waiter Op) (holderRes, waiterRes uint64) {
 	done := make(chan uint64)
 	go func() { done <- r.holder.Execute(Op{A: 1, B: 1}) }()
 	<-r.entered
-	waiterRes = r.waiter.Execute(Op{A: 10})
+	waiterRes = r.waiter.Execute(waiter)
 	return <-done, waiterRes
 }
 
@@ -73,7 +81,7 @@ func (r *helpRig) run() (holderRes, waiterRes uint64) {
 func TestSpecWriterHelpsAnnouncedOp(t *testing.T) {
 	r := newHelpRig(t, nil)
 	v := r.f.Version()
-	holderRes, waiterRes := r.run()
+	holderRes, waiterRes := r.run(Op{A: 10})
 	if holderRes != 1 || waiterRes != 11 {
 		t.Fatalf("results holder=%d waiter=%d, want 1 and 11", holderRes, waiterRes)
 	}
@@ -106,7 +114,7 @@ func TestSpecWriterHelpsAnnouncedOp(t *testing.T) {
 func TestSpecWriterShouldHelpRefuses(t *testing.T) {
 	r := newHelpRig(t, func(mine, other Op) bool { return false })
 	v := r.f.Version()
-	holderRes, waiterRes := r.run()
+	holderRes, waiterRes := r.run(Op{A: 10})
 	if holderRes != 1 || waiterRes != 11 {
 		t.Fatalf("results holder=%d waiter=%d, want 1 and 11", holderRes, waiterRes)
 	}

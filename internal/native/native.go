@@ -26,20 +26,39 @@
 //     combining path when the budget is exhausted.
 //
 //   - Announce + combining. The owner publishes its operation in a
-//     cache-padded per-handle publication slot and spins briefly.
-//     Whoever holds the seqlock word combines before releasing it: a
-//     speculative writer after applying its own operation, or the first
-//     announced owner to acquire the word, which becomes the combiner.
+//     cache-padded per-handle publication slot and spins briefly,
+//     competing for the word whenever it reads even (after a short
+//     deferral when the handle's last update was helped; see affinity
+//     below). Whoever holds the seqlock word combines before releasing
+//     it: a speculative writer after applying its own operation, or the
+//     first announced owner to acquire the word, which becomes the
+//     combiner.
 //     Either one claims every announced operation its ShouldHelp
 //     accepts, applies them in MaxBatch-bounded batches (RunMulti or
 //     one-by-one), and publishes each result back through the slot's
 //     status word.
 //
+//   - Combiner affinity. A handle whose last update another holder
+//     applied skips speculation on its next update and announces at
+//     once, and for its first affinitySpins wait iterations it leaves an
+//     even seqlock word alone. The holder that helped it, returning with
+//     its own next operation, then finds it announced and applies both
+//     in one critical section, on data its core already caches, instead
+//     of the two handles taking the word (and the structure's cache
+//     lines) in turn. Past those iterations the handle competes for the
+//     word as any announced owner does, so a helper that went idle costs
+//     it at most affinitySpins yields. Applying an update itself clears
+//     the affinity.
+//
 //   - Parking. A waiter whose operation has been claimed by a seqlock
-//     holder parks on a buffered per-slot channel (the futex stand-in);
-//     the holder posts a wake token after the Done transition. Waiters
-//     whose operations are merely announced never park — they stay
-//     runnable so one of them can always become the combiner.
+//     holder spins, then marks its slot Parked (Claimed -> Parked) and
+//     blocks on a buffered per-slot channel (the futex stand-in). The
+//     holder publishes with a swap to Done and posts a wake token only
+//     when the swap replaced Parked, so a helped operation whose owner
+//     never parked costs no channel operation on either side, and the
+//     channel is empty whenever its owner is not parked. Waiters whose
+//     operations are merely announced never park — they stay runnable
+//     so one of them can always become the combiner.
 //
 // Safety under the Go memory model — the contract for structure authors:
 //
@@ -80,12 +99,14 @@ import (
 
 // Publication-slot status values, mirroring internal/phases' descriptor
 // protocol (Free -> Announced -> Claimed -> Done -> Free). The owner
-// performs Free->Announced and Done->Free; only a seqlock holder — a
-// combiner or a CAS-won writer — performs Announced->Claimed->Done.
+// performs Free->Announced, Claimed->Parked and Done->Free; only a
+// seqlock holder — a combiner or a CAS-won writer — performs
+// Announced->Claimed and then Claimed or Parked->Done.
 const (
 	slotFree uint32 = iota
 	slotAnnounced
 	slotClaimed
+	slotParked
 	slotDone
 )
 
@@ -96,6 +117,11 @@ const cacheLine = 64
 // spinBudget is how many wait-loop iterations a claimed operation's owner
 // spins before parking on its slot channel.
 const spinBudget = 64
+
+// affinitySpins is how many wait-loop iterations a handle whose last
+// update was helped leaves an even seqlock word to the holder that
+// helped it before competing for the word itself.
+const affinitySpins = 2
 
 // Op is one data-structure operation: a class (dense, starting at 0,
 // indexing Config.Policies) plus up to two operand words. It is a plain
@@ -153,7 +179,8 @@ type Policy struct {
 	// read attempt fails when a writer intervenes. An update attempt
 	// fails when its CAS loses a race and retries; an update that finds
 	// the seqlock held announces at once, because the holder helps
-	// announced operations before it releases.
+	// announced operations before it releases. An update whose handle
+	// was helped last time spends no attempt (combiner affinity).
 	TryPrivate int
 	// MaxBatch bounds operations per RunMulti call (0 = default 8).
 	MaxBatch int
@@ -264,7 +291,9 @@ type Metrics struct {
 	// validated optimistic reads / CAS-acquired writes.
 	SpecReadHits  uint64 `json:"spec_read_hits"`
 	SpecWriteHits uint64 `json:"spec_write_hits"`
-	// Announces counts operations that fell through to the slot protocol.
+	// Announces counts operations that fell through to the slot protocol,
+	// including the updates that a helped handle announces without
+	// speculating.
 	Announces uint64 `json:"announces"`
 	// LockAcquisitions counts seqlock acquisitions by the combining path
 	// (speculative write acquisitions are counted in SpecWriteHits).
@@ -430,6 +459,9 @@ type Handle struct {
 	fw *Framework
 	id int32
 	sc scratch
+	// helped is set when the handle's last update was applied by another
+	// seqlock holder, and cleared when it applied one itself.
+	helped bool
 }
 
 // Handle registers a participant, claiming a free publication slot.
@@ -501,12 +533,18 @@ func (h *Handle) Execute(op Op) uint64 {
 		if res, ok := h.specRead(pol, op, tm); ok {
 			return res
 		}
-	} else {
-		if res, ok := h.specWrite(pol, b, op, tm); ok {
-			return res
-		}
+		res, _ := h.combine(pol, b, op, 0, tm)
+		return res
 	}
-	return h.combine(pol, b, op, tm)
+	affine := 0
+	if h.helped {
+		affine = affinitySpins
+	} else if res, ok := h.specWrite(pol, b, op, tm); ok {
+		return res
+	}
+	res, helped := h.combine(pol, b, op, affine, tm)
+	h.helped = helped
+	return res
 }
 
 // specRead is the optimistic-read speculation path: run the operation
@@ -567,9 +605,11 @@ func (h *Handle) specWrite(pol *Policy, b *nbudget, op Op, tm *Metrics) (uint64,
 }
 
 // combine is the announce -> wait-or-combine path. The owner publishes
-// its operation and loops: return when a combiner finished it, become
-// the combiner when the seqlock is free, park only once claimed.
-func (h *Handle) combine(pol *Policy, b *nbudget, op Op, tm *Metrics) uint64 {
+// its operation and loops: return when a seqlock holder finished it,
+// become the combiner when the seqlock is free (from wait iteration
+// affine on), park only once claimed. It reports whether another holder
+// applied the operation.
+func (h *Handle) combine(pol *Policy, b *nbudget, op Op, affine int, tm *Metrics) (uint64, bool) {
 	f := h.fw
 	s := &f.slots[h.id]
 	s.op = op
@@ -582,13 +622,13 @@ func (h *Handle) combine(pol *Policy, b *nbudget, op Op, tm *Metrics) uint64 {
 		case slotDone:
 			res := s.result
 			s.status.Store(slotFree)
-			drainPark(s)
 			tm.Helped++
-			return res
+			return res, true
 		case slotClaimed:
-			// A combiner owns the operation and will post a wake token
-			// after the Done transition; parking cannot lose it.
-			if spins >= spinBudget {
+			// A holder owns the operation. Its swap to Done posts a wake
+			// token only if it replaces Parked, so a failed CAS here means
+			// Done is already set and no token comes.
+			if spins >= spinBudget && s.status.CompareAndSwap(slotClaimed, slotParked) {
 				tm.Parks++
 				<-s.park
 				continue
@@ -596,36 +636,20 @@ func (h *Handle) combine(pol *Policy, b *nbudget, op Op, tm *Metrics) uint64 {
 		case slotAnnounced:
 			// Stay runnable: one announced owner must always be able to
 			// become the combiner, or a quiet system would deadlock.
+			if spins < affine {
+				break
+			}
 			if v := f.seq.Load(); v&1 == 0 && f.seq.CompareAndSwap(v, v+1) {
 				res, ok := h.runCombiner(pol, b, v+1, tm)
 				f.seq.Store(v + 2)
 				if ok {
-					drainPark(s)
-					return res
+					return res, false
 				}
-				continue // a previous combiner finished us: Done is set
+				continue // a previous holder finished us: Done is set
 			}
 		}
 		spins++
 		runtime.Gosched()
-	}
-}
-
-// drainPark clears a stale wake token so it cannot alias a later wait.
-func drainPark(s *slot) {
-	select {
-	case <-s.park:
-	default:
-	}
-}
-
-// wake posts a wake token to a slot whose operation just completed. The
-// channel is buffered, so the post never blocks the combiner; a dropped
-// post means a token is already pending.
-func wake(s *slot) {
-	select {
-	case s.park <- struct{}{}:
-	default:
 	}
 }
 
@@ -637,7 +661,8 @@ func (h *Handle) runCombiner(pol *Policy, b *nbudget, vodd uint64, tm *Metrics) 
 	tm.LockAcquisitions++
 	if own.status.Load() != slotAnnounced {
 		// Claimed cannot be observed here — every seqlock holder finishes
-		// the operations it claimed before releasing — so the slot is
+		// the operations it claimed before releasing — and neither can
+		// Parked, which only this owner sets, from Claimed. So the slot is
 		// Done: a previous holder beat us between our last status check
 		// and the acquisition.
 		return 0, false
@@ -729,7 +754,7 @@ func (h *Handle) session(pol *Policy, b *nbudget, mine Op, vodd uint64, self boo
 			f.applyEach(sc.ops, sc.res, sc.done)
 		}
 		// Publish completions: result first, then the Done transition the
-		// owner is waiting on, then the wake token.
+		// owner is waiting on, then a wake token if the owner parked.
 		keep := sc.pend[:0]
 		for i := 0; i < n; i++ {
 			tid := sc.pend[i]
@@ -747,8 +772,9 @@ func (h *Handle) session(pol *Policy, b *nbudget, mine Op, vodd uint64, self boo
 			}
 			od := &f.slots[tid]
 			od.result = sc.res[i]
-			od.status.Store(slotDone)
-			wake(od)
+			if od.status.Swap(slotDone) == slotParked {
+				od.park <- struct{}{}
+			}
 		}
 		sc.pend = append(keep, sc.pend[n:]...)
 	}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hcf/internal/engine"
 	"hcf/internal/memsim"
@@ -108,6 +109,21 @@ func stressGoroutines() int {
 	return g
 }
 
+// waitStress waits for a stress pack's goroutines. An owner that is
+// never completed (a lost wake token, a holder blocked on a stray one)
+// fails the test after two minutes instead of hanging the suite; a pack
+// finishes in about a second under -race.
+func waitStress(t *testing.T, wg *sync.WaitGroup) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("stress goroutines did not finish within 2m")
+	}
+}
+
 // TestStressHashtableLinearizable hammers one table with a mixed
 // get/put/delete load over a tiny keyspace (maximal conflict, frequent
 // speculation aborts) and checks the full witnessed history. It runs
@@ -160,7 +176,7 @@ func stressHashtable(t *testing.T, writeBudget int) {
 			}
 		}(g)
 	}
-	wg.Wait()
+	waitStress(t, &wg)
 	model := &hashModel{m: map[uint64]uint64{}}
 	if err := witness.Check(rec, model, goroutines*opsPer, nil); err != nil {
 		t.Fatal(err)
@@ -237,7 +253,7 @@ func stressPQueue(t *testing.T, readBudget, writeBudget int, key func(*rand.Rand
 			}
 		}(g)
 	}
-	wg.Wait()
+	waitStress(t, &wg)
 	model := &pqModel{}
 	if err := witness.Check(rec, model, goroutines*opsPer, nil); err != nil {
 		t.Fatal(err)
