@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -250,7 +249,7 @@ func summarize(w io.Writer, b benchmark, runs []run) []point {
 			if len(pv) == 0 {
 				continue
 			}
-			pq, cq := quartiles(pv), quartiles(cv)
+			pq, cq := harness.Quartiles(pv), harness.Quartiles(cv)
 			rr := "-"
 			if len(ratios) > 0 {
 				sort.Float64s(ratios)
@@ -259,7 +258,7 @@ func summarize(w io.Writer, b benchmark, runs []run) []point {
 			fmt.Fprintf(w, "  %-14s %-6s %30s %30s %3d/%-2d %7.3fx %15s\n", m.Name, m.Unit,
 				fmt.Sprintf("%.4g (%.4g-%.4g)", pq[1], pq[0], pq[2]),
 				fmt.Sprintf("%.4g (%.4g-%.4g)", cq[1], cq[0], cq[2]),
-				wins, len(pv), quartiles(ratios)[1], rr)
+				wins, len(pv), harness.Quartiles(ratios)[1], rr)
 			for s, q := range [2][3]float64{pq, cq} {
 				sep := ","
 				if sides[s].Len() == 0 {
@@ -324,25 +323,6 @@ func (p pair) seed() uint64 {
 		return p[0].seed
 	}
 	return p[1].seed
-}
-
-// quartiles returns the first quartile, median and third quartile of v,
-// interpolating between order statistics; NaN for an empty v.
-func quartiles(v []float64) [3]float64 {
-	if len(v) == 0 {
-		return [3]float64{math.NaN(), math.NaN(), math.NaN()}
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	at := func(q float64) float64 {
-		x := q * float64(len(s)-1)
-		i := int(x)
-		if i+1 >= len(s) {
-			return s[i]
-		}
-		return s[i] + (x-float64(i))*(s[i+1]-s[i])
-	}
-	return [3]float64{at(0.25), at(0.5), at(0.75)}
 }
 
 // num formats v to four significant digits as a JSON number.

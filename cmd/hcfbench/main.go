@@ -61,11 +61,12 @@
 // -engines name, default HCF; one -threads count, default 18) and
 // reports it through one -probe: counters (the default: throughput, HTM
 // abort taxonomy, lock, combining and memory statistics, and HCF's
-// per-class phase breakdown), metrics (an interval series plus latency
-// percentiles per operation class and completion path, in virtual
-// cycles) or trace (per-phase attempt outcomes with abort attribution,
-// self vs helped completions, selection sizes, the hottest conflicting
-// lines and an optional raw -timeline). The scenarios are hashtable,
+// per-class phase breakdown), metrics (an interval series, one sample
+// per twentieth of -horizon, plus latency percentiles per operation
+// class and completion path, in virtual cycles) or trace (per-phase
+// attempt outcomes with abort attribution, self vs helped completions,
+// selection sizes, the hottest conflicting lines and an optional raw
+// -timeline). The scenarios are hashtable,
 // sharded, elastic (counters only: HCF-E with its rebalancer, reporting
 // the ring topology and the tail of its decision journal), avl, pqueue,
 // stack, deque and sortedlist. -format is text or json under every
@@ -151,7 +152,7 @@ type options struct {
 	rates, serve, out, baseline string
 	cpuProf, memProf            string
 	probe, format               string
-	horizon, interval           int64
+	horizon                     int64
 	seed                        uint64
 	parallel, dur, seeds        int
 	find, shards, cross, hot    int
@@ -274,7 +275,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.hot, "hot", 0, "percentage of keys skewed onto shard 0 (-fig point:sharded); drifting hot-set percentage (-fig point:elastic)")
 	fs.IntVar(&o.decisions, "decisions", 8, "print the last N rebalancer decisions (-fig point:elastic)")
 	fs.Float64Var(&o.theta, "theta", 0.9, "zipf skew in [0,1) (-fig point:avl)")
-	fs.Int64Var(&o.interval, "interval", 10_000, "sampling interval in virtual cycles (-fig point -probe metrics)")
 	fs.IntVar(&o.traceLimit, "trace-limit", 0, "flight-recorder ring size per thread (-fig point); 0 retains every event under -probe trace and attaches no recorder under -probe metrics, where trace health lands in the report and hot lines on the -serve endpoints")
 	fs.IntVar(&o.timeline, "timeline", 0, "also print the first N raw events (-fig point -probe trace, text format)")
 	return fs

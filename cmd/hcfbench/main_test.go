@@ -169,7 +169,7 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"baseline", "cpuprofile", "cross", "csv", "decisions", "dur", "engines",
-		"fig", "find", "format", "horizon", "hot", "interval", "json", "list", "memprofile",
+		"fig", "find", "format", "horizon", "hot", "json", "list", "memprofile",
 		"out", "parallel", "probe", "rates", "seed", "seeds", "serve", "shards", "theta",
 		"threads", "timeline", "trace-limit"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
@@ -177,8 +177,9 @@ func TestFlagSet(t *testing.T) {
 	}
 	// The per-figure forms the shared pair replaced, the retired
 	// wall-clock -real mode, the -bench switch -fig bench replaced, the
-	// point inspector's own -scenario and -engine spellings, and the
-	// autotuner's old -tune switch no longer parse.
+	// point inspector's own -scenario and -engine spellings, the
+	// autotuner's old -tune switch and the metrics probe's -interval
+	// (now a twentieth of the horizon) no longer parse.
 	var gone []string
 	for _, fig := range []string{"native", "kv", "openloop"} {
 		gone = append(gone, "-"+fig+"-baseline")
@@ -187,7 +188,7 @@ func TestFlagSet(t *testing.T) {
 		gone = append(gone, "-"+fig+"-dur")
 	}
 	gone = append(gone, "-bench"+"-out", "-elastic-"+"gate", "-elastic-"+"rate", "-real", "-real"+"-ops",
-		"-bench", "-scenario", "-engine", "-tune")
+		"-bench", "-scenario", "-engine", "-tune", "-interval")
 	for _, name := range gone {
 		err := run([]string{"-fig", "stack", name, "1"})
 		if err == nil || !strings.Contains(err.Error(), "not defined") {

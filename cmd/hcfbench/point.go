@@ -32,8 +32,8 @@ var pointProbes = map[string]struct {
 	attach         func(o *options) harness.Probes
 }{
 	"counters": {"", "text json", func(*options) harness.Probes { return harness.Probes{} }},
-	"metrics": {"interval trace-limit serve", "text json csv prom", func(o *options) harness.Probes {
-		return harness.Probes{Metrics: true, Interval: o.interval, Trace: o.traceLimit > 0, TraceLimit: o.traceLimit}
+	"metrics": {"trace-limit serve", "text json csv prom", func(o *options) harness.Probes {
+		return harness.Probes{Metrics: true, Trace: o.traceLimit > 0, TraceLimit: o.traceLimit}
 	}},
 	"trace": {"trace-limit timeline", "text json chrome", func(o *options) harness.Probes {
 		return harness.Probes{Trace: true, TraceLimit: o.traceLimit}
@@ -104,7 +104,6 @@ func (o *options) checkPointRanges() error {
 		{"shards", fmt.Sprintf("in [1,%d]", pointBuckets), 1 <= o.shards && o.shards <= pointBuckets, o.shards},
 		{"theta", "in [0,1)", 0 <= o.theta && o.theta < 1, o.theta},
 		{"trace-limit", "non-negative", o.traceLimit >= 0, o.traceLimit},
-		{"interval", "non-negative", o.interval >= 0, o.interval},
 	} {
 		if !c.ok {
 			return fmt.Errorf("-%s must be %s, got %v", c.flag, c.want, c.got)

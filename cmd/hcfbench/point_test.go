@@ -41,7 +41,7 @@ func TestPointMetricsScenariosEngines(t *testing.T) {
 	for _, sc := range closedScenarios {
 		for _, eng := range paperEngines {
 			out := captureRun(t, "-fig", "point:"+sc, "-probe", "metrics", "-engines", eng,
-				"-threads", "3", "-horizon", "6000", "-interval", "2000")
+				"-threads", "3", "-horizon", "6000")
 			if !strings.Contains(out, "unit      cycles") {
 				t.Errorf("%s/%s: unexpected output:\n%s", sc, eng, out)
 			}
@@ -151,10 +151,8 @@ func TestPointRejectUnreadFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-fig", "point", "-probe", "counters", "-interval", "5000"}, "-interval does not apply"},
 		{[]string{"-fig", "point", "-probe", "counters", "-timeline", "5"}, "-timeline does not apply"},
 		{[]string{"-fig", "point", "-probe", "trace", "-serve", ":0"}, "-serve does not apply"},
-		{[]string{"-fig", "point", "-probe", "trace", "-interval", "5000"}, "-interval does not apply"},
 		{[]string{"-fig", "point", "-probe", "metrics", "-timeline", "5"}, "-timeline does not apply"},
 		{[]string{"-fig", "point:hashtable", "-decisions", "5"}, "-decisions does not apply"},
 		{[]string{"-fig", "point:hashtable", "-shards", "8"}, "-shards does not apply"},
@@ -197,7 +195,6 @@ func TestPointRejectsOutOfRange(t *testing.T) {
 		{[]string{"-fig", "point:avl", "-theta", "-1"}, "-theta must be in [0,1)"},
 		{[]string{"-fig", "point:avl", "-theta", "1"}, "-theta must be in [0,1)"},
 		{[]string{"-fig", "point", "-probe", "trace", "-trace-limit", "-1"}, "-trace-limit must be non-negative"},
-		{[]string{"-fig", "point", "-probe", "metrics", "-interval", "-1"}, "-interval must be non-negative"},
 	} {
 		err := run(append(tc.args, "-out", out))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -234,12 +231,12 @@ func TestPointElastic(t *testing.T) {
 	}
 }
 
-// TestPointMetricsText runs the metrics probe at its defaults but the
-// interval and checks for the per-interval series and the percentile
-// table.
+// TestPointMetricsText runs the metrics probe at its defaults and checks
+// for the per-interval series, sampled every twentieth of the horizon,
+// and the percentile table.
 func TestPointMetricsText(t *testing.T) {
 	out := captureRun(t, "-fig", "point:hashtable", "-probe", "metrics", "-engines", "HCF",
-		"-threads", "18", "-interval", "10000")
+		"-threads", "18")
 	for _, want := range []string{
 		"interval series (every 10000 cycles):",
 		"thrpt", "commits", "aborts", "degree",
@@ -261,7 +258,7 @@ func TestPointMetricsText(t *testing.T) {
 
 func TestPointMetricsJSON(t *testing.T) {
 	out := captureRun(t, "-fig", "point", "-probe", "metrics", "-engines", "HCF",
-		"-threads", "4", "-horizon", "20000", "-interval", "5000", "-format", "json")
+		"-threads", "4", "-horizon", "20000", "-format", "json")
 	var rep metrics.Report
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("json output does not parse: %v", err)
@@ -277,7 +274,7 @@ func TestPointMetricsJSON(t *testing.T) {
 
 func TestPointMetricsCSV(t *testing.T) {
 	out := captureRun(t, "-fig", "point", "-probe", "metrics", "-engines", "TLE",
-		"-threads", "4", "-horizon", "20000", "-interval", "5000", "-format", "csv")
+		"-threads", "4", "-horizon", "20000", "-format", "csv")
 	tables := strings.Split(out, "\n\n")
 	if len(tables) != 2 {
 		t.Fatalf("want 2 CSV tables, got %d", len(tables))

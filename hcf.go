@@ -259,13 +259,13 @@ type (
 	// KVHandle is a per-goroutine participant handle on a KV.
 	KVHandle = kvstore.Handle
 	// KVConfig configures a KV: shard count, per-shard index capacity,
-	// handle and value limits, read speculation, DisableSync, and
-	// CommitDelay, the upper bound in yields on each group commit's
-	// wait for more writers (cut short when nobody else can join or
-	// the wait has cost the batch time that joining writers are
-	// expected to save, which is zero while batches take in none). The
-	// delay defaults on only for a store that fsyncs: under DisableSync
-	// there is no flush to share, and it is off unless set.
+	// handle and value limits, and DisableSync. Gets speculate up to 8
+	// times before they announce. A store that fsyncs makes each group
+	// commit wait up to 16 yields for more writers (cut short when
+	// nobody else can join or the wait has cost the batch time that
+	// joining writers are expected to save, which is zero while batches
+	// take in none); under DisableSync there is no flush to share, and
+	// no writer waits.
 	KVConfig = kvstore.Config
 	// KVStats snapshots a KV's group-commit and occupancy metrics.
 	// Flushes and appended bytes are exact; without fsync (DisableSync)

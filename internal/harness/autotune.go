@@ -167,7 +167,7 @@ func runAutotuneVariant(name string, budgets [3]int, tuned bool, threads int, cf
 	// combined operation would stall tuning exactly when the policy is
 	// worst). Static variants carry the same idle thread, keeping every
 	// variant's simulated environment identical.
-	env := memsim.NewDet(memsim.DetConfig{Threads: threads + 1, Cost: cfg.Cost, CapacityHint: cfg.CapacityHint})
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads + 1, Cost: cfg.Cost})
 	boot := env.Boot()
 	q := skiplist.New(boot)
 	pre := rand.New(rand.NewPCG(cfg.Seed, 0xADA))

@@ -61,20 +61,12 @@ type ElasticWindow struct {
 // "balanced" (no skew), "static" (drifting skew, topology frozen), or
 // "elastic" (same skew with the rebalancer stepped at window cadence).
 type ElasticPoint struct {
-	Scenario  string  `json:"scenario"`
-	Engine    string  `json:"engine"`
-	Mode      string  `json:"mode"`
-	Threads   int     `json:"threads"`
-	Rate      float64 `json:"rate"`
-	Arrivals  uint64  `json:"arrivals"`
-	Completed uint64  `json:"completed"`
-	Horizon   int64   `json:"horizon"`
-	Makespan  int64   `json:"makespan"`
-	// Throughput is completions per Mcycle over max(makespan, horizon).
-	Throughput float64 `json:"throughput"`
-	// Saturated marks a run that needed >10% past the horizon to drain.
-	Saturated bool        `json:"saturated"`
-	Sojourn   SojournStat `json:"sojourn"`
+	Scenario string  `json:"scenario"`
+	Engine   string  `json:"engine"`
+	Mode     string  `json:"mode"`
+	Threads  int     `json:"threads"`
+	Rate     float64 `json:"rate"`
+	OpenLoopStats
 	// Post-phase stats cover completions in the last quarter of the
 	// horizon — after the second drift target has been hot for a while,
 	// so a healed topology has had time to show it.
@@ -125,13 +117,7 @@ func RunPointElastic(sc Scenario, mode string, rebalance bool, threads int, cfg 
 		Mode:               mode,
 		Threads:            threads,
 		Rate:               op.Rate,
-		Arrivals:           op.Arrivals,
-		Completed:          op.Completed,
-		Horizon:            op.Horizon,
-		Makespan:           op.Makespan,
-		Throughput:         op.Throughput,
-		Saturated:          op.Saturated,
-		Sojourn:            op.Sojourn,
+		OpenLoopStats:      op.OpenLoopStats,
 		PostThroughput:     float64(run.post.Count) * 1e6 / float64(cfg.Horizon-postStart),
 		PostP99:            run.post.Quantile(0.99),
 		FirstBad:           -1,

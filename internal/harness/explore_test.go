@@ -15,12 +15,7 @@ import (
 // not compare throughput.
 func runExploredPoint(sc Scenario, engineName string, threads int, cfg Config, ex memsim.ExploreConfig) (Result, error) {
 	cfg.normalize()
-	env := memsim.NewDet(memsim.DetConfig{
-		Threads:      threads,
-		Cost:         cfg.Cost,
-		CapacityHint: cfg.CapacityHint,
-		Explore:      ex,
-	})
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost, Explore: ex})
 	pt, err := runPoint(env, sc, engineName, cfg, Probes{})
 	return pt.Result, err
 }

@@ -152,9 +152,6 @@ type Config struct {
 	Seed uint64
 	// Cost is the simulated machine; zero fields take defaults.
 	Cost memsim.CostParams
-	// Trials is the speculation budget of the baseline engines (default
-	// 10, the paper's budget).
-	Trials int
 	// HTM configures the transactional engine for all engines.
 	HTM htm.Config
 	// Parallel bounds how many sweep points RunSweep measures concurrently
@@ -163,17 +160,11 @@ type Config struct {
 	// only host wall-clock time — results are identical, in identical
 	// order, at any setting.
 	Parallel int
-	// CapacityHint pre-sizes each point's simulated arena (in words); see
-	// memsim.DetConfig.CapacityHint. Zero grows on demand.
-	CapacityHint int
 }
 
 func (c *Config) normalize() {
 	if c.Horizon <= 0 {
 		c.Horizon = 200_000
-	}
-	if c.Trials <= 0 {
-		c.Trials = 10
 	}
 	if c.HTM.NoisePPMPerLine == 0 {
 		c.HTM.NoisePPMPerLine = 500 // real HTM aborts sporadically
@@ -206,7 +197,6 @@ type Result struct {
 func BuildEngine(name string, env memsim.Env, inst Instance, cfg Config) (engine.Engine, error) {
 	opts := engines.Options{
 		HTM:     cfg.HTM,
-		Trials:  cfg.Trials,
 		Combine: inst.Combine,
 	}
 	switch name {
@@ -273,11 +263,9 @@ type Probes struct {
 	// Metrics installs a recorder (see Instrument) and returns the full
 	// report: latency percentiles per operation class and completion
 	// path, transaction-outcome durations, lock hold times, and the
-	// per-interval time series.
+	// per-interval time series, sampled by thread 0 every twentieth of
+	// the horizon (openLoopInterval).
 	Metrics bool
-	// Interval is the sampling period of the time series in virtual
-	// cycles (0 = one interval); thread 0 drives the sampler.
-	Interval int64
 	// Trace installs a lifecycle-trace collector (see InstrumentTrace):
 	// every operation's span (start, attempts with abort attribution,
 	// announce, combined-by edges, completion) lands in Point.Trace, and
@@ -305,11 +293,7 @@ type Point struct {
 // is itself bit-identical across same-seed runs.
 func RunPointWith(sc Scenario, engineName string, threads int, cfg Config, p Probes) (Point, error) {
 	cfg.normalize()
-	env := memsim.NewDet(memsim.DetConfig{
-		Threads:      threads,
-		Cost:         cfg.Cost,
-		CapacityHint: cfg.CapacityHint,
-	})
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost})
 	return runPoint(env, sc, engineName, cfg, p)
 }
 
@@ -339,12 +323,12 @@ func runPoint(env *memsim.DetEnv, sc Scenario, engineName string, cfg Config, p 
 	eng.ResetMetrics()
 	var sampler *metrics.Sampler
 	if rec != nil {
-		sampler = metrics.NewSampler(rec, p.Interval)
+		sampler = metrics.NewSampler(rec, openLoopInterval(cfg.Horizon))
 	}
 	opWork := env.Cost().OpWork // per-op application logic outside the DS
 	opsByThread := make([]uint64, threads)
 	env.Run(func(th *memsim.Thread) {
-		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(th.ID())+1))
+		rng := opStream(cfg.Seed, th.ID())
 		for th.Now() < cfg.Horizon {
 			th.Work(opWork)
 			eng.Execute(th, inst.NextOp(rng))

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -214,10 +213,8 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	// Split the user population across workers; low-index workers take
 	// the remainder so small populations still generate load. Each
 	// arrival's op is drawn here, before the clock starts.
-	schedules := make([][]int64, opts.Workers)
-	ops := make([][]uint64, opts.Workers)
-	var totalArrivals uint64
-	for w := 0; w < opts.Workers; w++ {
+	procs := make([]workload.Poisson, opts.Workers)
+	for w := range procs {
 		share := users / uint64(opts.Workers)
 		if uint64(w) < users%uint64(opts.Workers) {
 			share++
@@ -225,26 +222,17 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 		if share == 0 {
 			continue
 		}
-		gen, err := workload.NewPopulation(share, kvThinkMS*int64(time.Millisecond))
-		if err != nil {
+		if procs[w], err = workload.NewPopulation(share, kvThinkMS*int64(time.Millisecond)); err != nil {
 			return KVPoint{}, err
 		}
-		r := rand.New(rand.NewPCG(opts.Seed^0xA17ECA11, uint64(w)+1))
-		schedules[w] = workload.GenSchedule(gen, horizon, r)
-		totalArrivals += uint64(len(schedules[w]))
-		ops[w] = drawOps(len(schedules[w]), zipf, mix, rand.New(rand.NewPCG(opts.Seed^0x9E3779B9, uint64(w)+1)))
+	}
+	schedules, totalArrivals := arrivalSchedules(opts.Seed, horizon, procs)
+	ops := make([][]uint64, opts.Workers)
+	for w := range ops {
+		ops[w] = drawOps(len(schedules[w]), zipf, mix, opStream(opts.Seed, w))
 	}
 
-	rec, err := metrics.New(metrics.Config{
-		Shards:   opts.Workers,
-		Classes:  []string{"get", "put", "delete"},
-		Paths:    []string{"sojourn"},
-		TimeUnit: "ns",
-	})
-	if err != nil {
-		return KVPoint{}, err
-	}
-	slo, err := metrics.NewSLOTracker(rec, DefaultKVSLO())
+	tally, err := newSojournTally(opts.Workers, []string{"get", "put", "delete"}, "ns", DefaultKVSLO(), horizon)
 	if err != nil {
 		return KVPoint{}, err
 	}
@@ -258,7 +246,6 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 		return KVPoint{}, err
 	}
 
-	interval := max(horizon/20, 1)
 	wall, err := runClients(opts.Workers, func(w int, epoch time.Time) error {
 		h, err := store.Handle()
 		if err != nil {
@@ -266,7 +253,6 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 		}
 		defer h.Release()
 		val := make([]byte, opts.ValueLen)
-		nextTick := interval
 		for i, intended := range schedules[w] {
 			if wait := time.Duration(intended) - time.Since(epoch); wait > 0 {
 				time.Sleep(wait)
@@ -287,10 +273,9 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 				return err
 			}
 			now := int64(time.Since(epoch))
-			rec.RecordOp(w, class, 0, now-intended)
-			if w == 0 && now >= nextTick {
-				slo.Step(now)
-				nextTick = now + interval
+			tally.rec.RecordOp(w, class, 0, now-intended)
+			if w == 0 {
+				tally.tick(now)
 			}
 		}
 		return nil
@@ -300,23 +285,25 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 		return KVPoint{}, err
 	}
 
+	// The record's makespan is clamped to the window, and its throughput
+	// is per second where the summary's is per million ns.
+	run, byClass, slo, state := tally.summarize(totalArrivals, horizon, max(int64(wall), horizon))
 	pt := KVPoint{
-		Users:     users,
-		RateOps:   float64(users) * 1000 / kvThinkMS,
-		GetPct:    getPct,
-		Workers:   opts.Workers,
-		Arrivals:  totalArrivals,
-		HorizonMS: opts.DurationMS,
+		Users:      users,
+		RateOps:    float64(users) * 1000 / kvThinkMS,
+		GetPct:     getPct,
+		Workers:    opts.Workers,
+		Arrivals:   run.Arrivals,
+		Completed:  run.Completed,
+		HorizonMS:  opts.DurationMS,
+		MakespanMS: float64(run.Makespan) / 1e6,
+		Throughput: run.Throughput * 1e3,
+		Saturated:  run.Saturated,
+		Sojourn:    run.Sojourn,
+		ByClass:    byClass,
+		SLOState:   state,
+		SLO:        slo,
 	}
-	makespan := max(int64(wall), horizon)
-	pt.MakespanMS = float64(makespan) / 1e6
-	pt.Saturated = makespan > horizon+horizon/10
-	slo.Step(makespan)
-
-	pt.Sojourn, pt.ByClass = SojournOf(rec)
-	pt.Completed = pt.Sojourn.Count
-	pt.Throughput = float64(pt.Completed) * 1e9 / float64(makespan)
-	pt.SLO, pt.SLOState = sloOf(slo)
 
 	st := store.Stats()
 	pt.Flushes = st.Flushes
@@ -324,7 +311,7 @@ func runKVPoint(dir string, users uint64, getPct int, opts KVSweepOptions) (KVPo
 	// The store samples its batch histograms without fsync; the
 	// recorder's put and delete counts are every write the point made
 	// (it starts from an empty store).
-	writes := rec.ClassHistogram(opWrite).Count + rec.ClassHistogram(opDelete).Count
+	writes := tally.rec.ClassHistogram(opWrite).Count + tally.rec.ClassHistogram(opDelete).Count
 	if st.Flushes > 0 {
 		pt.WritesPerFlush = float64(writes) / float64(st.Flushes)
 	}

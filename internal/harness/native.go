@@ -285,7 +285,7 @@ func measureCell(eng nativeEngine, streams [][]uint64, budget time.Duration) (ui
 			degree = float64(after.CombinedOps-before.CombinedOps) / float64(s)
 		}
 	}
-	return uint64(roundOps * len(rates)), median(rates), degree
+	return uint64(roundOps * len(rates)), Quartiles(rates)[1], degree
 }
 
 // RunNativeSweep measures every (structure, engine, goroutines, mix)

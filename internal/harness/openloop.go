@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -50,9 +51,125 @@ func openLoopSLO() metrics.SLOConfig {
 	}
 }
 
-// openLoopInterval is the sampler interval of an open-loop run: a
-// twentieth of its (normalized) horizon.
+// openLoopInterval is the sampling cadence of a run over horizon time
+// units, a twentieth of it: open-loop runs step their SLO tracker at it,
+// and the metrics probe samples its time series at it.
 func openLoopInterval(horizon int64) int64 { return max(horizon/20, 1) }
+
+// Seed salts: every driver draws worker w's operations from
+// PCG(seed^opStreamSalt, w+1), and every open-loop driver its arrivals
+// from PCG(seed^arrivalSalt, w+1), so equal seeds replay equal streams.
+const (
+	opStreamSalt = 0x9E3779B9
+	arrivalSalt  = 0xA17ECA11
+)
+
+// opStream is worker w's operation stream under seed.
+func opStream(seed uint64, w int) *rand.Rand {
+	return rand.New(rand.NewPCG(seed^opStreamSalt, uint64(w)+1))
+}
+
+// arrivalSchedules draws worker w's intended arrival times over
+// [0, horizon) from procs[w] (a zero process draws none) and returns the
+// schedules with their total count.
+func arrivalSchedules(seed uint64, horizon int64, procs []workload.Poisson) ([][]int64, uint64) {
+	arrivals := make([][]int64, len(procs))
+	var total uint64
+	for w, p := range procs {
+		if p.Rate() == 0 {
+			continue
+		}
+		arrivals[w] = workload.GenSchedule(p, horizon, rand.New(rand.NewPCG(seed^arrivalSalt, uint64(w)+1)))
+		total += uint64(len(arrivals[w]))
+	}
+	return arrivals, total
+}
+
+// sojournTally is an open-loop run's sojourn recorder and the SLO
+// tracker judging it.
+type sojournTally struct {
+	rec      *metrics.Recorder
+	slo      *metrics.SLOTracker
+	interval int64
+	last     int64 // time of the last tick that stepped
+}
+
+// newSojournTally records sojourn per class, in unit, on shards recorder
+// shards, judged against objectives every openLoopInterval(horizon).
+func newSojournTally(shards int, classes []string, unit string, objectives metrics.SLOConfig, horizon int64) (*sojournTally, error) {
+	rec, err := metrics.New(metrics.Config{
+		Shards:   shards,
+		Classes:  classes,
+		Paths:    []string{"sojourn"},
+		TimeUnit: unit,
+	})
+	if err != nil {
+		return nil, err
+	}
+	slo, err := metrics.NewSLOTracker(rec, objectives)
+	if err != nil {
+		return nil, err
+	}
+	return &sojournTally{rec: rec, slo: slo, interval: openLoopInterval(horizon)}, nil
+}
+
+// tick steps the SLO tracker at now if an interval has passed since the
+// last step, and reports whether it did. One driver goroutine ticks.
+func (s *sojournTally) tick(now int64) bool {
+	if now-s.last < s.interval {
+		return false
+	}
+	s.slo.Step(now)
+	s.last = now
+	return true
+}
+
+// OpenLoopStats is what every open-loop point reports of its run.
+type OpenLoopStats struct {
+	// Arrivals is the number of generated arrivals; Completed the number
+	// that finished (always equal — the run drains its queue — but kept
+	// separate so a future bounded-drain mode stays honest).
+	Arrivals  uint64 `json:"arrivals"`
+	Completed uint64 `json:"completed"`
+	// Horizon is the arrival window; Makespan when the last op finished.
+	// Makespan >> Horizon means the offered load exceeded capacity.
+	Horizon  int64 `json:"horizon"`
+	Makespan int64 `json:"makespan"`
+	// Throughput is completed ops per million time units of
+	// max(makespan, horizon) — the achieved rate, which tracks the
+	// offered rate below saturation and the service capacity above it.
+	Throughput float64 `json:"throughput"`
+	// Saturated marks a point past the knee: draining the arrival backlog
+	// ran the clock >10% past the horizon.
+	Saturated bool `json:"saturated"`
+	// Sojourn is intended-start-to-completion latency, all classes.
+	Sojourn SojournStat `json:"sojourn"`
+}
+
+// summarize closes a run that offered arrivals over [0, horizon) and
+// finished at makespan: it steps the SLO tracker a last time at
+// makespan and returns the run's stats, its per-class sojourn rows and
+// the SLO snapshot with its worst final alert state across objectives.
+func (s *sojournTally) summarize(arrivals uint64, horizon, makespan int64) (OpenLoopStats, []ClassSojourn, *metrics.SLOSnapshot, string) {
+	s.slo.Step(makespan)
+	st := OpenLoopStats{Arrivals: arrivals, Horizon: horizon, Makespan: makespan}
+	var byClass []ClassSojourn
+	st.Sojourn, byClass = SojournOf(s.rec)
+	st.Completed = st.Sojourn.Count
+	if span := max(makespan, horizon); span > 0 {
+		st.Throughput = float64(st.Completed) * 1e6 / float64(span)
+	}
+	st.Saturated = makespan > horizon+horizon/10
+	snap := s.slo.Snapshot()
+	state := metrics.SLOStateOK
+	for _, o := range snap.Objectives {
+		if o.State == metrics.SLOStatePage ||
+			(o.State == metrics.SLOStateWarn && state == metrics.SLOStateOK) {
+			state = o.State
+		}
+	}
+	return st, byClass, &snap, state
+}
 
 // OpenLoopView is everything a live observer may read during an open-loop
 // run. All fields are safe for concurrent reads while the run progresses:
@@ -131,20 +248,6 @@ func SojournOf(rec *metrics.Recorder) (SojournStat, []ClassSojourn) {
 	return sojournStatOf(all), byClass
 }
 
-// sloOf snapshots a tracker and reduces it to the worst final alert
-// state across objectives.
-func sloOf(slo *metrics.SLOTracker) (*metrics.SLOSnapshot, string) {
-	snap := slo.Snapshot()
-	state := metrics.SLOStateOK
-	for _, o := range snap.Objectives {
-		if o.State == metrics.SLOStatePage ||
-			(o.State == metrics.SLOStateWarn && state == metrics.SLOStateOK) {
-			state = o.State
-		}
-	}
-	return &snap, state
-}
-
 // ClassSojourn is a per-class sojourn breakdown row.
 type ClassSojourn struct {
 	Class string `json:"class"`
@@ -157,24 +260,7 @@ type OpenLoopPoint struct {
 	Engine   string  `json:"engine"`
 	Threads  int     `json:"threads"`
 	Rate     float64 `json:"rate"` // offered, ops/Mcycle
-	// Arrivals is the number of generated arrivals; Completed the number
-	// that finished (always equal — the run drains its queue — but kept
-	// separate so a future bounded-drain mode stays honest).
-	Arrivals  uint64 `json:"arrivals"`
-	Completed uint64 `json:"completed"`
-	// Horizon is the arrival window; Makespan when the last op finished.
-	// Makespan >> Horizon means the offered load exceeded capacity.
-	Horizon  int64 `json:"horizon"`
-	Makespan int64 `json:"makespan"`
-	// Throughput is completed ops per million cycles of max(makespan,
-	// horizon) — the achieved rate, which tracks the offered rate below
-	// saturation and the service capacity above it.
-	Throughput float64 `json:"throughput"`
-	// Saturated marks a point past the knee: draining the arrival backlog
-	// ran the clock >10% past the horizon.
-	Saturated bool `json:"saturated"`
-	// Sojourn is intended-start-to-completion latency, all classes.
-	Sojourn SojournStat `json:"sojourn"`
+	OpenLoopStats
 	// ByClass breaks sojourn out per operation class.
 	ByClass []ClassSojourn `json:"by_class,omitempty"`
 	// MaxBacklog is the largest sampled arrived-but-unfinished count;
@@ -260,15 +346,9 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 	if err != nil {
 		return nil, err
 	}
-	arrivals := make([][]int64, threads)
-	var totalArrivals uint64
-	for t := 0; t < threads; t++ {
-		r := rand.New(rand.NewPCG(cfg.Seed^0xA17ECA11, uint64(t)+1))
-		arrivals[t] = workload.GenSchedule(gen, cfg.Horizon, r)
-		totalArrivals += uint64(len(arrivals[t]))
-	}
+	arrivals, totalArrivals := arrivalSchedules(cfg.Seed, cfg.Horizon, slices.Repeat([]workload.Poisson{gen}, threads))
 
-	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost, CapacityHint: cfg.CapacityHint})
+	env := memsim.NewDet(memsim.DetConfig{Threads: threads, Cost: cfg.Cost})
 	inst := sc.Setup(env, cfg.Seed)
 	eng, err := BuildEngine(engineName, env, inst, cfg)
 	if err != nil {
@@ -290,12 +370,7 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 	if err != nil {
 		return nil, err
 	}
-	sojournRec, err := metrics.New(metrics.Config{
-		Shards:   threads + 1,
-		Classes:  classNames(&inst),
-		Paths:    []string{"sojourn"},
-		TimeUnit: "cycles",
-	})
+	tally, err := newSojournTally(threads+1, classNames(&inst), "cycles", openLoopSLO(), cfg.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -305,14 +380,10 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 			return nil, err
 		}
 	}
-	slo, err := metrics.NewSLOTracker(sojournRec, openLoopSLO())
-	if err != nil {
-		return nil, err
-	}
 
 	env.ResetStats()
 	eng.ResetMetrics()
-	sampler := metrics.NewSampler(serviceRec, openLoopInterval(cfg.Horizon))
+	sampler := metrics.NewSampler(serviceRec, tally.interval)
 
 	// Completed counters are atomics so the live backlog gauge can be read
 	// from host goroutines (the introspection server) mid-run.
@@ -342,9 +413,9 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 			Engine:   engineName,
 			Threads:  threads,
 			Service:  serviceRec,
-			Sojourn:  sojournRec,
+			Sojourn:  tally.rec,
 			Sampler:  sampler,
-			SLO:      slo,
+			SLO:      tally.slo,
 			Trace:    col,
 			Backlog:  func() int64 { return backlogAt(lastTick.Load()) },
 		})
@@ -358,7 +429,7 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 	completedByHorizon := make([]uint64, threads)
 	env.Run(func(th *memsim.Thread) {
 		t := th.ID()
-		rng := rand.New(rand.NewPCG(cfg.Seed^0x9E3779B9, uint64(t)+1))
+		rng := opStream(cfg.Seed, t)
 		var nextStep int64
 		if cut != nil {
 			nextStep = cut.window
@@ -370,7 +441,7 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 			eng.Execute(th, op)
 			done := th.Now()
 			sojourn := done - intended
-			sojournRec.RecordOp(t, op.Class(), 0, sojourn)
+			tally.rec.RecordOp(t, op.Class(), 0, sojourn)
 			completed[t].Add(1)
 			if done <= cfg.Horizon {
 				completedByHorizon[t]++
@@ -380,8 +451,10 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 			}
 			if t == 0 {
 				lastTick.Store(done)
-				if sampler.MaybeSample(done) {
-					slo.Step(done)
+				// The sampler shares the tally's interval, so it samples
+				// on exactly the ticks that step the SLO tracker.
+				if tally.tick(done) {
+					sampler.MaybeSample(done)
 					if ol.Observer != nil {
 						ol.Observer.OpenLoopTick(done)
 					}
@@ -396,38 +469,26 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 		}
 	})
 
-	pt := OpenLoopPoint{
-		Scenario: sc.Name,
-		Engine:   engineName,
-		Threads:  threads,
-		Rate:     ol.Rate,
-		Arrivals: totalArrivals,
-		Horizon:  cfg.Horizon,
-	}
+	var makespan int64
 	var doneByHorizon uint64
 	for t := 0; t < threads; t++ {
-		pt.Completed += completed[t].Load()
 		doneByHorizon += completedByHorizon[t]
-		if now := env.Now(t); now > pt.Makespan {
-			pt.Makespan = now
-		}
+		makespan = max(makespan, env.Now(t))
 	}
-	span := max(pt.Makespan, cfg.Horizon)
-	if span > 0 {
-		pt.Throughput = float64(pt.Completed) * 1e6 / float64(span)
+	sampler.Flush(makespan)
+	pt := OpenLoopPoint{
+		Scenario:   sc.Name,
+		Engine:     engineName,
+		Threads:    threads,
+		Rate:       ol.Rate,
+		EndBacklog: int64(totalArrivals - doneByHorizon),
 	}
-	pt.Saturated = pt.Makespan > cfg.Horizon+cfg.Horizon/10
-	pt.EndBacklog = int64(totalArrivals - doneByHorizon)
-
-	sampler.Flush(pt.Makespan)
-	slo.Step(pt.Makespan)
+	pt.OpenLoopStats, pt.ByClass, pt.SLO, pt.SLOState = tally.summarize(totalArrivals, cfg.Horizon, makespan)
 	if ol.Observer != nil {
-		ol.Observer.OpenLoopTick(pt.Makespan)
+		ol.Observer.OpenLoopTick(makespan)
 	}
 	pt.MaxBacklog = max(maxBacklog, pt.EndBacklog)
 
-	pt.Sojourn, pt.ByClass = SojournOf(sojournRec)
-	pt.SLO, pt.SLOState = sloOf(slo)
 	if inst.Check != nil {
 		pt.InvariantViolation = inst.Check(env.Boot())
 	}
@@ -443,6 +504,7 @@ func runOpenLoop(sc Scenario, engineName string, threads int, cfg Config, ol Ope
 	if cut != nil {
 		// Merge the threads' windows; a completion at exactly the span
 		// lands in the last window.
+		span := max(makespan, cfg.Horizon)
 		run.windows = make([]metrics.HistogramSnapshot, (span+cut.window-1)/cut.window)
 		last := len(run.windows) - 1
 		for t := range shares {

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -182,7 +184,7 @@ func TestOpenLoopBaselineComparison(t *testing.T) {
 	extra := *rep
 	extra.Points = append(append([]OpenLoopPoint(nil), rep.Points...), OpenLoopPoint{
 		Engine: "HCF", Rate: 9999, Threads: 12,
-		Sojourn: SojournStat{P99: 1 << 40},
+		OpenLoopStats: OpenLoopStats{Sojourn: SojournStat{P99: 1 << 40}},
 	})
 	if _, err := CompareRecords(&extra, rep); err != nil {
 		t.Fatalf("unmatched point must be ignored: %v", err)
@@ -228,5 +230,84 @@ func TestOpenLoopFigureRegistered(t *testing.T) {
 		if r.InvariantViolation != "" {
 			t.Fatalf("invariant violation in %s/%s: %s", r.Scenario, r.Engine, r.InvariantViolation)
 		}
+	}
+}
+
+// TestOpenLoopSummary pins the summary every open-loop point reports
+// (the simulated, elastic and KV figures alike) on hand-made sojourns,
+// in cycles and in nanoseconds: saturation starts one unit past
+// horizon + horizon/10, a run that ends early is charged the whole
+// horizon, and completed is the sojourn count.
+func TestOpenLoopSummary(t *testing.T) {
+	slo := metrics.SLOConfig{Objectives: []metrics.Objective{{Threshold: 100, Target: 0.99}}}
+	for _, u := range []struct {
+		unit    string
+		horizon int64
+	}{
+		{"cycles", 200_000},
+		{"ns", 400_000_000},
+	} {
+		h := u.horizon
+		for _, c := range []struct {
+			makespan  int64
+			span      int64 // what the throughput is charged
+			saturated bool
+		}{
+			{h / 2, h, false},
+			{h, h, false},
+			{h + h/10, h + h/10, false},
+			{h + h/10 + 1, h + h/10 + 1, true},
+		} {
+			tally, err := newSojournTally(2, []string{"get", "put"}, u.unit, slo, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally.rec.RecordOp(0, 0, 0, 50)
+			tally.rec.RecordOp(1, 1, 0, 70)
+			tally.rec.RecordOp(1, 0, 0, 500)
+			st, byClass, snap, state := tally.summarize(4, h, c.makespan)
+			label := u.unit + " makespan " + strconv.FormatInt(c.makespan, 10)
+			want := OpenLoopStats{
+				Arrivals:   4,
+				Completed:  3,
+				Horizon:    h,
+				Makespan:   c.makespan,
+				Throughput: 3e6 / float64(c.span),
+				Saturated:  c.saturated,
+				Sojourn:    st.Sojourn,
+			}
+			if st != want || st.Sojourn.Count != 3 {
+				t.Errorf("%s: stats %+v, want %+v with 3 sojourns", label, st, want)
+			}
+			if len(byClass) != 2 || byClass[0].Count != 2 || byClass[1].Count != 1 {
+				t.Errorf("%s: by class %+v, want get 2 and put 1", label, byClass)
+			}
+			// One sojourn in three over the threshold burns a 1% budget
+			// 33-fold: the final step pages.
+			if state != metrics.SLOStatePage || snap.Objectives[0].Total != 3 {
+				t.Errorf("%s: SLO %s over %d ops, want page over 3", label, state, snap.Objectives[0].Total)
+			}
+			if tally.rec.TimeUnit() != u.unit {
+				t.Errorf("%s: recorder unit %q", label, tally.rec.TimeUnit())
+			}
+		}
+	}
+}
+
+// TestSojournTallyTicks: the SLO tracker steps once a twentieth of the
+// horizon has passed since its last step, not on a fixed grid.
+func TestSojournTallyTicks(t *testing.T) {
+	tally, err := newSojournTally(1, []string{"op"}, "cycles", openLoopSLO(), 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stepped []int64
+	for _, now := range []int64{10, 49, 50, 60, 99, 120, 169, 170} {
+		if tally.tick(now) {
+			stepped = append(stepped, now)
+		}
+	}
+	if !slices.Equal(stepped, []int64{50, 120, 170}) {
+		t.Fatalf("stepped at %v, want [50 120 170]", stepped)
 	}
 }

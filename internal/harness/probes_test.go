@@ -56,7 +56,7 @@ func TestMeteredRunIsDeterministic(t *testing.T) {
 	ht := HashTableScenario(40, 1024)
 	var cases []probeCase
 	for _, p := range []Probes{
-		{Metrics: true, Interval: 10_000},
+		{Metrics: true},
 		{Metrics: true, Trace: true, TraceLimit: 64},
 	} {
 		for _, name := range EngineNames {
@@ -85,7 +85,7 @@ func TestTracingDoesNotPerturbRun(t *testing.T) {
 
 func TestMeteredReportContents(t *testing.T) {
 	sc := HashTableScenario(40, 1024)
-	pt, err := RunPointWith(sc, "HCF", 8, Config{Horizon: 60_000, Seed: 1}, Probes{Metrics: true, Interval: 10_000})
+	pt, err := RunPointWith(sc, "HCF", 8, Config{Horizon: 60_000, Seed: 1}, Probes{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,12 @@ func TestMeteredReportContents(t *testing.T) {
 	if want := []string{"TryPrivate", "TryVisible", "TryCombining", "CombineUnderLock"}; !reflect.DeepEqual(rep.Paths, want) {
 		t.Errorf("Paths = %v, want %v", rep.Paths, want)
 	}
-	if len(rep.Intervals) < 5 {
-		t.Errorf("intervals = %d, want >= 5 for a 60k-cycle run sampled every 10k", len(rep.Intervals))
+	// The probe samples every twentieth of the horizon.
+	if rep.SampleInterval != 3_000 {
+		t.Errorf("sample interval = %d, want 3000 for a 60k-cycle run", rep.SampleInterval)
+	}
+	if len(rep.Intervals) < 10 {
+		t.Errorf("intervals = %d, want >= 10 for a 60k-cycle run sampled every 3k", len(rep.Intervals))
 	}
 	// The time series partitions the run: contiguous intervals whose op
 	// counts sum to the run total.

@@ -39,7 +39,7 @@ func TestBuildEngineNeedsShardingPlan(t *testing.T) {
 // metered engine), and equal configurations must replay bit-identically.
 func TestRunPointSharded(t *testing.T) {
 	sc := ShardedHashTableScenario(40, 512, 4, 1, 0)
-	cfg := Config{Horizon: 30_000, Trials: 3, Seed: 2}
+	cfg := Config{Horizon: 30_000, Seed: 2}
 	a, err := RunPoint(sc, ShardedEngineName, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestRunPointShardedHotSkew(t *testing.T) {
 	if !strings.Contains(sc.Name, "hot=90%") {
 		t.Errorf("scenario name %q does not advertise the skew", sc.Name)
 	}
-	res, err := RunPoint(sc, ShardedEngineName, 8, Config{Horizon: 30_000, Trials: 3, Seed: 3})
+	res, err := RunPoint(sc, ShardedEngineName, 8, Config{Horizon: 30_000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRunPointShardedHotSkew(t *testing.T) {
 func TestShardedScenarioOnBaselines(t *testing.T) {
 	sc := ShardedHashTableScenario(40, 256, 2, 2, 0)
 	for _, name := range []string{"Lock", "HCF"} {
-		res, err := RunPoint(sc, name, 6, Config{Horizon: 20_000, Trials: 3, Seed: 4})
+		res, err := RunPoint(sc, name, 6, Config{Horizon: 20_000, Seed: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

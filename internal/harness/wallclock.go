@@ -76,19 +76,25 @@ func roundLoop(budget time.Duration, minRounds int, fn func(r int)) {
 	}
 }
 
-// median returns the middle value (mean of the two middle values for an
-// even count), or 0 for no values.
-func median(xs []float64) float64 {
+// Quartiles returns the first quartile, median and third quartile of
+// xs, interpolating between order statistics (the median of an even
+// count is the mean of the middle two); NaN for no values. xs is not
+// reordered.
+func Quartiles(xs []float64) [3]float64 {
 	if len(xs) == 0 {
-		return 0
+		return [3]float64{math.NaN(), math.NaN(), math.NaN()}
 	}
 	s := slices.Clone(xs)
 	slices.Sort(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	at := func(q float64) float64 {
+		x := q * float64(len(s)-1)
+		i := int(x)
+		if i+1 >= len(s) {
+			return s[i]
+		}
+		return s[i] + (x-float64(i))*(s[i+1]-s[i])
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return [3]float64{at(0.25), at(0.5), at(0.75)}
 }
 
 // probeTime is how long each half of EffectiveParallelism runs.

@@ -51,23 +51,29 @@ func TestRoundLoopRunsMinRounds(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
+// TestQuartiles pins the one quartile helper the native figure's median
+// and bench/ab.go share: interpolated between order statistics, the
+// input left in its order, NaN for no values.
+func TestQuartiles(t *testing.T) {
 	for _, c := range []struct {
 		in   []float64
-		want float64
+		want [3]float64
 	}{
-		{nil, 0},
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{3, 1, 2}, [3]float64{1.5, 2, 2.5}},
+		{[]float64{4, 1, 3, 2}, [3]float64{1.75, 2.5, 3.25}},
+		{[]float64{7}, [3]float64{7, 7, 7}},
 	} {
 		in := append([]float64(nil), c.in...)
-		if got := median(c.in); got != c.want {
-			t.Fatalf("median(%v) = %v, want %v", c.in, got, c.want)
+		if got := Quartiles(c.in); got != c.want {
+			t.Fatalf("Quartiles(%v) = %v, want %v", c.in, got, c.want)
 		}
-		for i := range in {
-			if in[i] != c.in[i] {
-				t.Fatalf("median reordered its input: %v", c.in)
-			}
+		if !slices.Equal(in, c.in) {
+			t.Fatalf("Quartiles reordered its input: %v", c.in)
+		}
+	}
+	for _, q := range Quartiles(nil) {
+		if !math.IsNaN(q) {
+			t.Fatalf("Quartiles(nil) = %v, want NaN", Quartiles(nil))
 		}
 	}
 }

@@ -31,9 +31,9 @@
 // it), and it only ever observes writes that are already on disk — the
 // same writes that are, or are about to be, acknowledged. With
 // DisableSync there is no fsync, and a reader may observe a write that
-// only the page cache holds; nor, by default, does a writer then wait
-// for others to join its batch (Config.CommitDelay), since there is no
-// flush for them to share. Crash recovery replays each shard log in
+// only the page cache holds; nor does a writer then wait for others to
+// join its batch (the group-commit delay, commitDelay), since there is
+// no flush for them to share. Crash recovery replays each shard log in
 // order, truncating a torn tail at the first record that fails decoding,
 // and rebuilds an index state-identical to the pre-crash one (IndexDump
 // verifies this bit-for-bit in the tests and the harness figure).
@@ -110,27 +110,8 @@ type Config struct {
 	// MaxHandles bounds concurrent handles per shard framework.
 	// 0 defaults to max(8, 4*GOMAXPROCS).
 	MaxHandles int
-	// TryPrivate budgets read speculation for gets. 0 defaults to 8.
-	// Puts and deletes never speculate: holding the seqlock across an
-	// fsync would stall the shard, and solo commits defeat group commit.
-	TryPrivate int
 	// MaxValue caps value length in bytes. 0 defaults to 1<<20.
 	MaxValue int
-	// CommitDelay bounds the group-commit delay in scheduler yields: a
-	// put- or delete-led combiner yields up to this many times before
-	// its claim sweep so concurrent writers can announce and share its
-	// flush. The wait stops early once every other handle on the shard
-	// has announced, or once it has cost its expected saving: the
-	// shard's recent write-batch time (a moving average) times the
-	// number of puts and deletes from other handles that recent batches
-	// took in, capped at one batch (see native.Policy.CombineDelay).
-	// Writers that pile up behind fsyncing batches (~100µs) keep the
-	// window open; a lone writer waits for nothing. 0 defaults to 16
-	// when the store syncs and to no delay under DisableSync, where a
-	// batch has no fsync to share and the delay's yield and clock reads
-	// cost more than the rare joiner saves. A positive value is kept
-	// either way; set negative to disable.
-	CommitDelay int
 	// DisableSync skips the fsync at each group-commit boundary. Only
 	// for tests and benchmarks that measure the batching machinery
 	// itself; a crash can then lose acknowledged writes.
@@ -155,19 +136,34 @@ func (c Config) normalize() Config {
 			c.MaxHandles = 8
 		}
 	}
-	if c.TryPrivate <= 0 {
-		c.TryPrivate = 8
-	}
 	if c.MaxValue <= 0 {
 		c.MaxValue = 1 << 20
 	}
-	switch {
-	case c.CommitDelay < 0:
-		c.CommitDelay = 0
-	case c.CommitDelay == 0 && !c.DisableSync:
-		c.CommitDelay = 16
-	}
 	return c
+}
+
+// getTryPrivate budgets read speculation for gets. Puts and deletes
+// never speculate: holding the seqlock across an fsync would stall the
+// shard, and solo commits defeat group commit.
+const getTryPrivate = 8
+
+// commitDelay bounds the group-commit delay in scheduler yields: a put-
+// or delete-led combiner yields up to this many times before its claim
+// sweep so concurrent writers can announce and share its flush. The
+// wait stops early once every other handle on the shard has announced,
+// or once it has cost its expected saving: the shard's recent
+// write-batch time (a moving average) times the number of puts and
+// deletes from other handles that recent batches took in, capped at one
+// batch (see native.Policy.CombineDelay). Writers that pile up behind
+// fsyncing batches (~100µs) keep the window open; a lone writer waits
+// for nothing. It is 16 when the store syncs and no delay under
+// DisableSync, where a batch has no fsync to share and the delay's
+// yield and clock reads cost more than the rare joiner saves.
+func (c Config) commitDelay() int {
+	if c.DisableSync {
+		return 0
+	}
+	return 16
 }
 
 // shard is one index+log pair with its own framework: combiners on
@@ -310,7 +306,7 @@ func openShard(path string, cfg Config) (*shard, error) {
 	pol := make([]native.Policy, numClasses)
 	pol[ClassGet] = native.Policy{
 		Name: "Get", ReadOnly: true,
-		TryPrivate: cfg.TryPrivate, MaxBatch: cfg.MaxHandles,
+		TryPrivate: getTryPrivate, MaxBatch: cfg.MaxHandles,
 		Run:      func(op native.Op) uint64 { return sh.tab.Get(op.A) },
 		RunMulti: sh.runBatch,
 	}
@@ -318,18 +314,18 @@ func openShard(path string, cfg Config) (*shard, error) {
 		// TryPrivate 0: a put that won the CAS would hold the shard's
 		// seqlock across a solo fsync; announcing instead routes every
 		// write through the combiner's group commit. CombineDelay is
-		// the commit delay (0, none, under DisableSync by default) — a
-		// write-led combiner waits a few yields, never longer than the
-		// batch time other writers' joining is expected to save, so
-		// concurrent writers announce and share its flush.
+		// the commit delay (none under DisableSync) — a write-led
+		// combiner waits a few yields, never longer than the batch time
+		// other writers' joining is expected to save, so concurrent
+		// writers announce and share its flush.
 		Name: "Put", TryPrivate: 0, MaxBatch: cfg.MaxHandles,
-		CombineDelay: cfg.CommitDelay,
+		CombineDelay: cfg.commitDelay(),
 		Run:          sh.applyOne,
 		RunMulti:     sh.runBatch,
 	}
 	pol[ClassDelete] = native.Policy{
 		Name: "Delete", TryPrivate: 0, MaxBatch: cfg.MaxHandles,
-		CombineDelay: cfg.CommitDelay,
+		CombineDelay: cfg.commitDelay(),
 		Run:          sh.applyOne,
 		RunMulti:     sh.runBatch,
 	}

@@ -650,9 +650,8 @@ func TestNativeMetrics(t *testing.T) {
 	}
 }
 
-// TestCommitDelayDefaults: the group-commit delay defaults on only where
-// batches share an fsync; an explicit delay is kept and a negative one
-// turns it off.
+// TestCommitDelayDefaults: the group-commit delay is on only where
+// batches share an fsync.
 func TestCommitDelayDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -660,12 +659,9 @@ func TestCommitDelayDefaults(t *testing.T) {
 	}{
 		{Config{}, 16},
 		{Config{DisableSync: true}, 0},
-		{Config{DisableSync: true, CommitDelay: 5}, 5},
-		{Config{CommitDelay: -1}, 0},
-		{Config{DisableSync: true, CommitDelay: -1}, 0},
 	} {
-		if got := tc.cfg.normalize().CommitDelay; got != tc.want {
-			t.Errorf("%+v: CommitDelay = %d, want %d", tc.cfg, got, tc.want)
+		if got := tc.cfg.normalize().commitDelay(); got != tc.want {
+			t.Errorf("%+v: commit delay = %d, want %d", tc.cfg, got, tc.want)
 		}
 	}
 }

@@ -43,11 +43,6 @@ type DetConfig struct {
 	// CostParams.JitterPct). Runs with equal configuration and seed are
 	// bit-identical.
 	Seed uint64
-	// CapacityHint pre-sizes the arena to at least this many words, so long
-	// runs do not grow the page table (and the host allocator) incrementally.
-	// Zero allocates pages on demand. The hint has no effect on simulated
-	// results; pages are identical whether created eagerly or lazily.
-	CapacityHint int
 	// Explore enables adversarial schedule exploration (see explore.go).
 	// The zero value keeps the pure minimum-virtual-time schedule.
 	Explore ExploreConfig
@@ -164,13 +159,6 @@ func NewDet(cfg DetConfig) *DetEnv {
 		nextFree: WordsPerLine, // reserve line 0 so Addr 0 stays nil
 		freelist: make([][]Addr, 64),
 		dormant:  make([]int32, 0, cfg.Threads),
-	}
-	if cfg.CapacityHint > 0 {
-		npages := (cfg.CapacityHint + pageWords - 1) / pageWords
-		e.pages = make([]*detPage, 0, npages)
-		for i := 0; i < npages; i++ {
-			e.pages = append(e.pages, newDetPage())
-		}
 	}
 	total := cfg.Threads + 1 // + bootstrap
 	e.threads = make([]*Thread, total)
